@@ -20,7 +20,7 @@ from .spectral import (LaplacianSpectrum, forest_complexity, laplacian_spectrum,
                        spectral_complexity)
 from .combinatorial import (arboricity, chromatic_number, independence_number,
                             scale_measure)
-from .continuum import (SphereArea1, Torus2, Torus3, continuum_ratio,
+from .continuum import (FlatTorus, SphereArea1, Torus2, Torus3, continuum_ratio,
                         mc_characteristic_length, mc_mean_cluster)
 from .experiments import (bound_audit, extremal_search, growth_sweep,
                           ratio_dimension_sweep)

@@ -16,11 +16,8 @@ from fractions import Fraction
 from . import continuum as continuum_mod
 from . import experiments, report
 from .errors import NetfuncError, ParseError
-from .generators import KINDS, ModelSpec, build_model
+from .generators import KINDS, MODEL_ALIASES, ModelSpec, build_model
 from .graph import read_edge_list, write_edge_list
-
-MODEL_ALIASES = {"er": "erdos_renyi", "ws": "watts_strogatz", "ba": "barabasi_albert",
-                 "bipartite": "complete_bipartite"}
 
 
 def _default_workers():
@@ -106,7 +103,10 @@ def _parse_generator(text):
     if text == "permutation":
         return ("permutation",)
     if text.startswith("quadratic:"):
-        return ("quadratic", int(text.split(":", 1)[1]))
+        try:
+            return ("quadratic", int(text.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise NetfuncError(f"bad generator {text!r}; use quadratic:C or permutation")
 
 
@@ -152,7 +152,10 @@ def cmd_generate(args):
 
 def cmd_sweep(args):
     spec = _model_spec(args, n=0)  # validates the flags; n comes from the list
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise NetfuncError(f"bad --n-list {args.n_list!r}; use integers N1,N2,...") from None
     params = {k: v for k, v in spec.params.items() if k != "n"}
     records = experiments.growth_sweep(spec.kind, params, n_list, args.seeds,
                                        seed=args.seed, workers=args.workers)
@@ -240,10 +243,7 @@ def _extremal_csv(rep):
 
 
 def cmd_continuum(args):
-    space_cls = continuum_mod.SPACES.get(args.space)
-    if space_cls is None:
-        print(f"unknown space {args.space!r}", file=sys.stderr)
-        return 1
+    space_cls = continuum_mod.SPACES[args.space]  # argparse choices reject other names
     space = space_cls() if args.space == "sphere_area1" else space_cls(args.side)
     if args.quantity == "length":
         est = continuum_mod.mc_characteristic_length(space, args.samples, args.seed,

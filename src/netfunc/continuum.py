@@ -6,6 +6,7 @@ in block order, so estimates are bit-identical no matter how blocks are
 split across workers.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,11 +22,16 @@ _CLUSTER_TAG = 2
 
 
 @dataclass(frozen=True)
-class Torus2:
-    """Flat square torus of side r with the minimum-image metric."""
+class FlatTorus:
+    """Flat square (dim 2) or cubic (dim 3) torus of side r with the
+    minimum-image metric."""
 
+    dim: int
     r: float = 1.0
-    kind = "torus2"
+
+    def __post_init__(self):
+        if self.dim not in (2, 3) or not self.r > 0:
+            raise InvalidParam(f"torus needs dim 2 or 3 and side > 0, got {self.dim}, {self.r}")
 
     @property
     def scale(self):
@@ -35,7 +41,7 @@ class Torus2:
         return self.r / 4
 
     def sample_points(self, gen, count):
-        return gen.random((count, 2)) * self.r
+        return gen.random((count, self.dim)) * self.r
 
     def distance(self, a, b):
         delta = np.abs(a - b)
@@ -44,52 +50,26 @@ class Torus2:
 
     def sample_sphere_pair(self, gen, centers, radius):
         out = []
-        for _ in range(2):
-            phi = gen.random(len(centers)) * (2 * math.pi)
-            offset = radius * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-            out.append(np.mod(centers + offset, self.r))
+        for _ in range(2):  # draw order per dimension fixes the seeded stream
+            if self.dim == 2:
+                phi = gen.random(len(centers)) * (2 * math.pi)
+                unit = [np.cos(phi), np.sin(phi)]
+            else:
+                cos_theta = 1 - 2 * gen.random(len(centers))
+                sin_theta = np.sqrt(np.maximum(0.0, 1 - cos_theta**2))
+                phi = gen.random(len(centers)) * (2 * math.pi)
+                unit = [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta]
+            out.append(np.mod(centers + radius * np.stack(unit, axis=1), self.r))
         return out
 
 
-@dataclass(frozen=True)
-class Torus3:
-    """Flat cubic torus of side r."""
-
-    r: float = 1.0
-    kind = "torus3"
-
-    @property
-    def scale(self):
-        return self.r
-
-    def max_radius(self):
-        return self.r / 4
-
-    def sample_points(self, gen, count):
-        return gen.random((count, 3)) * self.r
-
-    def distance(self, a, b):
-        delta = np.abs(a - b)
-        delta = np.minimum(delta, self.r - delta)
-        return np.sqrt((delta * delta).sum(axis=1))
-
-    def sample_sphere_pair(self, gen, centers, radius):
-        out = []
-        for _ in range(2):
-            cos_theta = 1 - 2 * gen.random(len(centers))
-            sin_theta = np.sqrt(np.maximum(0.0, 1 - cos_theta**2))
-            phi = gen.random(len(centers)) * (2 * math.pi)
-            offset = radius * np.stack(
-                [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=1)
-            out.append(np.mod(centers + offset, self.r))
-        return out
+Torus2 = functools.partial(FlatTorus, 2)
+Torus3 = functools.partial(FlatTorus, 3)
 
 
 @dataclass(frozen=True)
 class SphereArea1:
     """Round 2-sphere of surface area 1 (radius 1/(2 sqrt(pi)))."""
-
-    kind = "sphere_area1"
 
     @property
     def radius(self):

@@ -42,7 +42,7 @@ class NoEdges(NetfuncError):
 
 
 class SingularZ(NetfuncError):
-    """The similarity matrix is numerically singular (pivot below threshold)."""
+    """The similarity matrix is numerically singular (eigenvalue spread past 1e12)."""
 
 
 class ConvergenceFailure(NetfuncError):

@@ -169,6 +169,8 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
         raise InvalidParam(f"unknown extremal functionals: {sorted(unknown)}")
+    if bins < 1:
+        raise InvalidParam("extremal histograms need bins >= 1")
     m = n * (n - 1) // 2
     total = 1 << m
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
@@ -277,7 +279,7 @@ def evaluate_sweep_record(spec):
                                    lambda: cluster_length_ratio(g), UndefinedRatio),
         dimension=guard("dimension", lambda: float(inductive_dimension(g)),
                         RecursionBudgetExceeded),
-        mean_degree=2 * g.m / g.n if g.n else 0.0,
+        mean_degree=summary.mean_degree,
         edge_density=float(summary.edge_density),
         curvature_action=summary.action,
         euler_char=guard("euler_char", lambda: euler_characteristic(g),
@@ -424,8 +426,27 @@ def bound_audit(g, independence_cap=30, chromatic_cap=20, arboricity_cap=12,
 
 
 def _tree_wiener(n, edges):
-    g = from_edge_list(n, edges)
-    return sum(sum(all_pairs_distances(g).row(x)) for x in range(n))
+    """Wiener index of the tree with these n - 1 edges, or None if they do not
+    span: cutting edge e leaves parts of s_e and n - s_e vertices, and e lies
+    on the paths of 2 s_e (n - s_e) ordered pairs, so W = 2 sum_e s_e (n - s_e)."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [None] * n
+    parent[0] = 0
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] is None:
+                parent[y] = x
+                order.append(y)
+    if len(order) < n:
+        return None
+    size = [1] * n
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    return 2 * sum(size[x] * (n - size[x]) for x in order[1:])
 
 
 def _min_spanning_tree_wiener(g, limit):
@@ -435,41 +456,16 @@ def _min_spanning_tree_wiener(g, limit):
     otherwise audits the BFS tree from each root (every tree satisfies the
     bound, so a sampled audit can only miss, never fake, a violation).
     """
-    n, m = g.n, g.m
-    edges = list(g.edges())
-    if math.comb(m, n - 1) <= limit:
-        best = None
-        for subset in combinations(edges, n - 1):
-            parent = list(range(n))
+    n = g.n
+    if math.comb(g.m, n - 1) <= limit:
+        trees, method = combinations(g.edges(), n - 1), "exhaustive"
+    else:
+        trees, method = (_bfs_tree(g, root) for root in range(n)), "sampled(bfs-trees)"
+    return min(w for w in (_tree_wiener(n, t) for t in trees) if w is not None), method
 
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
 
-            ok = True
-            for u, v in subset:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    ok = False
-                    break
-                parent[ru] = rv
-            if ok:
-                w = _tree_wiener(n, subset)
-                if best is None or w < best:
-                    best = w
-        return best, "exhaustive"
-    best = None
-    for root in range(n):
-        dist = all_pairs_distances(g).row(root)
-        tree = []
-        for v in range(n):
-            if v == root:
-                continue
-            parent_v = min(w for w in g.adj[v] if dist[w] == dist[v] - 1)
-            tree.append((parent_v, v))
-        w = _tree_wiener(n, tree)
-        if best is None or w < best:
-            best = w
-    return best, "sampled(bfs-trees)"
+def _bfs_tree(g, root):
+    """Each vertex joined to its least neighbor one hop closer to root."""
+    dist = all_pairs_distances(g).row(root)
+    return [(min(w for w in g.adj[v] if dist[w] == dist[v] - 1), v)
+            for v in range(g.n) if v != root]

@@ -14,6 +14,9 @@ from .graph import Graph, from_edge_list
 DETERMINISTIC_KINDS = ("complete", "cycle", "path", "star", "wheel", "complete_bipartite")
 RANDOM_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert", "orbital")
 KINDS = DETERMINISTIC_KINDS + RANDOM_KINDS
+MODEL_ALIASES = {"er": "erdos_renyi", "ws": "watts_strogatz", "ba": "barabasi_albert",
+                 "bipartite": "complete_bipartite"}
+_SHORT_NAMES = {kind: alias for alias, kind in MODEL_ALIASES.items()}
 
 
 @dataclass(frozen=True)
@@ -26,9 +29,7 @@ class ModelSpec:
 
     def describe(self):
         """Canonical flat flag string, e.g. '--model er --n 50 --p 0.1 --seed 42'."""
-        alias = {"erdos_renyi": "er", "watts_strogatz": "ws", "barabasi_albert": "ba",
-                 "complete_bipartite": "bipartite"}
-        parts = [f"--model {alias.get(self.kind, self.kind)}"]
+        parts = [f"--model {_SHORT_NAMES.get(self.kind, self.kind)}"]
         for key in sorted(self.params):
             value = self.params[key]
             if key == "generators":

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
-from .graph import UNREACHABLE, all_pairs_distances, ball, connected_components
+from .graph import UNREACHABLE, all_pairs_distances, ball, connected_components, is_connected
 
 
 def characteristic_length(g):
@@ -118,7 +120,7 @@ def cluster_length_ratio(g):
 
 def wiener_index(g):
     """Total distance over ordered pairs (n(n-1) times the mean length)."""
-    if not _connected(g):
+    if not is_connected(g):
         raise Disconnected("wiener index needs a connected graph")
     dist = all_pairs_distances(g)
     return sum(sum(dist.row(x)) for x in range(g.n))
@@ -126,7 +128,7 @@ def wiener_index(g):
 
 def distance_variance(g):
     """Spread max_x d(x) - min_x d(x) of the per-vertex total distances."""
-    if not _connected(g):
+    if not is_connected(g):
         raise Disconnected("distance variance needs a connected graph")
     if g.n == 0:
         return 0
@@ -146,41 +148,29 @@ def closeness_centrality(g, x):
 
 def mean_centrality(g):
     """Vertex average of closeness centrality."""
-    if not _connected(g) or g.n < 2:
+    if not is_connected(g) or g.n < 2:
         raise Disconnected("mean centrality needs a connected graph on >= 2 vertices")
     return sum(closeness_centrality(g, x) for x in range(g.n)) / g.n
 
 
-def magnitude(g, pivot_tol=1e-12):
-    """Total weight solving Z w = 1 for the similarity matrix Z_ij = exp(-d(i,j)).
+def magnitude(g):
+    """Total weight 1^T Z^-1 1 of the similarity matrix Z_ij = exp(-d(i,j)),
+    as sum_i (1^T v_i)^2 / lam_i over the eigenpairs (lam_i, v_i) of Z.
 
-    Plain Gaussian elimination with partial pivoting; raises SingularZ when
-    the best pivot drops below `pivot_tol`.
+    det Z is an integer polynomial in q = 1/e with constant term 1 and e is
+    transcendental, so Z is never exactly singular: SingularZ only flags
+    numerical trouble, min |lam| < 1e-12 max |lam|.
     """
-    if not _connected(g):
+    if not is_connected(g):
         raise Disconnected("magnitude needs finite distances")
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return 0.0
-    dist = all_pairs_distances(g)
-    a = [[math.exp(-dist.get(i, j)) for j in range(n)] + [1.0] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < pivot_tol:
-            raise SingularZ(f"pivot {a[piv][col]!r} below {pivot_tol}")
-        a[col], a[piv] = a[piv], a[col]
-        prow = a[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / prow[col]
-            if factor:
-                row = a[r]
-                for c in range(col, n + 1):
-                    row[c] -= factor * prow[c]
-    w = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n] - sum(a[r][c] * w[c] for c in range(r + 1, n))
-        w[r] = acc / a[r][r]
-    return sum(w)
+    z = np.exp(-np.array(all_pairs_distances(g).rows, dtype=float))
+    lam, vec = np.linalg.eigh(z)
+    size = np.abs(lam)
+    if size.min() < 1e-12 * size.max():
+        raise SingularZ(f"eigenvalue {size.min()!r} below 1e-12 of {size.max()!r}")
+    return float((vec.sum(axis=0) ** 2 / lam).sum())
 
 
 @dataclass
@@ -202,7 +192,7 @@ def local_profile(g):
     """One VertexProfile per vertex; distance fields are None on disconnected graphs."""
     from .topology import vertex_curvature, vertex_dimension
 
-    connected = _connected(g) and g.n >= 2
+    connected = is_connected(g) and g.n >= 2
     records = []
     for x in range(g.n):
         records.append(VertexProfile(
@@ -217,7 +207,3 @@ def local_profile(g):
             dimension=vertex_dimension(g, x),
         ))
     return tuple(records)
-
-
-def _connected(g):
-    return g.n <= 1 or len(connected_components(g)) == 1

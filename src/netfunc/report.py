@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -168,24 +168,8 @@ def render_value(value, kind):
 
 
 def _profile_dict(rec):
-    def enc(v):
-        if v is None:
-            return None
-        if isinstance(v, Fraction):
-            return {"num": str(v.numerator), "den": str(v.denominator)}
-        return v
-
-    return {
-        "vertex": rec.vertex,
-        "degree": rec.degree,
-        "cluster": enc(rec.cluster),
-        "length": enc(rec.length),
-        "low_degree": rec.low_degree,
-        "mean_distance": enc(rec.mean_distance),
-        "centrality": enc(rec.centrality),
-        "curvature": rec.curvature,
-        "dimension": enc(rec.dimension),
-    }
+    return {k: encode_value(v, "rational") if isinstance(v, Fraction) else v
+            for k, v in asdict(rec).items()}
 
 
 class UnknownFunctional(KeyError):

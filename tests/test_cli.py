@@ -97,11 +97,20 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     assert profile[0]["cluster"] == {"num": "1", "den": "1"}
 
 
-def test_generate_invalid_params_exit_1(capsys):
-    code, _, err = run(capsys, "generate", "--model", "ws", "--n", "10", "--k", "3",
-                       "--p", "0.1")
+@pytest.mark.parametrize("argv, message", [
+    (("generate", "--model", "ws", "--n", "10", "--k", "3", "--p", "0.1"), "even"),
+    (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5,a"), "--n-list"),
+    (("generate", "--model", "orbital", "--n", "10", "--generator", "quadratic:x"),
+     "quadratic:x"),
+    (("extremal", "--n", "3", "--bins", "0"), "bins"),
+    (("continuum", "--space", "torus2", "--side", "-1", "--samples", "1000"), "side"),
+    (("continuum", "--space", "torus2", "--side", "0", "--samples", "1000"), "side"),
+], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero"])
+def test_generate_invalid_params_exit_1(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
     assert code == 1
-    assert "even" in err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and stdout == ""
 
 
 def test_generate_stdout_echoes_spec(capsys):

@@ -1,15 +1,17 @@
 """Extremal scans, sweeps and the bound audit."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from netfunc.errors import InvalidParam
-from netfunc.experiments import (SWEEP_FIELDS, bound_audit, evaluate_sweep_record,
-                                 extremal_search, growth_sweep, ratio_dimension_sweep)
+from netfunc.experiments import (SWEEP_FIELDS, _tree_wiener, bound_audit,
+                                 evaluate_sweep_record, extremal_search, growth_sweep,
+                                 ratio_dimension_sweep)
 from netfunc.generators import ModelSpec, complete, cycle, path, star, wheel
 from netfunc.graph import from_edge_list, is_connected
-from netfunc.metrics import characteristic_length
+from netfunc.metrics import characteristic_length, wiener_index
 from netfunc.spectral import spectral_complexity
 from netfunc.topology import curvature_summary, euler_characteristic
 
@@ -194,3 +196,27 @@ def test_bound_audit_cap_skip():
 def test_wheel_and_star_audit():
     for g in (wheel(6), star(5), cycle(8)):
         assert all(c.holds for c in bound_audit(g))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_wiener_matches_distance_matrix(n):
+    from conftest import iter_labeled_trees
+    for tree in iter_labeled_trees(n):
+        assert _tree_wiener(n, list(tree.edges())) == wiener_index(tree)
+
+
+def test_tree_wiener_rejects_non_spanning_edge_sets():
+    triangles = [s for s in combinations(complete(4).edges(), 3)
+                 if len({x for e in s for x in e}) == 3]
+    assert len(triangles) == 4
+    assert all(_tree_wiener(4, s) is None for s in triangles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exhaustive_audit_matches_brute_force_tree_minimum(n):
+    from conftest import iter_connected_graphs
+    for g in iter_connected_graphs(n):
+        trees = [from_edge_list(n, s) for s in combinations(g.edges(), n - 1)]
+        brute = min(wiener_index(t) for t in trees if is_connected(t))
+        check = next(c for c in bound_audit(g) if c.name == "wiener_spanning_trees")
+        assert (check.rhs, check.note) == (brute, "exhaustive"), sorted(g.edges())

@@ -97,8 +97,23 @@ def test_orbital_permutation_orbits():
 
 
 def test_describe_round_trips_flags():
+    from netfunc import cli, generators
+
     spec = ModelSpec("erdos_renyi", {"n": 50, "p": 0.1}, seed=42)
     assert spec.describe() == "--model er --n 50 --p 0.1 --seed 42"
+    assert cli.MODEL_ALIASES is generators.MODEL_ALIASES
+    params = {"erdos_renyi": {"n": 5, "p": 0.5}, "watts_strogatz": {"n": 8, "k": 2, "p": 0.5},
+              "barabasi_albert": {"n": 5, "m": 1}, "complete_bipartite": {"a": 2, "b": 3},
+              "cycle": {"n": 5}}
+    names = {**{kind: alias for alias, kind in generators.MODEL_ALIASES.items()},
+             "cycle": "cycle"}
+    assert set(params) == set(names)  # every alias, plus one un-aliased kind
+    for kind, flag in names.items():
+        spec = ModelSpec(kind, params[kind], seed=3)
+        text = spec.describe()
+        assert text.startswith(f"--model {flag} ")
+        args = cli.build_parser().parse_args(["generate"] + text.split())
+        assert cli._model_spec(args) == spec
     orb = ModelSpec("orbital", {"n": 9, "generators": (("quadratic", 2), ("permutation",))},
                     seed=5)
     assert "--generator quadratic:2" in orb.describe()

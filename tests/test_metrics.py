@@ -157,6 +157,21 @@ def test_magnitude_matches_library_solver():
         assert magnitude(g) == pytest.approx(expect, abs=1e-9)
 
 
+def test_magnitude_singular_z_is_undefined(monkeypatch):
+    from netfunc import metrics
+    from netfunc.errors import SingularZ
+    from netfunc.graph import DistanceMatrix
+    from netfunc.report import compute_report
+
+    # vertices 0 and 1 get identical distance rows, so Z has two equal rows
+    fake = DistanceMatrix(3, ((0, 0, 1), (0, 0, 1), (1, 1, 0)))
+    monkeypatch.setattr(metrics, "all_pairs_distances", lambda g: fake)
+    with pytest.raises(SingularZ):
+        magnitude(complete(3))
+    entry = compute_report(complete(3), ["magnitude"]).entries["magnitude"]
+    assert entry.status == "undefined"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_length_bounds_exhaustive(n):
     """1 <= mu <= (n+1)/3, density lower bound, diameter and independence
