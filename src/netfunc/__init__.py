@@ -1,9 +1,9 @@
 """Exact graph functionals, generators, continuum estimators and experiments."""
 
 from .graph import (Graph, DistanceMatrix, SimplexCounts, Subgraph, UNREACHABLE,
-                    all_pairs_distances, ball, connected_components, from_edge_list,
-                    induced_subgraph, is_connected, read_edge_list, simplex_counts,
-                    sphere, write_edge_list)
+                    all_pairs_distances, ball, connected_components, distance_levels,
+                    from_edge_list, induced_subgraph, is_connected, read_edge_list,
+                    simplex_counts, sphere, write_edge_list)
 from .generators import (ModelSpec, barabasi_albert, build_model, complete,
                          complete_bipartite, cycle, erdos_renyi, make_family,
                          orbital, path, star, watts_strogatz, wheel)

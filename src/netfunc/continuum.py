@@ -178,6 +178,8 @@ def mc_mean_cluster(space, radius, samples, seed, workers=1):
     metric sphere of the given radius around a uniform center."""
     if samples < 2:
         raise InvalidParam("need at least 2 samples")
+    if not radius > 0:
+        raise InvalidParam(f"radius must be > 0, got {radius}")
     if radius >= space.max_radius():
         raise RadiusTooLarge(f"radius {radius} >= limit {space.max_radius()}")
     total, total_sq = _run_blocks(_cluster_block, space, samples, seed, workers, radius)
@@ -186,6 +188,6 @@ def mc_mean_cluster(space, radius, samples, seed, workers=1):
 
 def continuum_ratio(space, radius, samples, seed, workers=1):
     """Scale-free ratio (length / side) / log(1 / cluster)."""
-    mu = mc_characteristic_length(space, samples, seed, workers=workers).estimate
     nu = mc_mean_cluster(space, radius, samples, seed, workers=workers).estimate
+    mu = mc_characteristic_length(space, samples, seed, workers=workers).estimate
     return (mu / space.scale) / math.log(1.0 / nu)

@@ -22,7 +22,7 @@ from .combinatorial import arboricity, chromatic_number, independence_number
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded, SizeCapExceeded, UndefinedRatio)
 from .generators import ModelSpec, build_model, erdos_renyi
-from .graph import all_pairs_distances, from_edge_list, is_connected
+from .graph import _bfs_row, distance_levels, from_edge_list, is_connected
 from .metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                       wiener_index)
 from .spectral import pseudoinverse_trace_bound
@@ -396,7 +396,7 @@ def bound_audit(g, independence_cap=30, chromatic_cap=20, arboricity_cap=12,
     density_lower = 2 - Fraction(2 * g.m, n * (n - 1))
     check("length_lower_density", density_lower, mu, density_lower <= mu,
           "equality" if mu == density_lower else "")
-    diam = all_pairs_distances(g).diameter()
+    diam = max(len(counts) - 1 for counts in distance_levels(g))
     check("length_upper_diameter", mu, diam, mu <= diam,
           "equality" if mu == diam else "")
 
@@ -466,6 +466,6 @@ def _min_spanning_tree_wiener(g, limit):
 
 def _bfs_tree(g, root):
     """Each vertex joined to its least neighbor one hop closer to root."""
-    dist = all_pairs_distances(g).row(root)
+    dist = _bfs_row(g, root)
     return [(min(w for w in g.adj[v] if dist[w] == dist[v] - 1), v)
             for v in range(g.n) if v != root]

@@ -7,6 +7,8 @@ given (spec, seed) always reproduces the same graph.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rng
 from .errors import InvalidParam
 from .graph import Graph, from_edge_list
@@ -122,22 +124,22 @@ def make_family(spec):
 
 
 def erdos_renyi(n, p, seed):
-    """G(n, p): each pair u < v, in lexicographic order, kept with probability p."""
+    """G(n, p): each pair u < v, in lexicographic order, kept with probability p.
+
+    Row u draws its n - 1 - u uniforms in one call; numpy draws concatenate,
+    so the stream is the same as one draw per pair in lexicographic order.
+    """
     if n < 0:
         raise InvalidParam("erdos_renyi needs n >= 0")
     if not 0 <= p <= 1:
         raise InvalidParam("edge probability must lie in [0, 1]")
     gen = rng.generator(seed)
-    npairs = n * (n - 1) // 2
-    draws = gen.random(npairs)
-    edges = []
-    i = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[i] < p:
-                edges.append((u, v))
-            i += 1
-    return from_edge_list(n, edges)
+    adj = [[] for _ in range(n)]
+    for u in range(n - 1):
+        for v in (np.flatnonzero(gen.random(n - 1 - u) < p) + (u + 1)).tolist():
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(n, adj)
 
 
 def watts_strogatz(n, k, p, seed):

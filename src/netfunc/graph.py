@@ -17,7 +17,7 @@ UNREACHABLE = -1
 class Graph:
     """Finite simple graph: no loops, no multi-edges, undirected."""
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_dist", "_hash")
+    __slots__ = ("n", "adj", "adj_sets", "m", "_dist", "_levels", "_hash")
 
     def __init__(self, n, adj):
         self.n = n
@@ -25,6 +25,7 @@ class Graph:
         self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
         self._dist = None
+        self._levels = None
         self._hash = None
 
     def degree(self, x):
@@ -120,6 +121,43 @@ def all_pairs_distances(g):
     if g._dist is None:
         g._dist = DistanceMatrix(g.n, tuple(tuple(_bfs_row(g, s)) for s in range(g.n)))
     return g._dist
+
+
+def distance_levels(g):
+    """levels[x][k] = number of vertices at hop distance k from x; cached.
+
+    levels[x][0] == 1 and sum(levels[x]) is the size of x's component.  All
+    sources advance together on Python-int bitsets (multi-source BFS, Then et
+    al., PVLDB 8(4), 2014): bit s of reach[v] is set once d(s, v) <= k, and
+    reach_k[v] = reach_{k-1}[v] | OR of reach_{k-1}[u] over neighbors u of v.
+    By symmetry reach[v] is also the ball of radius k around v, so the growth
+    of its popcount is v's level count.  A vertex whose ball stops growing
+    has covered its component and leaves the active list.
+    """
+    if g._levels is None:
+        adj = g.adj
+        reach = [1 << v for v in range(g.n)]
+        size = [1] * g.n
+        levels = [[1] for _ in range(g.n)]
+        active = [v for v in range(g.n) if adj[v]]
+        while active:
+            grown = []
+            for v in active:
+                r = reach[v]
+                for u in adj[v]:
+                    r |= reach[u]
+                grown.append(r)
+            still = []
+            for v, r in zip(active, grown):
+                reach[v] = r
+                count = r.bit_count()
+                if count > size[v]:
+                    levels[v].append(count - size[v])
+                    size[v] = count
+                    still.append(v)
+            active = still
+        g._levels = tuple(tuple(row) for row in levels)
+    return g._levels
 
 
 def connected_components(g):

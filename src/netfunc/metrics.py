@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
-from .graph import UNREACHABLE, all_pairs_distances, ball, connected_components, is_connected
+from .graph import (UNREACHABLE, all_pairs_distances, connected_components,
+                    distance_levels, is_connected)
 
 
 def characteristic_length(g):
@@ -35,23 +36,28 @@ def _component_length(g, comp):
     k = len(comp)
     if k < 2:
         return Fraction(0)
-    dist = all_pairs_distances(g)
-    total = 0
-    for x in comp:
-        row = dist.row(x)
-        for y in comp:
-            total += row[y]
-    return Fraction(total, k * (k - 1))
+    levels = distance_levels(g)
+    return Fraction(sum(_distance_total(levels[x]) for x in comp), k * (k - 1))
+
+
+def _distance_total(counts):
+    """Total distance from a vertex, given its level counts."""
+    return sum(k * c for k, c in enumerate(counts))
+
+
+def _reaching_total(g, x):
+    """Total distance from x; raises Disconnected unless x reaches every vertex."""
+    counts = distance_levels(g)[x]
+    if sum(counts) != g.n:
+        raise Disconnected("vertex cannot reach the whole graph")
+    return _distance_total(counts)
 
 
 def local_mean_distance(g, x):
     """Mean distance from x to every other vertex (connected graphs, n >= 2)."""
     if g.n < 2:
         raise TooSmall("need at least two vertices")
-    row = all_pairs_distances(g).row(x)
-    if UNREACHABLE in row:
-        raise Disconnected("vertex cannot reach the whole graph")
-    return Fraction(sum(row), g.n - 1)
+    return Fraction(_reaching_total(g, x), g.n - 1)
 
 
 def relative_characteristic_length(g, subset):
@@ -76,14 +82,12 @@ def relative_characteristic_length(g, subset):
 def local_length(g, x):
     """Mean distance between distinct neighbors of x, measured inside the ball.
 
-    Vertices of degree <= 1 have no neighbor pair; they take the value 2 by
-    convention (flagged in LocalProfile).
+    Inside the ball two neighbors are 1 apart if adjacent and 2 apart through
+    x otherwise, so L(x) = 2 - C(x).  Vertices of degree <= 1 have no
+    neighbor pair; they take the value 2 by convention (flagged in
+    LocalProfile), which is 2 - C(x) as well.
     """
-    if g.degree(x) <= 1:
-        return Fraction(2)
-    sub = ball(g, x)
-    sphere_ids = [i for i, v in enumerate(sub.vertices) if v != x]
-    return relative_characteristic_length(sub.graph, sphere_ids)
+    return 2 - local_cluster(g, x)
 
 
 def local_cluster(g, x):
@@ -122,8 +126,7 @@ def wiener_index(g):
     """Total distance over ordered pairs (n(n-1) times the mean length)."""
     if not is_connected(g):
         raise Disconnected("wiener index needs a connected graph")
-    dist = all_pairs_distances(g)
-    return sum(sum(dist.row(x)) for x in range(g.n))
+    return sum(_distance_total(counts) for counts in distance_levels(g))
 
 
 def distance_variance(g):
@@ -132,7 +135,7 @@ def distance_variance(g):
         raise Disconnected("distance variance needs a connected graph")
     if g.n == 0:
         return 0
-    totals = [sum(all_pairs_distances(g).row(x)) for x in range(g.n)]
+    totals = [_distance_total(counts) for counts in distance_levels(g)]
     return max(totals) - min(totals)
 
 
@@ -140,15 +143,12 @@ def closeness_centrality(g, x):
     """Reciprocal of the total distance from x."""
     if g.n < 2:
         raise TooSmall("need at least two vertices")
-    row = all_pairs_distances(g).row(x)
-    if UNREACHABLE in row:
-        raise Disconnected("vertex cannot reach the whole graph")
-    return Fraction(1, sum(row))
+    return Fraction(1, _reaching_total(g, x))
 
 
 def mean_centrality(g):
     """Vertex average of closeness centrality."""
-    if not is_connected(g) or g.n < 2:
+    if g.n < 2 or sum(distance_levels(g)[0]) != g.n:
         raise Disconnected("mean centrality needs a connected graph on >= 2 vertices")
     return sum(closeness_centrality(g, x) for x in range(g.n)) / g.n
 

@@ -8,7 +8,7 @@ from math import comb
 from typing import Optional
 
 from .errors import EstimatorUndefined, RecursionBudgetExceeded
-from .graph import all_pairs_distances, simplex_counts
+from .graph import distance_levels, simplex_counts
 
 
 def euler_characteristic(g, budget=100_000_000):
@@ -150,8 +150,8 @@ class CurvatureSummary:
 
 def second_sphere_size(g, x):
     """Number of vertices at hop distance exactly 2 from x."""
-    row = all_pairs_distances(g).row(x)
-    return sum(1 for d in row if d == 2)
+    counts = distance_levels(g)[x]
+    return counts[2] if len(counts) > 2 else 0
 
 
 def vertex_curvature(g, x):

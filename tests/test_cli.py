@@ -105,7 +105,12 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("extremal", "--n", "3", "--bins", "0"), "bins"),
     (("continuum", "--space", "torus2", "--side", "-1", "--samples", "1000"), "side"),
     (("continuum", "--space", "torus2", "--side", "0", "--samples", "1000"), "side"),
-], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero"])
+    (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "-0.01",
+      "--samples", "1000"), "radius"),
+    (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "0",
+      "--samples", "1000"), "radius"),
+], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero",
+        "radius-negative", "radius-zero"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1

@@ -90,3 +90,11 @@ def test_radius_and_sample_guards():
         mc_mean_cluster(SphereArea1(), 0.5, 1000, seed=0)
     with pytest.raises(InvalidParam):
         mc_characteristic_length(Torus2(1.0), 1, seed=0)
+
+
+@pytest.mark.parametrize("radius", [-0.01, 0.0, float("nan")])
+def test_radius_must_be_positive(radius):
+    with pytest.raises(InvalidParam):
+        mc_mean_cluster(Torus2(1.0), radius, 1000, seed=0)
+    with pytest.raises(InvalidParam):
+        continuum_ratio(Torus2(1.0), radius, 1000, seed=0)

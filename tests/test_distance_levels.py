@@ -1,0 +1,184 @@
+"""Hop-level counts from the multi-source bit-parallel BFS, checked against
+Floyd-Warshall and against the per-source distance-matrix formulas."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netfunc.errors import Disconnected, EstimatorUndefined, NetfuncError, TooSmall
+from netfunc.experiments import bound_audit
+from netfunc.generators import erdos_renyi, path, watts_strogatz
+from netfunc.graph import (UNREACHABLE, all_pairs_distances, ball, connected_components,
+                           distance_levels, from_edge_list, is_connected)
+from netfunc.metrics import (characteristic_length, closeness_centrality,
+                             distance_variance, local_length, local_mean_distance,
+                             mean_centrality, relative_characteristic_length,
+                             wiener_index)
+from netfunc.topology import curvature_summary, length_estimate, second_sphere_size
+
+from conftest import INF, floyd_warshall, iter_graphs
+
+
+def test_levels_small_cases():
+    assert distance_levels(from_edge_list(0, [])) == ()
+    assert distance_levels(from_edge_list(3, [])) == ((1,), (1,), (1,))
+    assert distance_levels(path(4)) == ((1, 1, 1, 1), (1, 2, 1), (1, 2, 1), (1, 1, 1, 1))
+    g = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
+    assert distance_levels(g) == ((1, 1), (1, 1), (1, 1, 1), (1, 2), (1, 1, 1))
+    assert distance_levels(g) is distance_levels(g)  # cached
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_levels_match_floyd_warshall_exhaustive(n):
+    for g in iter_graphs(n):
+        levels = distance_levels(g)
+        for x, row in enumerate(floyd_warshall(g)):
+            finite = [d for d in row if d != INF]
+            assert levels[x] == tuple(finite.count(k) for k in range(max(finite) + 1))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_local_length_matches_ball_distances_exhaustive(n):
+    # the definition: mean distance between the neighbors of x inside its ball
+    for g in iter_graphs(n):
+        for x in range(n):
+            if g.degree(x) >= 2:
+                sub = ball(g, x)
+                sphere_ids = [i for i, v in enumerate(sub.vertices) if v != x]
+                assert local_length(g, x) == relative_characteristic_length(sub.graph,
+                                                                            sphere_ids)
+
+
+# -- the per-source matrix formulas the level layer replaced ------------------
+
+def matrix_length(g):
+    dist = all_pairs_distances(g)
+    values = []
+    for comp in connected_components(g):
+        k = len(comp)
+        total = sum(dist.row(x)[y] for x in comp for y in comp)
+        values.append(Fraction(total, k * (k - 1)) if k >= 2 else Fraction(0))
+    return sum(values) / len(values) if values else Fraction(0)
+
+
+def matrix_row_total(g, x):
+    row = all_pairs_distances(g).row(x)
+    if UNREACHABLE in row:
+        raise Disconnected("vertex cannot reach the whole graph")
+    return sum(row)
+
+
+def matrix_second_sphere(g, x):
+    return sum(1 for d in all_pairs_distances(g).row(x) if d == 2)
+
+
+def matrix_curvatures(g):
+    out = []
+    for x in range(g.n):
+        d1, d2 = g.degree(x), matrix_second_sphere(g, x)
+        out.append(math.log(d2 / d1) if d1 and d2 else None)
+    return tuple(out)
+
+
+def matrix_length_estimate(g):
+    d1 = 2 * g.m / g.n
+    d2 = sum(matrix_second_sphere(g, x) for x in range(g.n)) / g.n
+    if d1 == 0 or d2 == 0 or d1 == d2:
+        raise EstimatorUndefined("matrix path")
+    return 1 + math.log(d1 / g.n) / math.log(d1 / d2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NetfuncError as exc:
+        return type(exc)
+
+
+SEEDED = {f"er-{n}-{p:g}-{seed}": erdos_renyi(n, p, seed)
+          for n, p in ((40, 0.03), (120, 0.01), (300, 0.004), (60, 8 / 60), (300, 8 / 300))
+          for seed in range(3)}
+SEEDED.update({f"ws-{n}-{k}-{seed}": watts_strogatz(n, k, 0.1, seed)
+               for n, k in ((50, 4), (200, 6), (300, 4)) for seed in range(2)})
+
+
+def test_seeded_graphs_include_disconnected_draws():
+    assert sum(not is_connected(g) for g in SEEDED.values()) >= 5
+
+
+@pytest.mark.parametrize("g", SEEDED.values(), ids=SEEDED.keys())
+def test_switched_functionals_match_matrix_path(g):
+    n = g.n
+    connected = is_connected(g)
+    assert characteristic_length(g) == matrix_length(g)
+    totals = [outcome(matrix_row_total, g, x) for x in range(n)]
+    if connected:
+        assert wiener_index(g) == sum(totals)
+        assert distance_variance(g) == max(totals) - min(totals)
+        assert mean_centrality(g) == sum(Fraction(1, t) for t in totals) / n
+    else:
+        for fn in (wiener_index, distance_variance, mean_centrality):
+            with pytest.raises(Disconnected):
+                fn(g)
+    for x, total in enumerate(totals):
+        if total is Disconnected:
+            assert outcome(local_mean_distance, g, x) is Disconnected
+            assert outcome(closeness_centrality, g, x) is Disconnected
+        else:
+            assert local_mean_distance(g, x) == Fraction(total, n - 1)
+            assert closeness_centrality(g, x) == Fraction(1, total)
+        assert second_sphere_size(g, x) == matrix_second_sphere(g, x)
+    summary = curvature_summary(g)
+    curvatures = matrix_curvatures(g)
+    admissible = [s for s in curvatures if s is not None]
+    assert summary.curvatures == curvatures
+    assert summary.mean_second == sum(matrix_second_sphere(g, x) for x in range(n)) / n
+    assert summary.action == (sum(admissible) / len(admissible) if admissible else None)
+    assert summary.excluded == n - len(admissible)
+    assert outcome(length_estimate, g) == outcome(matrix_length_estimate, g)
+
+
+@pytest.mark.parametrize("name", [name for name, g in SEEDED.items()
+                                  if g.n <= 120 and is_connected(g)])
+def test_audit_diameter_matches_matrix(name):
+    g = SEEDED[name]
+    rows = {r.name: r for r in bound_audit(g)}
+    assert rows["length_upper_diameter"].rhs == all_pairs_distances(g).diameter()
+
+
+def test_local_mean_distance_and_closeness_errors():
+    with pytest.raises(TooSmall):
+        local_mean_distance(from_edge_list(1, []), 0)
+    with pytest.raises(TooSmall):
+        closeness_centrality(from_edge_list(1, []), 0)
+    with pytest.raises(Disconnected):
+        mean_centrality(from_edge_list(1, []))
+
+
+# -- relabelling invariance ------------------------------------------------------
+
+@st.composite
+def relabelled_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = draw(st.permutations(range(n)))
+    return (from_edge_list(n, edges),
+            from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relabelled_graphs())
+def test_relabelling_leaves_level_functionals_unchanged(pair):
+    g, h = pair
+    assert characteristic_length(g) == characteristic_length(h)
+    assert outcome(wiener_index, g) == outcome(wiener_index, h)
+    assert outcome(distance_variance, g) == outcome(distance_variance, h)
+    assert sorted(distance_levels(g)) == sorted(distance_levels(h))
+    a, b = curvature_summary(g).action, curvature_summary(h).action
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)

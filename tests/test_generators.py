@@ -41,6 +41,23 @@ def test_er_extremes_and_determinism():
         erdos_renyi(5, 1.5, 0)
 
 
+@pytest.mark.parametrize("n, p", [(0, 0.5), (1, 0.5), (2, 1.0), (50, 0.1), (200, 0.05),
+                                  (300, 0.0), (120, 1.0), (77, 0.3)])
+def test_er_rows_match_one_draw_per_pair(n, p):
+    # the original generator: one uniform per pair u < v, in lexicographic order
+    from netfunc import rng
+    for seed in (0, 1, 12345):
+        draws = rng.generator(seed).random(n * (n - 1) // 2)
+        edges = []
+        i = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draws[i] < p:
+                    edges.append((u, v))
+                i += 1
+        assert erdos_renyi(n, p, seed) == from_edge_list(n, edges)
+
+
 def test_er_edge_count_statistics():
     # mean edge count over 1000 seeds within 4 standard deviations of the
     # binomial mean for C(10,2) = 45 trials at p = 1/2
