@@ -1,32 +1,64 @@
 """Immutable finite simple graphs and their metric primitives.
 
 Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
-(deterministic iteration) plus frozensets (O(1) membership).  Graphs never
+(deterministic iteration) plus frozensets (O(1) membership), and on demand as
+Python-int bitmasks (`adjacency_masks`), on which the clique walks run:
+`simplex_counts` here and the dimension walk in `topology`.  Graphs never
 mutate after construction, so every operation here is a pure function that
 can be called concurrently.
 """
 
 from collections import deque
+from operator import index
 from typing import NamedTuple
 
-from .errors import CliqueBudgetExceeded, LoopEdge, ParseError, VertexOutOfRange
+from .errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
+                     VertexOutOfRange)
 
 UNREACHABLE = -1
 
 
 class Graph:
-    """Finite simple graph: no loops, no multi-edges, undirected."""
+    """Finite simple graph: no loops, no multi-edges, undirected.
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_dist", "_levels", "_hash")
+    `adj[u]` lists the neighbors of u.  The lists must describe a simple
+    undirected graph on 0..n-1; anything else raises VertexOutOfRange,
+    LoopEdge or InvalidParam (wrong length, non-integer ids, repeated or
+    one-way neighbors).
+    """
+
+    __slots__ = ("n", "adj", "adj_sets", "m", "_dist", "_levels", "_masks", "_hash")
 
     def __init__(self, n, adj):
         self.n = n
-        self.adj = tuple(tuple(sorted(neighbors)) for neighbors in adj)
+        try:  # numpy integers become ints, so the bitmask shifts stay exact
+            self.adj = tuple(tuple(sorted(map(index, neighbors))) for neighbors in adj)
+        except TypeError:
+            raise InvalidParam("adjacency lists must hold integer vertex ids") from None
         self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
         self._dist = None
         self._levels = None
+        self._masks = None
         self._hash = None
+        self._validate()
+
+    def _validate(self):
+        if len(self.adj) != self.n:
+            raise InvalidParam(f"{len(self.adj)} adjacency lists for {self.n} vertices")
+        adj_sets = self.adj_sets
+        for u, neighbors in enumerate(self.adj):
+            if not neighbors:
+                continue
+            if neighbors[0] < 0 or neighbors[-1] >= self.n:
+                raise VertexOutOfRange(f"neighbor of {u} outside 0..{self.n - 1}")
+            if u in adj_sets[u]:
+                raise LoopEdge(f"self-loop at vertex {u}")
+            if len(adj_sets[u]) != len(neighbors):
+                raise InvalidParam(f"repeated neighbor of vertex {u}")
+            for v in neighbors:
+                if u not in adj_sets[v]:
+                    raise InvalidParam(f"{v} is a neighbor of {u} but not {u} of {v}")
 
     def degree(self, x):
         return len(self.adj[x])
@@ -160,6 +192,19 @@ def distance_levels(g):
     return g._levels
 
 
+def adjacency_masks(g):
+    """masks[v] has bit u set iff u is a neighbor of v; cached on the graph."""
+    if g._masks is None:
+        masks = []
+        for neighbors in g.adj:
+            mask = 0
+            for u in neighbors:
+                mask |= 1 << u
+            masks.append(mask)
+        g._masks = tuple(masks)
+    return g._masks
+
+
 def connected_components(g):
     """Partition the vertex set by reachability; components sorted by least vertex."""
     seen = [False] * g.n
@@ -228,33 +273,37 @@ class SimplexCounts:
 def simplex_counts(g, budget=100_000_000):
     """Count complete subgraphs of every size.
 
-    Cliques are enumerated by ordered extension: a clique (v_0 < ... < v_k) is
-    only grown by common neighbors larger than v_k, so each clique is visited
-    exactly once.  Raises CliqueBudgetExceeded past `budget` visited cliques.
+    Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
+    Comput. 14, 1985): a clique (v_0 < ... < v_k) is only grown by common
+    neighbors larger than v_k, so each clique is visited exactly once.  The
+    walk keeps (candidate bitmask, size) frames on an explicit stack.  A frame
+    stands for one clique per candidate bit, all counted at once; a candidate
+    v with common neighbors above it pushes the frame of the clique's
+    extensions through v.  Frames pushed together are popped largest v first,
+    so the frames waiting on the stack extend cliques that end at distinct
+    vertices: there are at most n of them, however deep the walk goes.
+    Raises CliqueBudgetExceeded past `budget` visited cliques.
     """
-    counts = [g.n]
-    seen = g.n
-    if seen > budget:
-        raise CliqueBudgetExceeded(f"more than {budget} cliques")
-
-    def extend(cand, size):
-        nonlocal seen
-        for i, v in enumerate(cand):
-            seen += 1
-            if seen > budget:
-                raise CliqueBudgetExceeded(f"more than {budget} cliques")
-            if size >= len(counts):
-                counts.append(0)
-            counts[size] += 1
-            nxt = [w for w in cand[i + 1:] if w in g.adj_sets[v]]
-            if nxt:
-                extend(nxt, size + 1)
-
-    for v in range(g.n):
-        nxt = [w for w in g.adj[v] if w > v]
-        if nxt:
-            extend(nxt, 1)
-    return SimplexCounts(counts if g.n else [])
+    masks = adjacency_masks(g)
+    counts = []
+    seen = 0
+    stack = [((1 << g.n) - 1, 0)] if g.n else []
+    while stack:
+        cand, size = stack.pop()
+        found = cand.bit_count()
+        seen += found
+        if seen > budget:
+            raise CliqueBudgetExceeded(f"more than {budget} cliques")
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += found
+        while cand:
+            low = cand & -cand
+            cand ^= low  # what is left of cand lies above the vertex of low
+            grown = cand & masks[low.bit_length() - 1]
+            if grown:
+                stack.append((grown, size + 1))
+    return SimplexCounts(counts)
 
 
 # Edge-list text format: '#' comment lines, then "n <count>", then "u v" lines.

@@ -190,9 +190,10 @@ class VertexProfile:
 
 def local_profile(g):
     """One VertexProfile per vertex; distance fields are None on disconnected graphs."""
-    from .topology import vertex_curvature, vertex_dimension
+    from .topology import vertex_curvature, vertex_dimensions
 
     connected = is_connected(g) and g.n >= 2
+    dimensions = vertex_dimensions(g)
     records = []
     for x in range(g.n):
         records.append(VertexProfile(
@@ -204,6 +205,6 @@ def local_profile(g):
             mean_distance=local_mean_distance(g, x) if connected else None,
             centrality=closeness_centrality(g, x) if connected else None,
             curvature=vertex_curvature(g, x),
-            dimension=vertex_dimension(g, x),
+            dimension=dimensions[x],
         ))
     return tuple(records)

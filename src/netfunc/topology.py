@@ -1,14 +1,23 @@
 """Euler characteristic, inductive dimension, curvature and the mean-field
-length estimator built from first/second neighborhood sizes."""
+length estimator built from first/second neighborhood sizes.
+
+The Euler characteristic sums the clique counts of `graph.simplex_counts`.
+The inductive dimension walks the same bitmask adjacency (`adjacency_masks`):
+a vertex subset is a Python int, the unit sphere of v inside subset S is
+masks[v] & S, and the dimension of every subset reached is memoized on its
+bitmask as a reduced (num, den) int pair.  The walk keeps its frames on an
+explicit stack, so its depth is bounded by the budget, not by the
+interpreter's recursion limit.
+"""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional
 
 from .errors import EstimatorUndefined, RecursionBudgetExceeded
-from .graph import distance_levels, simplex_counts
+from .graph import adjacency_masks, distance_levels, simplex_counts
 
 
 def euler_characteristic(g, budget=100_000_000):
@@ -22,34 +31,84 @@ def euler_characteristic(g, budget=100_000_000):
 def inductive_dimension(g, budget=1_000_000):
     """Average vertex dimension; the empty graph has dimension -1.
 
-    dim(G) = 1 + mean over vertices of dim(S(v)), evaluated recursively on
-    induced subgraphs.  Memoized on the vertex set inside the ambient graph
-    (unit spheres repeat a lot), with a budget on evaluated subproblems.
+    dim(G) = 1 + mean over vertices of dim(S(v)), evaluated on induced
+    subgraphs.  Memoized on the vertex set inside the ambient graph (unit
+    spheres repeat a lot), with a budget on the distinct subsets evaluated.
     """
-    return _dimension_of_subset(g, frozenset(range(g.n)), {}, [budget])
+    return _DimensionMemo(g, budget).dimension((1 << g.n) - 1)
 
 
 def vertex_dimension(g, x, budget=1_000_000):
     """1 + dimension of the unit sphere at x."""
-    return 1 + _dimension_of_subset(g, frozenset(g.adj[x]), {}, [budget])
+    return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
 
 
-def _dimension_of_subset(g, subset, memo, budget):
-    if not subset:
-        return Fraction(-1)
-    cached = memo.get(subset)
-    if cached is not None:
-        return cached
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise RecursionBudgetExceeded("dimension recursion budget exhausted")
-    total = Fraction(0)
-    for v in subset:
-        local_sphere = frozenset(g.adj_sets[v] & subset)
-        total += _dimension_of_subset(g, local_sphere, memo, budget)
-    value = 1 + total / len(subset)
-    memo[subset] = value
-    return value
+def vertex_dimensions(g, budget=1_000_000):
+    """vertex_dimension(g, x) for every vertex x, from one shared memo.
+
+    The memo's budget is n * `budget`, the most the n separate calls could
+    evaluate together, so every graph whose calls fit one by one still fits.
+    """
+    memo = _DimensionMemo(g, g.n * budget)
+    return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
+
+
+class _DimensionMemo:
+    """Dimensions of the induced subgraphs of one graph, keyed on bitmasks.
+
+    `values` maps a vertex bitmask to its dimension as a reduced (num, den)
+    pair.  Over every call on one memo, at most `budget` distinct nonempty
+    subsets are evaluated; the next raises RecursionBudgetExceeded.
+    """
+
+    def __init__(self, g, budget):
+        self.masks = adjacency_masks(g)
+        self.values = {0: (-1, 1)}  # the empty graph
+        self.budget = budget
+        self.spent = 0
+
+    def dimension(self, subset):
+        """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
+        masks, values = self.masks, self.values
+        known = values.get
+        # A frame is [subset, its vertices not yet visited, its children's values].
+        stack = []
+        if subset not in values:
+            self._spend()
+            stack.append([subset, subset, []])
+        while stack:
+            frame = stack[-1]
+            s, rest, found = frame
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = masks[low.bit_length() - 1] & s
+                value = known(child)
+                if value is None:
+                    break
+                found.append(value)
+            else:
+                # every child is known: dim = 1 + (sum of child values) / |s|
+                size = len(found)
+                common = lcm(*[den for _, den in found])
+                num = size * common + sum([a * (common // den) for a, den in found])
+                den = size * common
+                q = gcd(num, den)
+                value = values[s] = (num // q, den // q)
+                stack.pop()
+                if stack:
+                    stack[-1][2].append(value)
+                continue
+            frame[1] = rest
+            self._spend()
+            stack.append([child, child, []])
+        return Fraction(*values[subset])
+
+    def _spend(self):
+        self.spent += 1
+        if self.spent > self.budget:
+            raise RecursionBudgetExceeded(
+                f"more than {self.budget} dimension subproblems")
 
 
 # -- expected dimension on G(n, p) --------------------------------------------

@@ -6,9 +6,11 @@ implementations are checked against an independent route.
 """
 
 import heapq
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from netfunc.graph import from_edge_list
 
@@ -81,6 +83,22 @@ def brute_simplex_counts(g):
             break
         counts.append(c)
     return counts
+
+
+def brute_inductive_dimension(g):
+    """dim(G) = 1 + mean of dim(S(v)), recursing on frozenset vertex subsets
+    with Fraction arithmetic; dim of the empty graph is -1."""
+    memo = {}
+
+    def dim(subset):
+        if not subset:
+            return Fraction(-1)
+        if subset not in memo:
+            total = sum((dim(g.adj_sets[v] & subset) for v in subset), Fraction(0))
+            memo[subset] = 1 + total / len(subset)
+        return memo[subset]
+
+    return dim(frozenset(range(g.n)))
 
 
 def brute_independence_number(g):
@@ -165,6 +183,17 @@ def iter_labeled_trees(n):
         return
     for seq in product(range(n), repeat=n - 2):
         yield from_edge_list(n, pruefer_to_edges(seq, n))
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A graph on 1..14 vertices and the same graph under a random relabelling."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = draw(st.permutations(range(n)))
+    return (from_edge_list(n, edges),
+            from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
 
 
 @pytest.fixture

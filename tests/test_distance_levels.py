@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netfunc.errors import Disconnected, EstimatorUndefined, NetfuncError, TooSmall
 from netfunc.experiments import bound_audit
@@ -19,7 +18,7 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
                              wiener_index)
 from netfunc.topology import curvature_summary, length_estimate, second_sphere_size
 
-from conftest import INF, floyd_warshall, iter_graphs
+from conftest import INF, floyd_warshall, iter_graphs, relabelled_graphs
 
 
 def test_levels_small_cases():
@@ -159,16 +158,6 @@ def test_local_mean_distance_and_closeness_errors():
 
 
 # -- relabelling invariance ------------------------------------------------------
-
-@st.composite
-def relabelled_graphs(draw):
-    n = draw(st.integers(1, 14))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    perm = draw(st.permutations(range(n)))
-    return (from_edge_list(n, edges),
-            from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
-
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(relabelled_graphs())

@@ -1,10 +1,12 @@
 """Graph construction, metric primitives and clique counting."""
 
+import numpy as np
 import pytest
 
-from netfunc.errors import CliqueBudgetExceeded, LoopEdge, ParseError, VertexOutOfRange
+from netfunc.errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
+                            VertexOutOfRange)
 from netfunc.generators import complete, cycle, path, star, wheel
-from netfunc.graph import (UNREACHABLE, all_pairs_distances, ball,
+from netfunc.graph import (UNREACHABLE, Graph, all_pairs_distances, ball,
                            connected_components, from_edge_list, induced_subgraph,
                            read_edge_list, simplex_counts, sphere, write_edge_list)
 
@@ -27,6 +29,31 @@ def test_from_edge_list_rejects_loops_and_bad_ids():
         from_edge_list(2, [(0, 0)])
     with pytest.raises(VertexOutOfRange):
         from_edge_list(2, [(0, 2)])
+
+
+def test_graph_rejects_invalid_adjacency():
+    with pytest.raises(InvalidParam):
+        Graph(3, [[1], [], []])          # one-way edge
+    with pytest.raises(InvalidParam):
+        Graph(3, [[1], [0]])             # too few adjacency lists
+    with pytest.raises(InvalidParam):
+        Graph(2, [[1, 1], [0]])          # repeated neighbor
+    with pytest.raises(LoopEdge):
+        Graph(2, [[0, 1], [0]])
+    with pytest.raises(VertexOutOfRange):
+        Graph(2, [[2], []])
+    with pytest.raises(VertexOutOfRange):
+        Graph(2, [[-1], []])
+    with pytest.raises(InvalidParam):
+        Graph(2, [[1.0], [0]])
+    assert Graph(3, [[1, 2], [0], [0]]) == from_edge_list(3, [(0, 1), (0, 2)])
+
+
+def test_numpy_vertex_ids_become_ints():
+    edges = [(np.int64(u), np.int64(v)) for u, v in [(0, 70), (70, 71), (0, 71)]]
+    g = from_edge_list(72, edges)
+    assert all(type(v) is int for row in g.adj for v in row)
+    assert simplex_counts(g) == (72, 3, 1)
 
 
 def test_distances_complete_and_path():
