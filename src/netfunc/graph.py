@@ -125,8 +125,6 @@ def from_edge_list(n, edges):
         raise VertexOutOfRange("negative vertex count")
     adj = [set() for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            raise LoopEdge(f"self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         adj[u].add(v)

@@ -28,7 +28,10 @@ def euler_characteristic(g, budget=100_000_000):
 
 # -- inductive dimension ------------------------------------------------------
 
-def inductive_dimension(g, budget=1_000_000):
+_DIMENSION_BUDGET = 1_000_000  # distinct subsets one dimension call may evaluate
+
+
+def inductive_dimension(g, budget=_DIMENSION_BUDGET):
     """Average vertex dimension; the empty graph has dimension -1.
 
     dim(G) = 1 + mean over vertices of dim(S(v)), evaluated on induced
@@ -38,18 +41,19 @@ def inductive_dimension(g, budget=1_000_000):
     return _DimensionMemo(g, budget).dimension((1 << g.n) - 1)
 
 
-def vertex_dimension(g, x, budget=1_000_000):
+def vertex_dimension(g, x, budget=_DIMENSION_BUDGET):
     """1 + dimension of the unit sphere at x."""
     return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
 
 
-def vertex_dimensions(g, budget=1_000_000):
+def vertex_dimensions(g):
     """vertex_dimension(g, x) for every vertex x, from one shared memo.
 
-    The memo's budget is n * `budget`, the most the n separate calls could
-    evaluate together, so every graph whose calls fit one by one still fits.
+    The budget is charged per vertex, on the subsets that vertex's call adds
+    to the memo: never more than its separate call would evaluate, so every
+    vertex that fits alone still fits, and one that does not still raises.
     """
-    memo = _DimensionMemo(g, g.n * budget)
+    memo = _DimensionMemo(g, _DIMENSION_BUDGET)
     return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
 
 
@@ -57,20 +61,20 @@ class _DimensionMemo:
     """Dimensions of the induced subgraphs of one graph, keyed on bitmasks.
 
     `values` maps a vertex bitmask to its dimension as a reduced (num, den)
-    pair.  Over every call on one memo, at most `budget` distinct nonempty
-    subsets are evaluated; the next raises RecursionBudgetExceeded.
+    pair.  Each call evaluates at most `budget` distinct nonempty subsets not
+    already in the memo; the next raises RecursionBudgetExceeded.
     """
 
     def __init__(self, g, budget):
         self.masks = adjacency_masks(g)
         self.values = {0: (-1, 1)}  # the empty graph
         self.budget = budget
-        self.spent = 0
 
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
         masks, values = self.masks, self.values
         known = values.get
+        self.spent = 0
         # A frame is [subset, its vertices not yet visited, its children's values].
         stack = []
         if subset not in values:

@@ -96,6 +96,13 @@ def test_large_clique_is_skipped_with_budget_reasons():
     assert chi.status == "skipped" and "more than 100000 cliques" in chi.reason
 
 
+def test_shared_memo_charges_the_budget_per_vertex():
+    # the sphere of every vertex of K_30 is K_29, whose 2^29 subsets exceed
+    # the default budget; sharing the memo must not lift that limit
+    with pytest.raises(RecursionBudgetExceeded, match="more than 1000000 dimension"):
+        local_profile(complete(30))
+
+
 # -- relabelling ------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
