@@ -1,6 +1,6 @@
 """Exact graph functionals, generators, continuum estimators and experiments."""
 
-from .graph import (Graph, DistanceMatrix, SimplexCounts, Subgraph, UNREACHABLE,
+from .graph import (Graph, SimplexCounts, Subgraph, UNREACHABLE,
                     all_pairs_distances, ball, connected_components, distance_levels,
                     from_edge_list, induced_subgraph, is_connected, read_edge_list,
                     simplex_counts, sphere, write_edge_list)

@@ -11,23 +11,11 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import NoEdges, SizeCapExceeded
+from .graph import adjacency_masks
 
 INDEPENDENCE_CAP = 30
 CHROMATIC_CAP = 20
 ARBORICITY_CAP = 12
-
-
-def _neighbor_masks(g, complement=False):
-    full = (1 << g.n) - 1
-    masks = []
-    for v in range(g.n):
-        m = 0
-        for w in g.adj[v]:
-            m |= 1 << w
-        if complement:
-            m = full & ~m & ~(1 << v)
-        masks.append(m)
-    return masks
 
 
 def _max_clique(masks, n):
@@ -80,14 +68,16 @@ def independence_number(g, cap=INDEPENDENCE_CAP):
     """Largest pairwise non-adjacent vertex set, via max clique on the complement."""
     if g.n > cap:
         raise SizeCapExceeded(f"independence search capped at {cap} vertices")
-    return _max_clique(_neighbor_masks(g, complement=True), g.n)
+    full = (1 << g.n) - 1
+    masks = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_masks(g))]
+    return _max_clique(masks, g.n)
 
 
 def clique_number(g, cap=INDEPENDENCE_CAP):
     """Largest complete subgraph size (same search on the graph itself)."""
     if g.n > cap:
         raise SizeCapExceeded(f"clique search capped at {cap} vertices")
-    return _max_clique(_neighbor_masks(g), g.n)
+    return _max_clique(adjacency_masks(g), g.n)
 
 
 def chromatic_number(g, cap=CHROMATIC_CAP):
@@ -99,7 +89,7 @@ def chromatic_number(g, cap=CHROMATIC_CAP):
         return 0
     if g.m == 0:
         return 1
-    masks = _neighbor_masks(g)
+    masks = adjacency_masks(g)
     # order vertices by degree (descending) so conflicts show early
     order = sorted(range(n), key=lambda v: -len(g.adj[v]))
     lower = clique_number(g, cap=cap)

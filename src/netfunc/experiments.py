@@ -22,7 +22,7 @@ from .combinatorial import arboricity, chromatic_number, independence_number
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded, SizeCapExceeded, UndefinedRatio)
 from .generators import ModelSpec, build_model, erdos_renyi
-from .graph import _bfs_row, distance_levels, from_edge_list, is_connected
+from .graph import all_pairs_distances, distance_levels, from_edge_list, is_connected
 from .metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                       wiener_index)
 from .spectral import pseudoinverse_trace_bound
@@ -460,12 +460,13 @@ def _min_spanning_tree_wiener(g, limit):
     if math.comb(g.m, n - 1) <= limit:
         trees, method = combinations(g.edges(), n - 1), "exhaustive"
     else:
-        trees, method = (_bfs_tree(g, root) for root in range(n)), "sampled(bfs-trees)"
+        dist = all_pairs_distances(g)
+        trees, method = (_bfs_tree(g, dist, root) for root in range(n)), "sampled(bfs-trees)"
     return min(w for w in (_tree_wiener(n, t) for t in trees) if w is not None), method
 
 
-def _bfs_tree(g, root):
+def _bfs_tree(g, dist, root):
     """Each vertex joined to its least neighbor one hop closer to root."""
-    dist = _bfs_row(g, root)
-    return [(min(w for w in g.adj[v] if dist[w] == dist[v] - 1), v)
+    row = dist[root].tolist()
+    return [(min(w for w in g.adj[v] if row[w] == row[v] - 1), v)
             for v in range(g.n) if v != root]

@@ -3,14 +3,19 @@
 Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
 (deterministic iteration) plus frozensets (O(1) membership), and on demand as
 Python-int bitmasks (`adjacency_masks`), on which the clique walks run:
-`simplex_counts` here and the dimension walk in `topology`.  Graphs never
-mutate after construction, so every operation here is a pure function that
-can be called concurrently.
+`simplex_counts` here and the dimension walk in `topology`.  Hop distances
+come from one bit-parallel walk that grows every vertex's ball a hop per
+round, read through two views: `distance_levels` (cached level counts) and
+`all_pairs_distances` (the full numpy matrix).  Graphs never mutate after
+construction, so every operation here is a pure function that can be called
+concurrently.
 """
 
 from collections import deque
 from operator import index
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
                      VertexOutOfRange)
@@ -27,7 +32,7 @@ class Graph:
     one-way neighbors).
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_dist", "_levels", "_masks", "_hash")
+    __slots__ = ("n", "adj", "adj_sets", "m", "_levels", "_masks", "_hash")
 
     def __init__(self, n, adj):
         self.n = n
@@ -37,7 +42,6 @@ class Graph:
             raise InvalidParam("adjacency lists must hold integer vertex ids") from None
         self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
-        self._dist = None
         self._levels = None
         self._masks = None
         self._hash = None
@@ -92,29 +96,6 @@ class Subgraph(NamedTuple):
     vertices: tuple  # vertices[i] = id in the parent graph of local vertex i
 
 
-class DistanceMatrix:
-    """All-pairs hop distances; UNREACHABLE marks cross-component pairs."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows
-
-    def get(self, x, y):
-        return self.rows[x][y]
-
-    def row(self, x):
-        return self.rows[x]
-
-    def eccentricity(self, x):
-        """Largest finite distance from x (UNREACHABLE entries ignored)."""
-        return max((d for d in self.rows[x] if d != UNREACHABLE), default=0)
-
-    def diameter(self):
-        return max(self.eccentricity(x) for x in range(self.n)) if self.n else 0
-
-
 def from_edge_list(n, edges):
     """Build a graph on n vertices from (u, v) pairs.
 
@@ -132,62 +113,73 @@ def from_edge_list(n, edges):
     return Graph(n, adj)
 
 
-def _bfs_row(g, source):
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in g.adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dx + 1
-                queue.append(y)
-    return dist
+def _ball_walk(g):
+    """Grow every vertex's ball one hop per round, all sources together.
 
+    One Python-int bitset per vertex (multi-source BFS, Then et al., PVLDB
+    8(4), 2014): bit s of reach[v] is set once d(s, v) <= k, and reach_k[v] =
+    reach_{k-1}[v] | OR of reach_{k-1}[u] over neighbors u of v.  By symmetry
+    reach[v] is also the ball of radius k around v.  Round k yields the
+    vertices whose ball grew and, for each, its sphere of radius k,
+    reach_k & ~reach_{k-1}.  A vertex whose ball stops growing has covered its
+    component and leaves the walk.
 
-def all_pairs_distances(g):
-    """BFS-exact hop distances; cached on the graph after the first call."""
-    if g._dist is None:
-        g._dist = DistanceMatrix(g.n, tuple(tuple(_bfs_row(g, s)) for s in range(g.n)))
-    return g._dist
+    Round k reads reach_{k-1} and writes reach_k into a second buffer, then
+    the two swap.  A vertex leaves on a round in which its ball did not grow,
+    so both buffers end up holding its final ball.
+    """
+    adj = g.adj
+    reach = [1 << v for v in range(g.n)]
+    grown = reach.copy()
+    active = [v for v in range(g.n) if adj[v]]
+    while active:
+        still = []
+        spheres = []
+        for v in active:
+            r = old = reach[v]
+            for u in adj[v]:
+                r |= reach[u]
+            grown[v] = r
+            if r != old:
+                still.append(v)
+                spheres.append(r ^ old)
+        reach, grown = grown, reach
+        if still:
+            yield still, spheres
+        active = still
 
 
 def distance_levels(g):
     """levels[x][k] = number of vertices at hop distance k from x; cached.
 
-    levels[x][0] == 1 and sum(levels[x]) is the size of x's component.  All
-    sources advance together on Python-int bitsets (multi-source BFS, Then et
-    al., PVLDB 8(4), 2014): bit s of reach[v] is set once d(s, v) <= k, and
-    reach_k[v] = reach_{k-1}[v] | OR of reach_{k-1}[u] over neighbors u of v.
-    By symmetry reach[v] is also the ball of radius k around v, so the growth
-    of its popcount is v's level count.  A vertex whose ball stops growing
-    has covered its component and leaves the active list.
+    levels[x][0] == 1 and sum(levels[x]) is the size of x's component.
     """
     if g._levels is None:
-        adj = g.adj
-        reach = [1 << v for v in range(g.n)]
-        size = [1] * g.n
         levels = [[1] for _ in range(g.n)]
-        active = [v for v in range(g.n) if adj[v]]
-        while active:
-            grown = []
-            for v in active:
-                r = reach[v]
-                for u in adj[v]:
-                    r |= reach[u]
-                grown.append(r)
-            still = []
-            for v, r in zip(active, grown):
-                reach[v] = r
-                count = r.bit_count()
-                if count > size[v]:
-                    levels[v].append(count - size[v])
-                    size[v] = count
-                    still.append(v)
-            active = still
+        for grew, spheres in _ball_walk(g):
+            for v, s in zip(grew, spheres):
+                levels[v].append(s.bit_count())
         g._levels = tuple(tuple(row) for row in levels)
     return g._levels
+
+
+def all_pairs_distances(g):
+    """n x n numpy int matrix of hop distances, UNREACHABLE across components.
+
+    Not cached: each call runs the walk again.  Round k packs the spheres of
+    radius k into the rows of the vertices whose ball grew, unpacks all n rows
+    into one mask and sets its entries to k.
+    """
+    n = g.n
+    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    width = (n + 7) // 8
+    for k, (grew, spheres) in enumerate(_ball_walk(g), start=1):
+        packed = np.zeros((n, width), dtype=np.uint8)
+        packed[grew] = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in spheres),
+                                     dtype=np.uint8).reshape(len(grew), width)
+        dist[np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)] = k
+    return dist
 
 
 def adjacency_masks(g):
@@ -335,6 +327,7 @@ def read_edge_list(path):
                     raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
                 if n < 0:
                     raise ParseError("negative vertex count", lineno)
+                header = lineno
                 continue
             if len(parts) != 2:
                 raise ParseError("expected 'u v'", lineno)
@@ -349,4 +342,7 @@ def read_edge_list(path):
             edges.append((u, v))
     if n is None:
         raise ParseError("missing 'n <count>' header", 1)
-    return from_edge_list(n, edges)
+    try:
+        return from_edge_list(n, edges)
+    except MemoryError:
+        raise ParseError(f"vertex count {n} does not fit in memory", header) from None

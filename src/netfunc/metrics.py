@@ -66,17 +66,12 @@ def relative_characteristic_length(g, subset):
     k = len(verts)
     if k < 2:
         raise TooSmall("need at least two vertices in the subset")
-    dist = all_pairs_distances(g)
-    total = 0
-    for x in verts:
-        row = dist.row(x)
-        for y in verts:
-            if x == y:
-                continue
-            if row[y] == UNREACHABLE:
-                raise Disconnected(f"vertices {x} and {y} lie in different components")
-            total += row[y]
-    return Fraction(total, k * (k - 1))
+    block = all_pairs_distances(g)[np.ix_(verts, verts)]
+    cut = np.argwhere(block == UNREACHABLE)
+    if len(cut):
+        x, y = cut[0]
+        raise Disconnected(f"vertices {verts[x]} and {verts[y]} lie in different components")
+    return Fraction(int(block.sum()), k * (k - 1))
 
 
 def local_length(g, x):
@@ -165,7 +160,7 @@ def magnitude(g):
         raise Disconnected("magnitude needs finite distances")
     if g.n == 0:
         return 0.0
-    z = np.exp(-np.array(all_pairs_distances(g).rows, dtype=float))
+    z = np.exp(-all_pairs_distances(g))
     lam, vec = np.linalg.eigh(z)
     size = np.abs(lam)
     if size.min() < 1e-12 * size.max():

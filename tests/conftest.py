@@ -6,13 +6,14 @@ implementations are checked against an independent route.
 """
 
 import heapq
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
 
-from netfunc.graph import from_edge_list
+from netfunc.graph import UNREACHABLE, from_edge_list
 
 INF = float("inf")
 
@@ -33,6 +34,24 @@ def floyd_warshall(g):
                 if alt < row_i[j]:
                     row_i[j] = alt
     return dist
+
+
+def bfs_distances(g):
+    """Hop distances by one deque BFS per source, UNREACHABLE across
+    components: the oracle for graphs too large for floyd_warshall."""
+    rows = []
+    for source in range(g.n):
+        dist = [UNREACHABLE] * g.n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            for y in g.adj[x]:
+                if dist[y] == UNREACHABLE:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        rows.append(dist)
+    return rows
 
 
 def all_pairs(n):

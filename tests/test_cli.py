@@ -3,9 +3,15 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netfunc
 from netfunc.cli import main
 from netfunc.graph import read_edge_list
 from netfunc.generators import complete
@@ -58,6 +64,26 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+def test_analyze_huge_vertex_count_is_a_parse_error(tmp_path):
+    # the header asks for more vertices than the child's address space holds
+    huge = tmp_path / "huge.edges"
+    huge.write_text("n 2000000000\n0 1\n")
+    limit = 256 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # one BLAS thread keeps the numpy import well inside the limit on many-core hosts
+    env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "netfunc.cli", "analyze", str(huge)],
+                          preexec_fn=cap_address_space, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: line 1: vertex count 2000000000")
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_unknown_functional_exit_4(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Hop-level counts from the multi-source bit-parallel BFS, checked against
-Floyd-Warshall and against the per-source distance-matrix formulas."""
+"""Both views of the bit-parallel ball walk, the level counts and the distance
+matrix, checked against Floyd-Warshall and the per-source BFS oracle."""
 
 import math
 from fractions import Fraction
@@ -18,7 +18,7 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
                              wiener_index)
 from netfunc.topology import curvature_summary, length_estimate, second_sphere_size
 
-from conftest import INF, floyd_warshall, iter_graphs, relabelled_graphs
+from conftest import INF, bfs_distances, floyd_warshall, iter_graphs, relabelled_graphs
 
 
 def test_levels_small_cases():
@@ -51,40 +51,40 @@ def test_local_length_matches_ball_distances_exhaustive(n):
                                                                             sphere_ids)
 
 
-# -- the per-source matrix formulas the level layer replaced ------------------
+# -- the per-source formulas the level layer replaced, on the BFS oracle --------
+# `dist` is bfs_distances(g): rows of hop distances, UNREACHABLE across components.
 
-def matrix_length(g):
-    dist = all_pairs_distances(g)
+def matrix_length(g, dist):
     values = []
     for comp in connected_components(g):
         k = len(comp)
-        total = sum(dist.row(x)[y] for x in comp for y in comp)
+        total = sum(dist[x][y] for x in comp for y in comp)
         values.append(Fraction(total, k * (k - 1)) if k >= 2 else Fraction(0))
     return sum(values) / len(values) if values else Fraction(0)
 
 
-def matrix_row_total(g, x):
-    row = all_pairs_distances(g).row(x)
+def matrix_row_total(dist, x):
+    row = dist[x]
     if UNREACHABLE in row:
         raise Disconnected("vertex cannot reach the whole graph")
     return sum(row)
 
 
-def matrix_second_sphere(g, x):
-    return sum(1 for d in all_pairs_distances(g).row(x) if d == 2)
+def matrix_second_sphere(dist, x):
+    return sum(1 for d in dist[x] if d == 2)
 
 
-def matrix_curvatures(g):
+def matrix_curvatures(g, dist):
     out = []
     for x in range(g.n):
-        d1, d2 = g.degree(x), matrix_second_sphere(g, x)
+        d1, d2 = g.degree(x), matrix_second_sphere(dist, x)
         out.append(math.log(d2 / d1) if d1 and d2 else None)
     return tuple(out)
 
 
-def matrix_length_estimate(g):
+def matrix_length_estimate(g, dist):
     d1 = 2 * g.m / g.n
-    d2 = sum(matrix_second_sphere(g, x) for x in range(g.n)) / g.n
+    d2 = sum(matrix_second_sphere(dist, x) for x in range(g.n)) / g.n
     if d1 == 0 or d2 == 0 or d1 == d2:
         raise EstimatorUndefined("matrix path")
     return 1 + math.log(d1 / g.n) / math.log(d1 / d2)
@@ -109,11 +109,17 @@ def test_seeded_graphs_include_disconnected_draws():
 
 
 @pytest.mark.parametrize("g", SEEDED.values(), ids=SEEDED.keys())
+def test_distance_matrix_matches_bfs_oracle(g):
+    assert all_pairs_distances(g).tolist() == bfs_distances(g)
+
+
+@pytest.mark.parametrize("g", SEEDED.values(), ids=SEEDED.keys())
 def test_switched_functionals_match_matrix_path(g):
     n = g.n
     connected = is_connected(g)
-    assert characteristic_length(g) == matrix_length(g)
-    totals = [outcome(matrix_row_total, g, x) for x in range(n)]
+    dist = bfs_distances(g)
+    assert characteristic_length(g) == matrix_length(g, dist)
+    totals = [outcome(matrix_row_total, dist, x) for x in range(n)]
     if connected:
         assert wiener_index(g) == sum(totals)
         assert distance_variance(g) == max(totals) - min(totals)
@@ -129,15 +135,15 @@ def test_switched_functionals_match_matrix_path(g):
         else:
             assert local_mean_distance(g, x) == Fraction(total, n - 1)
             assert closeness_centrality(g, x) == Fraction(1, total)
-        assert second_sphere_size(g, x) == matrix_second_sphere(g, x)
+        assert second_sphere_size(g, x) == matrix_second_sphere(dist, x)
     summary = curvature_summary(g)
-    curvatures = matrix_curvatures(g)
+    curvatures = matrix_curvatures(g, dist)
     admissible = [s for s in curvatures if s is not None]
     assert summary.curvatures == curvatures
-    assert summary.mean_second == sum(matrix_second_sphere(g, x) for x in range(n)) / n
+    assert summary.mean_second == sum(matrix_second_sphere(dist, x) for x in range(n)) / n
     assert summary.action == (sum(admissible) / len(admissible) if admissible else None)
     assert summary.excluded == n - len(admissible)
-    assert outcome(length_estimate, g) == outcome(matrix_length_estimate, g)
+    assert outcome(length_estimate, g) == outcome(matrix_length_estimate, g, dist)
 
 
 @pytest.mark.parametrize("name", [name for name, g in SEEDED.items()
@@ -145,7 +151,7 @@ def test_switched_functionals_match_matrix_path(g):
 def test_audit_diameter_matches_matrix(name):
     g = SEEDED[name]
     rows = {r.name: r for r in bound_audit(g)}
-    assert rows["length_upper_diameter"].rhs == all_pairs_distances(g).diameter()
+    assert rows["length_upper_diameter"].rhs == all_pairs_distances(g).max()
 
 
 def test_local_mean_distance_and_closeness_errors():

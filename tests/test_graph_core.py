@@ -10,8 +10,7 @@ from netfunc.graph import (UNREACHABLE, Graph, all_pairs_distances, ball,
                            connected_components, from_edge_list, induced_subgraph,
                            read_edge_list, simplex_counts, sphere, write_edge_list)
 
-from conftest import (INF, brute_simplex_counts, floyd_warshall, graph_from_mask,
-                      iter_connected_graphs)
+from conftest import INF, brute_simplex_counts, floyd_warshall, graph_from_mask, iter_graphs
 
 
 def test_from_edge_list_triangle():
@@ -58,38 +57,34 @@ def test_numpy_vertex_ids_become_ints():
 
 def test_distances_complete_and_path():
     d = all_pairs_distances(complete(4))
-    assert all(d.get(x, y) == 1 for x in range(4) for y in range(4) if x != y)
+    assert all(d[x, y] == 1 for x in range(4) for y in range(4) if x != y)
     d = all_pairs_distances(path(3))
-    assert d.get(0, 2) == 2 and d.get(0, 1) == 1
+    assert d[0, 2] == 2 and d[0, 1] == 1
 
 
 def test_distances_disconnected_marker():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     d = all_pairs_distances(g)
-    assert d.get(0, 2) == UNREACHABLE
-    assert d.get(1, 3) == UNREACHABLE
-    assert d.get(0, 1) == 1
+    assert d[0, 2] == UNREACHABLE
+    assert d[1, 3] == UNREACHABLE
+    assert d[0, 1] == 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(7))
 def test_distances_match_floyd_warshall_exhaustively(n):
-    for g in iter_connected_graphs(n):
-        got = all_pairs_distances(g)
-        expect = floyd_warshall(g)
-        for x in range(n):
-            for y in range(n):
-                e = expect[x][y]
-                assert got.get(x, y) == (UNREACHABLE if e == INF else e)
+    for g in iter_graphs(n):
+        expect = [[UNREACHABLE if e == INF else e for e in row] for row in floyd_warshall(g)]
+        assert all_pairs_distances(g).tolist() == expect
 
 
 def test_distance_edge_iff_one_hop():
     g = graph_from_mask(6, 0b101011010101011)
     d = all_pairs_distances(g)
     for x in range(6):
-        assert d.get(x, x) == 0
+        assert d[x, x] == 0
         for y in range(6):
-            assert d.get(x, y) == d.get(y, x)
-            assert (d.get(x, y) == 1) == g.has_edge(x, y)
+            assert d[x, y] == d[y, x]
+            assert (d[x, y] == 1) == g.has_edge(x, y)
 
 
 def test_sphere_examples():
