@@ -17,7 +17,7 @@ from . import continuum as continuum_mod
 from . import experiments, report
 from .errors import NetfuncError, ParseError
 from .generators import KINDS, MODEL_ALIASES, ModelSpec, build_model
-from .graph import read_edge_list, write_edge_list
+from .graph import open_text, read_edge_list, write_edge_list
 
 
 def _default_workers():
@@ -41,7 +41,7 @@ def _common_flags(parser):
 
 def _emit(args, text):
     if args.output:
-        with open(args.output, "w") as fh:
+        with open_text(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -167,17 +167,15 @@ def cmd_sweep(args):
 
 
 def _record_dict(rec):
-    out = {}
-    for name in experiments.SWEEP_FIELDS:
-        out[name] = getattr(rec, name)
-    for name in experiments.FLAGGED_FIELDS:
-        out[f"{name}_flag"] = rec.flags.get(name)
+    out = {name: getattr(rec, name) for name in experiments.SWEEP_FIELDS}
+    out.update((f"{name}_flag", rec.flags.get(name)) for name in experiments.SWEEP_FUNCTIONALS)
     return out
 
 
 def _records_csv(records):
     buf = io.StringIO()
-    names = list(experiments.SWEEP_FIELDS) + [f"{f}_flag" for f in experiments.FLAGGED_FIELDS]
+    names = list(experiments.SWEEP_FIELDS)
+    names += [f"{name}_flag" for name in experiments.SWEEP_FUNCTIONALS]
     writer = csv.DictWriter(buf, fieldnames=names)
     writer.writeheader()
     for rec in records:

@@ -8,7 +8,6 @@ split across workers.
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +143,8 @@ def _cluster_block(space, block, count, seed, radius):
 
 
 def _run_blocks(fn, space, samples, seed, workers, *extra):
-    blocks = _blocks(samples)
-    if workers <= 1 or len(blocks) <= 1:
-        partial = [fn(space, b, c, seed, *extra) for b, c in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partial = list(pool.map(fn, *zip(*[(space, b, c, seed) + tuple(extra)
-                                               for b, c in blocks])))
+    calls = [(space, b, c, seed, *extra) for b, c in _blocks(samples)]
+    partial = rng.ordered_map(fn, calls, workers)
     total = total_sq = 0.0
     for s, sq in partial:  # fixed block order: result independent of the split
         total += s

@@ -1,6 +1,10 @@
 """Empirical drivers: exhaustive extremal scans on small orders, sweeps over
 random-model parameters, and the bound audit.
 
+A sweep record reads its values from the functional registry
+(`report.compute_report`), so a sweep and `analyze` evaluate, skip and flag
+each functional the same way.
+
 The extremal scan streams every labeled graph on n <= 7 vertices as a
 C(n,2)-bit edge mask, rejects disconnected graphs, and evaluates the
 requested functionals on numpy batches.  Workers split the mask space into
@@ -9,7 +13,6 @@ the worker count.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -18,16 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .combinatorial import arboricity, chromatic_number, independence_number
-from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
-                     RecursionBudgetExceeded, SizeCapExceeded, UndefinedRatio)
-from .generators import ModelSpec, build_model, erdos_renyi
+from .combinatorial import (ARBORICITY_CAP, CHROMATIC_CAP, INDEPENDENCE_CAP, arboricity,
+                            chromatic_number, independence_number)
+from .errors import InvalidParam, RecursionBudgetExceeded, SizeCapExceeded
+from .generators import ModelSpec, build_model
 from .graph import all_pairs_distances, distance_levels, from_edge_list, is_connected
-from .metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
-                      wiener_index)
+from .metrics import characteristic_length, wiener_index
+from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
-from .topology import (curvature_summary, euler_characteristic,
-                       inductive_dimension, length_estimate)
 
 EXTREMAL_FUNCTIONALS = ("char_length", "euler_char", "curvature_action", "log_complexity")
 
@@ -175,12 +176,7 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
     total = 1 << m
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     wants = tuple(functionals)
-    if workers <= 1 or len(ranges) <= 1:
-        chunks = [_scan_chunk(n, lo, hi, wants) for lo, hi in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_chunk, n, lo, hi, wants) for lo, hi in ranges]
-            chunks = [f.result() for f in futures]  # chunk order preserved
+    chunks = rng.ordered_map(_scan_chunk, [(n, lo, hi, wants) for lo, hi in ranges], workers)
 
     masks = np.concatenate([c["masks"] for c in chunks])
     report = ExtremalReport(n=n, total_masks=total, connected_count=int(masks.size),
@@ -226,16 +222,15 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
 
 # -- sweeps --------------------------------------------------------------------
 
-SWEEP_FIELDS = ("model", "seed", "n", "m", "char_length", "mean_cluster",
-                "cluster_length_ratio", "dimension", "mean_degree", "edge_density",
-                "curvature_action", "euler_char", "length_estimate")
-FLAGGED_FIELDS = ("cluster_length_ratio", "dimension", "curvature_action",
-                  "euler_char", "length_estimate")
+SWEEP_FUNCTIONALS = ("char_length", "mean_cluster", "cluster_length_ratio", "dimension",
+                     "mean_degree", "edge_density", "curvature_action", "euler_char",
+                     "length_estimate")
+SWEEP_FIELDS = ("model", "seed", "n", "m") + SWEEP_FUNCTIONALS
 
 
 @dataclass
 class SweepRecord:
-    """One model draw; every field is a value or an explicit flag, never NaN."""
+    """One model draw; every field is a value or None with a flag, never NaN."""
 
     model: str
     seed: int
@@ -246,58 +241,39 @@ class SweepRecord:
     cluster_length_ratio: Optional[float]
     dimension: Optional[float]
     mean_degree: float
-    edge_density: float
+    edge_density: Optional[float]
     curvature_action: Optional[float]
     euler_char: Optional[int]
     length_estimate: Optional[float]
-    flags: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)  # functional -> skipped/undefined reason
 
 
 def evaluate_sweep_record(spec):
-    """Build the model and fill a SweepRecord, flagging undefined quantities."""
+    """Build the model and read SWEEP_FUNCTIONALS from one compute_report.
+
+    Integer kinds become int and the others float; a skipped or undefined
+    entry becomes None, with the report's reason in `flags`.
+    """
     g = build_model(spec)
-    flags = {}
-
-    def guard(name, fn, *errors):
-        try:
-            return fn()
-        except errors as exc:
-            flags[name] = getattr(exc, "reason", type(exc).__name__)
-            return None
-
-    summary = curvature_summary(g)
-    if summary.action is None:
-        flags["curvature_action"] = "no_admissible_vertices"
-    return SweepRecord(
-        model=spec.describe(),
-        seed=spec.seed,
-        n=g.n,
-        m=g.m,
-        char_length=float(characteristic_length(g)),
-        mean_cluster=float(mean_cluster(g)),
-        cluster_length_ratio=guard("cluster_length_ratio",
-                                   lambda: cluster_length_ratio(g), UndefinedRatio),
-        dimension=guard("dimension", lambda: float(inductive_dimension(g)),
-                        RecursionBudgetExceeded),
-        mean_degree=summary.mean_degree,
-        edge_density=float(summary.edge_density),
-        curvature_action=summary.action,
-        euler_char=guard("euler_char", lambda: euler_characteristic(g),
-                         CliqueBudgetExceeded),
-        length_estimate=guard("length_estimate", lambda: length_estimate(g),
-                              EstimatorUndefined),
-        flags=flags,
-    )
+    values, flags = {}, {}
+    for name, entry in compute_report(g, SWEEP_FUNCTIONALS).entries.items():
+        if entry.status == "ok":
+            values[name] = int(entry.value) if entry.kind == "integer" else float(entry.value)
+        else:
+            values[name], flags[name] = None, entry.reason
+    return SweepRecord(model=spec.describe(), seed=spec.seed, n=g.n, m=g.m, flags=flags,
+                       **values)
 
 
 def growth_sweep(kind, params, n_list, seeds_per_n, seed=0, workers=1):
     """SweepRecords for each (n, replicate) of a model family."""
+    if seeds_per_n < 1:
+        raise InvalidParam(f"a sweep needs at least one seed per n, got {seeds_per_n}")
+    if min(n_list, default=0) < 0:  # a negative n would reach derive_seed's path first
+        raise InvalidParam(f"a sweep needs vertex counts n >= 0, got {min(n_list)}")
     specs = [ModelSpec(kind, {**params, "n": n}, seed=rng.derive_seed(seed, n, s))
              for n in n_list for s in range(seeds_per_n)]
-    if workers <= 1 or len(specs) <= 1:
-        return [evaluate_sweep_record(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate_sweep_record, specs))
+    return rng.ordered_map(evaluate_sweep_record, [(spec,) for spec in specs], workers)
 
 
 @dataclass
@@ -316,26 +292,24 @@ class RatioDimensionSweep:
 
 
 def ratio_dimension_sweep(n, p_grid, samples_per_p, seed):
-    """Per-p means of the cluster-length ratio and the inductive dimension on
-    G(n, p) samples, plus the Pearson correlation of the paired means."""
+    """Per-p means of the cluster-length ratio and the inductive dimension over
+    the sweep records of G(n, p) draws seeded derive_seed(seed, ip, s), plus
+    the Pearson correlation of the paired means."""
     points = []
     for ip, p in enumerate(p_grid):
-        ratios = []
-        dims = []
-        excluded = 0
-        for s in range(samples_per_p):
-            g = erdos_renyi(n, p, rng.derive_seed(seed, ip, s))
-            dims.append(float(inductive_dimension(g)))
-            try:
-                ratios.append(cluster_length_ratio(g))
-            except UndefinedRatio:
-                excluded += 1
+        records = [evaluate_sweep_record(ModelSpec("erdos_renyi", {"n": n, "p": p},
+                                                   seed=rng.derive_seed(seed, ip, s)))
+                   for s in range(samples_per_p)]
+        for r in records:
+            if r.dimension is None:
+                raise RecursionBudgetExceeded(r.flags["dimension"])
+        ratios = [r.cluster_length_ratio for r in records if r.cluster_length_ratio is not None]
         points.append(RatioDimensionPoint(
             p=float(p),
             mean_ratio=sum(ratios) / len(ratios) if ratios else None,
-            mean_dimension=sum(dims) / len(dims),
+            mean_dimension=sum(r.dimension for r in records) / samples_per_p,
             samples=samples_per_p,
-            excluded=excluded,
+            excluded=samples_per_p - len(ratios),
         ))
     paired = [(pt.mean_ratio, pt.mean_dimension) for pt in points
               if pt.mean_ratio is not None]
@@ -365,8 +339,8 @@ class BoundCheck:
     note: str = ""
 
 
-def bound_audit(g, independence_cap=30, chromatic_cap=20, arboricity_cap=12,
-                tree_enumeration_limit=5000, trace_tol=1e-9):
+def bound_audit(g, independence_cap=INDEPENDENCE_CAP, chromatic_cap=CHROMATIC_CAP,
+                arboricity_cap=ARBORICITY_CAP, tree_enumeration_limit=5000, trace_tol=1e-9):
     """Evaluate every implemented length/coloring bound on one graph.
 
     Skipped comparisons (caps, disconnected input) come back with holds=None

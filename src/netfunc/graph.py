@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
-                     VertexOutOfRange)
+from .errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, NetfuncError,
+                     ParseError, VertexOutOfRange)
 
 UNREACHABLE = -1
+CLIQUE_BUDGET = 100_000_000  # default cap on the cliques one simplex_counts call visits
 
 
 class Graph:
@@ -260,7 +261,7 @@ class SimplexCounts:
         return f"SimplexCounts{self.counts}"
 
 
-def simplex_counts(g, budget=100_000_000):
+def simplex_counts(g, budget=CLIQUE_BUDGET):
     """Count complete subgraphs of every size.
 
     Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
@@ -296,11 +297,21 @@ def simplex_counts(g, budget=100_000_000):
     return SimplexCounts(counts)
 
 
-# Edge-list text format: '#' comment lines, then "n <count>", then "u v" lines.
+# Edge-list text format: UTF-8, '#' comment lines, then "n <count>", then "u v" lines.
+
+def open_text(path, mode="r"):
+    """Open a UTF-8 text file, reading bytes that are not UTF-8 as lone
+    surrogates; an OS failure becomes a NetfuncError naming the path."""
+    try:
+        return open(path, mode, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        action = "read" if mode == "r" else "write"
+        raise NetfuncError(f"cannot {action} {path}: {exc.strerror or exc}") from None
+
 
 def write_edge_list(g, path, header_comments=()):
     """Write the canonical edge-list file: edges u < v, lexicographic order."""
-    with open(path, "w") as fh:
+    with open_text(path, "w") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
         fh.write(f"n {g.n}\n")
@@ -312,9 +323,14 @@ def read_edge_list(path):
     """Parse an edge-list file; raises ParseError with the offending line number."""
     n = None
     edges = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                try:  # undecodable bytes read as lone surrogates, which do not encode
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("bytes that are not UTF-8 text", lineno) from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -19,7 +19,7 @@ from . import combinatorial, metrics, spectral, topology
 from .errors import (CliqueBudgetExceeded, Disconnected, EstimatorUndefined,
                      NoEdges, RecursionBudgetExceeded, SingularZ, SizeCapExceeded,
                      TooSmall, UndefinedRatio)
-from .graph import connected_components
+from .graph import CLIQUE_BUDGET, connected_components
 
 _SKIPS = (SizeCapExceeded, CliqueBudgetExceeded, RecursionBudgetExceeded)
 _UNDEFINED = (Disconnected, NoEdges, UndefinedRatio, EstimatorUndefined,
@@ -33,8 +33,8 @@ class Caps:
     independence: int = combinatorial.INDEPENDENCE_CAP
     chromatic: int = combinatorial.CHROMATIC_CAP
     arboricity: int = combinatorial.ARBORICITY_CAP
-    clique_budget: int = 100_000_000
-    dimension_budget: int = 1_000_000
+    clique_budget: int = CLIQUE_BUDGET
+    dimension_budget: int = topology.DIMENSION_BUDGET
 
     @staticmethod
     def with_max_exact_n(limit):

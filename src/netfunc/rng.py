@@ -3,8 +3,11 @@
 All randomness in the package flows through Philox counter-based generators
 keyed by a 64-bit seed plus an integer path.  Distinct paths give independent
 substreams, so sample budgets can be partitioned across workers while the
-merged result stays identical for every partition.
+merged result stays identical for every partition.  `ordered_map` is that
+fan-out: results come back in call order for every worker count.
 """
+
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -24,3 +27,14 @@ def derive_seed(seed, *path):
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                 spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def ordered_map(fn, calls, workers=1):
+    """[fn(*args) for args in calls] (a list), over `workers` processes when
+    workers > 1, where fn and its arguments must pickle.  Results come back in
+    call order either way, so a reduction in that order does not depend on
+    the split."""
+    if workers <= 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*calls)))

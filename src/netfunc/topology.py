@@ -17,10 +17,10 @@ from math import comb, gcd, lcm
 from typing import Optional
 
 from .errors import EstimatorUndefined, RecursionBudgetExceeded
-from .graph import adjacency_masks, distance_levels, simplex_counts
+from .graph import CLIQUE_BUDGET, adjacency_masks, distance_levels, simplex_counts
 
 
-def euler_characteristic(g, budget=100_000_000):
+def euler_characteristic(g, budget=CLIQUE_BUDGET):
     """Alternating sum of the complete-subgraph counts."""
     counts = simplex_counts(g, budget=budget)
     return sum((-1) ** k * c for k, c in enumerate(counts.counts))
@@ -28,10 +28,10 @@ def euler_characteristic(g, budget=100_000_000):
 
 # -- inductive dimension ------------------------------------------------------
 
-_DIMENSION_BUDGET = 1_000_000  # distinct subsets one dimension call may evaluate
+DIMENSION_BUDGET = 1_000_000  # distinct subsets one dimension call may evaluate
 
 
-def inductive_dimension(g, budget=_DIMENSION_BUDGET):
+def inductive_dimension(g, budget=DIMENSION_BUDGET):
     """Average vertex dimension; the empty graph has dimension -1.
 
     dim(G) = 1 + mean over vertices of dim(S(v)), evaluated on induced
@@ -41,7 +41,7 @@ def inductive_dimension(g, budget=_DIMENSION_BUDGET):
     return _DimensionMemo(g, budget).dimension((1 << g.n) - 1)
 
 
-def vertex_dimension(g, x, budget=_DIMENSION_BUDGET):
+def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
     """1 + dimension of the unit sphere at x."""
     return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
 
@@ -53,7 +53,7 @@ def vertex_dimensions(g):
     to the memo: never more than its separate call would evaluate, so every
     vertex that fits alone still fits, and one that does not still raises.
     """
-    memo = _DimensionMemo(g, _DIMENSION_BUDGET)
+    memo = _DimensionMemo(g, DIMENSION_BUDGET)
     return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import netfunc
 from netfunc.cli import main
-from netfunc.graph import read_edge_list
+from netfunc.graph import from_edge_list, read_edge_list
 from netfunc.generators import complete
 from netfunc.graph import write_edge_list
 from netfunc.report import REPORT_SCHEMA
@@ -86,6 +86,41 @@ def test_analyze_huge_vertex_count_is_a_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{tmp}/missing.edges"),
+    ("analyze", "{tmp}"),
+    ("analyze", "{tmp}/ok.edges", "--output", "{tmp}/no/such/dir/x.json"),
+    ("generate", "--model", "complete", "--n", "3", "--output", "{tmp}/no/such/x.edges"),
+], ids=["missing-input", "directory-input", "unwritable-output", "unwritable-edge-list"])
+def test_file_access_errors_exit_1(tmp_path, capsys, argv):
+    write_edge_list(complete(3), tmp_path / "ok.edges")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: cannot ") and argv[-1] in err
+    assert "Traceback" not in err and stdout == ""
+
+
+@pytest.mark.parametrize("content, line", [
+    (b"\xff\xfen 3\n0 1\n", 1),  # a UTF-16 byte-order mark
+    (b"n 3\n# caf\xe9\n0 1\n", 2),  # a Latin-1 comment
+    (b"n 3\n0 1\n1 \x802\n", 3),
+], ids=["utf16-bom", "latin1-comment", "stray-continuation-byte"])
+def test_undecodable_bytes_are_a_parse_error(tmp_path, capsys, content, line):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(content)
+    code, stdout, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith(f"parse error: line {line}: bytes that are not UTF-8 text")
+    assert "Traceback" not in err and stdout == ""
+
+
+def test_utf8_comments_still_parse(tmp_path):
+    good = tmp_path / "good.edges"
+    good.write_bytes("# café, π\nn 3\n0 1\n".encode("utf-8"))
+    assert read_edge_list(good) == from_edge_list(3, [(0, 1)])
+
+
 def test_analyze_unknown_functional_exit_4(tmp_path, capsys):
     target = tmp_path / "k4.edges"
     write_edge_list(complete(4), target)
@@ -135,8 +170,11 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
       "--samples", "1000"), "radius"),
     (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "0",
       "--samples", "1000"), "radius"),
+    (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "0"), "seed per n"),
+    (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "-2"), "seed per n"),
+    (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5,-3", "--seeds", "1"), "n >= 0"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero",
-        "radius-negative", "radius-zero"])
+        "radius-negative", "radius-zero", "seeds-zero", "seeds-negative", "n-list-negative"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1

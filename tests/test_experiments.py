@@ -5,15 +5,21 @@ from itertools import combinations
 
 import pytest
 
-from netfunc.errors import InvalidParam
-from netfunc.experiments import (SWEEP_FIELDS, _tree_wiener, bound_audit,
-                                 evaluate_sweep_record, extremal_search, growth_sweep,
-                                 ratio_dimension_sweep)
-from netfunc.generators import ModelSpec, complete, cycle, path, star, wheel
+from netfunc import experiments, rng
+from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
+                            RecursionBudgetExceeded, UndefinedRatio)
+from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _tree_wiener,
+                                 bound_audit, evaluate_sweep_record, extremal_search,
+                                 growth_sweep, ratio_dimension_sweep)
+from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
+                                star, wheel)
 from netfunc.graph import from_edge_list, is_connected
-from netfunc.metrics import characteristic_length, wiener_index
+from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
+                             wiener_index)
+from netfunc.report import Caps, compute_report
 from netfunc.spectral import spectral_complexity
-from netfunc.topology import curvature_summary, euler_characteristic
+from netfunc.topology import (curvature_summary, euler_characteristic, inductive_dimension,
+                              length_estimate)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
@@ -108,6 +114,86 @@ def test_sweep_record_fields_and_flags():
     assert rec.curvature_action is None
 
 
+def _hand_wired_sweep_record(spec):
+    """The sweep record as it was computed before it read the functional
+    registry: one guarded call per field, flags named by the exception."""
+    g = build_model(spec)
+    flags = {}
+
+    def guard(name, fn, *errors):
+        try:
+            return fn()
+        except errors as exc:
+            flags[name] = getattr(exc, "reason", type(exc).__name__)
+            return None
+
+    summary = curvature_summary(g)
+    if summary.action is None:
+        flags["curvature_action"] = "no_admissible_vertices"
+    values = dict(
+        model=spec.describe(), seed=spec.seed, n=g.n, m=g.m,
+        char_length=float(characteristic_length(g)),
+        mean_cluster=float(mean_cluster(g)),
+        cluster_length_ratio=guard("cluster_length_ratio",
+                                   lambda: cluster_length_ratio(g), UndefinedRatio),
+        dimension=guard("dimension", lambda: float(inductive_dimension(g)),
+                        RecursionBudgetExceeded),
+        mean_degree=summary.mean_degree,
+        edge_density=float(summary.edge_density),
+        curvature_action=summary.action,
+        euler_char=guard("euler_char", lambda: euler_characteristic(g), CliqueBudgetExceeded),
+        length_estimate=guard("length_estimate", lambda: length_estimate(g),
+                              EstimatorUndefined),
+    )
+    return values, flags
+
+
+PERMUTATIONS = (("permutation",), ("permutation",))
+DIFFERENTIAL_SPECS = (
+    [ModelSpec("erdos_renyi", {"n": n, "p": p}, seed=s)
+     for n, p in ((12, 0.3), (20, 0.5), (30, 0.1), (16, 0.9)) for s in range(3)]
+    + [ModelSpec("watts_strogatz", {"n": n, "k": 4, "p": 0.2}, seed=s)
+       for n in (20, 60) for s in range(2)]
+    + [ModelSpec("barabasi_albert", {"n": 40, "m": m}, seed=s) for m in (1, 3) for s in range(2)]
+    + [ModelSpec("orbital", {"n": 50, "generators": gens}, seed=s)
+       for gens in (PERMUTATIONS, (("quadratic", 1),)) for s in range(2)]
+    + [ModelSpec("complete", {"n": 6}), ModelSpec("complete", {"n": 2})]
+    + [ModelSpec("erdos_renyi", {"n": n, "p": 0.9}, seed=1) for n in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda spec: spec.describe())
+def test_sweep_record_matches_hand_wired_calls(spec):
+    want, want_flags = _hand_wired_sweep_record(spec)
+    rec = evaluate_sweep_record(spec)
+    small = rec.n < 2
+    for name in SWEEP_FIELDS:
+        got = getattr(rec, name)
+        if small and name == "edge_density":
+            # the registry leaves edge density undefined below two vertices
+            assert got is None and want[name] == 0.0
+            continue
+        assert got == want[name] and type(got) is type(want[name]), name
+    if small:
+        assert rec.flags.pop("edge_density") == "TooSmall: edge density needs n >= 2"
+    assert rec.flags == want_flags
+
+
+def test_sweep_budget_skips_carry_the_report_reason(monkeypatch):
+    tiny = Caps(dimension_budget=2, clique_budget=5)
+    monkeypatch.setattr(experiments, "compute_report",
+                        lambda g, names: compute_report(g, names, caps=tiny))
+    rec = evaluate_sweep_record(ModelSpec("complete", {"n": 8}))
+    assert rec.dimension is None and rec.euler_char is None
+    # the hand-wired guard flagged these as bare type names
+    assert rec.flags["dimension"] == \
+        "RecursionBudgetExceeded: more than 2 dimension subproblems"
+    assert rec.flags["euler_char"] == "CliqueBudgetExceeded: more than 5 cliques"
+    assert rec.char_length == 1.0
+    with pytest.raises(RecursionBudgetExceeded, match="more than 2 dimension subproblems"):
+        ratio_dimension_sweep(8, [0.9], 2, seed=0)
+
+
 def test_growth_sweep_deterministic_and_complete():
     records = growth_sweep("erdos_renyi", {"p": 0.2}, [12, 18], 3, seed=5)
     again = growth_sweep("erdos_renyi", {"p": 0.2}, [12, 18], 3, seed=5)
@@ -138,6 +224,35 @@ def test_ratio_dimension_sweep_reproducible():
     assert [p.mean_ratio for p in table.points] == [p.mean_ratio for p in again.points]
     assert table.pearson == again.pearson
     assert all(p.samples == 20 for p in table.points)
+
+
+def _hand_wired_ratio_dimension_sweep(n, p_grid, samples_per_p, seed):
+    """The ratio-dimension loop as it was before it reduced sweep records."""
+    points = []
+    for ip, p in enumerate(p_grid):
+        ratios, dims, excluded = [], [], 0
+        for s in range(samples_per_p):
+            g = erdos_renyi(n, p, rng.derive_seed(seed, ip, s))
+            dims.append(float(inductive_dimension(g)))
+            try:
+                ratios.append(cluster_length_ratio(g))
+            except UndefinedRatio:
+                excluded += 1
+        points.append(RatioDimensionPoint(
+            p=float(p), mean_ratio=sum(ratios) / len(ratios) if ratios else None,
+            mean_dimension=sum(dims) / len(dims), samples=samples_per_p, excluded=excluded))
+    paired = [(pt.mean_ratio, pt.mean_dimension) for pt in points
+              if pt.mean_ratio is not None]
+    return points, _pearson(paired)
+
+
+def test_ratio_dimension_sweep_matches_hand_wired_loop():
+    grid = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0]  # p = 1 draws K_n, whose ratio is undefined
+    table = ratio_dimension_sweep(11, grid, 6, seed=17)
+    points, pearson = _hand_wired_ratio_dimension_sweep(11, grid, 6, 17)
+    assert table.points == points
+    assert table.points[-1].mean_ratio is None and table.points[-1].excluded == 6
+    assert table.pearson.hex() == pearson.hex()
 
 
 def test_ratio_sweep_near_one_excludes():
