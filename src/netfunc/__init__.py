@@ -5,8 +5,8 @@ from .graph import (Graph, SimplexCounts, Subgraph, UNREACHABLE,
                     from_edge_list, induced_subgraph, is_connected, read_edge_list,
                     simplex_counts, sphere, write_edge_list)
 from .generators import (ModelSpec, barabasi_albert, build_model, complete,
-                         complete_bipartite, cycle, erdos_renyi, make_family,
-                         orbital, path, star, watts_strogatz, wheel)
+                         complete_bipartite, cycle, erdos_renyi, orbital, path,
+                         star, watts_strogatz, wheel)
 from .metrics import (characteristic_length, closeness_centrality,
                       cluster_length_ratio, distance_variance, local_cluster,
                       local_length, local_mean_distance, local_profile, magnitude,

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import continuum as continuum_mod
 from . import experiments, report
-from .errors import NetfuncError, ParseError
-from .generators import KINDS, MODEL_ALIASES, ModelSpec, build_model
+from .errors import NetfuncError, ParseError, UnknownFunctional
+from .generators import MODEL_ALIASES, MODELS, ModelSpec, build_model, parse_generator
 from .graph import open_text, read_edge_list, write_edge_list
 
 
@@ -55,59 +55,26 @@ def _caps(args):
 
 def _model_flags(parser):
     parser.add_argument("--model", required=True,
-                        help=f"one of {', '.join(sorted(set(KINDS) | set(MODEL_ALIASES)))}")
+                        help=f"one of {', '.join(sorted(set(MODELS) | set(MODEL_ALIASES)))}")
     parser.add_argument("--n", type=int, help="vertex count / family size")
     parser.add_argument("--a", type=int, help="first part size (bipartite)")
     parser.add_argument("--b", type=int, help="second part size (bipartite)")
     parser.add_argument("--p", type=float, help="edge / rewiring probability")
     parser.add_argument("--k", type=int, help="ring-lattice degree (watts_strogatz)")
     parser.add_argument("--m", type=int, help="attachment count (barabasi_albert)")
-    parser.add_argument("--generator", action="append", default=None,
-                        metavar="SPEC", help="orbital map: quadratic:C or permutation")
+    parser.add_argument("--generator", dest="generators", action="append", metavar="SPEC",
+                        help="orbital map: quadratic:C or permutation")
 
 
 def _model_spec(args, n=None):
+    """The ModelSpec of the model flags, with `n`, when given, in place of --n."""
     kind = MODEL_ALIASES.get(args.model, args.model)
-    params = {}
-    if kind == "complete_bipartite":
-        if args.a is None or args.b is None:
-            raise NetfuncError("complete_bipartite needs --a and --b")
-        params.update(a=args.a, b=args.b)
-    else:
-        value = n if n is not None else args.n
-        if value is None:
-            raise NetfuncError(f"{kind} needs --n")
-        params["n"] = value
-    if kind == "erdos_renyi":
-        _require(args.p is not None, "erdos_renyi needs --p")
-        params["p"] = args.p
-    elif kind == "watts_strogatz":
-        _require(args.k is not None and args.p is not None,
-                 "watts_strogatz needs --k and --p")
-        params.update(k=args.k, p=args.p)
-    elif kind == "barabasi_albert":
-        _require(args.m is not None, "barabasi_albert needs --m")
-        params["m"] = args.m
-    elif kind == "orbital":
-        _require(bool(args.generator), "orbital needs at least one --generator")
-        params["generators"] = tuple(_parse_generator(s) for s in args.generator)
+    flags = {**vars(args), "n": args.n if n is None else n}
+    names = MODELS[kind][1] if kind in MODELS else ()
+    params = {name: flags[name] for name in names if flags[name] is not None}
+    if "generators" in params:
+        params["generators"] = tuple(parse_generator(s) for s in params["generators"])
     return ModelSpec(kind, params, seed=args.seed)
-
-
-def _require(ok, message):
-    if not ok:
-        raise NetfuncError(message)
-
-
-def _parse_generator(text):
-    if text == "permutation":
-        return ("permutation",)
-    if text.startswith("quadratic:"):
-        try:
-            return ("quadratic", int(text.split(":", 1)[1]))
-        except ValueError:
-            pass
-    raise NetfuncError(f"bad generator {text!r}; use quadratic:C or permutation")
 
 
 def _render(value):
@@ -124,12 +91,8 @@ def cmd_analyze(args):
         names = None
     else:
         names = [x.strip() for x in args.functionals.split(",") if x.strip()]
-    try:
-        rep = report.compute_report(graph, names=names, caps=_caps(args),
-                                    include_profile=args.profile)
-    except report.UnknownFunctional as exc:
-        print(f"unknown functional: {exc.args[0]}", file=sys.stderr)
-        return 4
+    rep = report.compute_report(graph, names=names, caps=_caps(args),
+                                include_profile=args.profile)
     _emit(args, report.report_json(rep) if args.format == "json" else rep.to_csv())
     if args.strict and any(e.status == "skipped" for e in rep.entries.values()):
         return 3
@@ -189,10 +152,6 @@ def cmd_extremal(args):
         wants = experiments.EXTREMAL_FUNCTIONALS
     else:
         wants = tuple(x.strip() for x in args.functional.split(","))
-        bad = set(wants) - set(experiments.EXTREMAL_FUNCTIONALS)
-        if bad:
-            print(f"unknown functional: {', '.join(sorted(bad))}", file=sys.stderr)
-            return 4
     rep = experiments.extremal_search(args.n, functionals=wants,
                                       workers=args.workers, bins=args.bins)
     if args.format == "json":
@@ -340,6 +299,9 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except UnknownFunctional as exc:
+        print(f"unknown functional: {exc}", file=sys.stderr)
+        return 4
     except NetfuncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,10 @@ class InvalidParam(NetfuncError):
     """A generator or CLI parameter fails validation."""
 
 
+class UnknownFunctional(InvalidParam):
+    """A functional name is not one the requested computation offers."""
+
+
 class Disconnected(NetfuncError):
     """The operation requires a connected graph."""
 

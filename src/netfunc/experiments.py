@@ -23,7 +23,8 @@ import numpy as np
 from . import rng
 from .combinatorial import (ARBORICITY_CAP, CHROMATIC_CAP, INDEPENDENCE_CAP, arboricity,
                             chromatic_number, independence_number)
-from .errors import InvalidParam, RecursionBudgetExceeded, SizeCapExceeded
+from .errors import (InvalidParam, RecursionBudgetExceeded, SizeCapExceeded,
+                     UnknownFunctional)
 from .generators import ModelSpec, build_model
 from .graph import all_pairs_distances, distance_levels, from_edge_list, is_connected
 from .metrics import characteristic_length, wiener_index
@@ -165,11 +166,11 @@ def _scan_chunk(n, lo, hi, wants):
 def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
                     chunk_size=1 << 17):
     """Scan all connected labeled graphs on n vertices for min/max/histograms."""
-    if not 1 <= n <= 7:
-        raise InvalidParam("extremal scan supports 1 <= n <= 7")
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
-        raise InvalidParam(f"unknown extremal functionals: {sorted(unknown)}")
+        raise UnknownFunctional(", ".join(sorted(unknown)))
+    if not 1 <= n <= 7:
+        raise InvalidParam("extremal scan supports 1 <= n <= 7")
     if bins < 1:
         raise InvalidParam("extremal histograms need bins >= 1")
     m = n * (n - 1) // 2
@@ -293,21 +294,24 @@ class RatioDimensionSweep:
 
 def ratio_dimension_sweep(n, p_grid, samples_per_p, seed):
     """Per-p means of the cluster-length ratio and the inductive dimension over
-    the sweep records of G(n, p) draws seeded derive_seed(seed, ip, s), plus
-    the Pearson correlation of the paired means."""
+    the reports of G(n, p) draws seeded derive_seed(seed, ip, s), plus the
+    Pearson correlation of the paired means."""
     points = []
     for ip, p in enumerate(p_grid):
-        records = [evaluate_sweep_record(ModelSpec("erdos_renyi", {"n": n, "p": p},
-                                                   seed=rng.derive_seed(seed, ip, s)))
-                   for s in range(samples_per_p)]
-        for r in records:
-            if r.dimension is None:
-                raise RecursionBudgetExceeded(r.flags["dimension"])
-        ratios = [r.cluster_length_ratio for r in records if r.cluster_length_ratio is not None]
+        dims, ratios = [], []
+        for s in range(samples_per_p):
+            spec = ModelSpec("erdos_renyi", {"n": n, "p": p}, seed=rng.derive_seed(seed, ip, s))
+            entries = compute_report(build_model(spec),
+                                     ("dimension", "cluster_length_ratio")).entries
+            if entries["dimension"].status != "ok":
+                raise RecursionBudgetExceeded(entries["dimension"].reason)
+            dims.append(float(entries["dimension"].value))
+            if entries["cluster_length_ratio"].status == "ok":
+                ratios.append(float(entries["cluster_length_ratio"].value))
         points.append(RatioDimensionPoint(
             p=float(p),
             mean_ratio=sum(ratios) / len(ratios) if ratios else None,
-            mean_dimension=sum(r.dimension for r in records) / samples_per_p,
+            mean_dimension=sum(dims) / samples_per_p,
             samples=samples_per_p,
             excluded=samples_per_p - len(ratios),
         ))

@@ -2,7 +2,8 @@
 
 Every generator is a deterministic function of its parameters and seed.
 Random models consume Philox substreams in a documented, fixed order, so a
-given (spec, seed) always reproduces the same graph.
+given (spec, seed) always reproduces the same graph.  `MODELS` names each
+model kind's builder and parameters; `ModelSpec` and `build_model` read it.
 """
 
 from dataclasses import dataclass, field
@@ -13,9 +14,6 @@ from . import rng
 from .errors import InvalidParam
 from .graph import Graph, from_edge_list
 
-DETERMINISTIC_KINDS = ("complete", "cycle", "path", "star", "wheel", "complete_bipartite")
-RANDOM_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert", "orbital")
-KINDS = DETERMINISTIC_KINDS + RANDOM_KINDS
 MODEL_ALIASES = {"er": "erdos_renyi", "ws": "watts_strogatz", "ba": "barabasi_albert",
                  "bipartite": "complete_bipartite"}
 _SHORT_NAMES = {kind: alias for alias, kind in MODEL_ALIASES.items()}
@@ -29,15 +27,21 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in MODELS:
+            raise InvalidParam(f"unknown model kind {self.kind!r}")
+        for name in MODELS[self.kind][1]:
+            if name not in self.params:
+                flag = "generator" if name == "generators" else name  # one per orbital map
+                raise InvalidParam(f"{self.kind} needs --{flag}")
+
     def describe(self):
         """Canonical flat flag string, e.g. '--model er --n 50 --p 0.1 --seed 42'."""
         parts = [f"--model {_SHORT_NAMES.get(self.kind, self.kind)}"]
         for key in sorted(self.params):
             value = self.params[key]
             if key == "generators":
-                for gen in value:
-                    parts.append("--generator " + (f"quadratic:{gen[1]}" if gen[0] == "quadratic"
-                                                   else "permutation"))
+                parts.extend(f"--generator {_generator_text(gen)}" for gen in value)
             else:
                 parts.append(f"--{key} {value}")
         parts.append(f"--seed {self.seed}")
@@ -45,19 +49,10 @@ class ModelSpec:
 
 
 def build_model(spec):
-    """Dispatch a ModelSpec to its generator; raises InvalidParam on bad input."""
-    kind, p, seed = spec.kind, spec.params, spec.seed
-    if kind in DETERMINISTIC_KINDS:
-        return make_family(spec)
-    if kind == "erdos_renyi":
-        return erdos_renyi(p["n"], p["p"], seed)
-    if kind == "watts_strogatz":
-        return watts_strogatz(p["n"], p["k"], p["p"], seed)
-    if kind == "barabasi_albert":
-        return barabasi_albert(p["n"], p["m"], seed)
-    if kind == "orbital":
-        return orbital(p["n"], p["generators"], seed)
-    raise InvalidParam(f"unknown model kind {kind!r}")
+    """Build the graph a ModelSpec names; raises InvalidParam on bad input."""
+    builder, names, seeded = MODELS[spec.kind]
+    args = [spec.params[name] for name in names]
+    return builder(*args, spec.seed) if seeded else builder(*args)
 
 
 def complete(n):
@@ -100,27 +95,6 @@ def complete_bipartite(a, b):
     if a < 1 or b < 1:
         raise InvalidParam("complete bipartite needs a, b >= 1")
     return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def make_family(spec):
-    """Build one of the deterministic families from a ModelSpec."""
-    p = spec.params
-    try:
-        if spec.kind == "complete":
-            return complete(p["n"])
-        if spec.kind == "cycle":
-            return cycle(p["n"])
-        if spec.kind == "path":
-            return path(p["n"])
-        if spec.kind == "star":
-            return star(p["n"])
-        if spec.kind == "wheel":
-            return wheel(p["n"])
-        if spec.kind == "complete_bipartite":
-            return complete_bipartite(p["a"], p["b"])
-    except KeyError as exc:
-        raise InvalidParam(f"missing parameter {exc} for {spec.kind}") from None
-    raise InvalidParam(f"{spec.kind!r} is not a deterministic family")
 
 
 def erdos_renyi(n, p, seed):
@@ -224,3 +198,35 @@ def orbital(n, generators, seed):
             if t != x:
                 edges.add((min(x, t), max(x, t)))
     return from_edge_list(n, sorted(edges))
+
+
+def parse_generator(text):
+    """The orbital generator written as text ('quadratic:C' or 'permutation')."""
+    if text == "permutation":
+        return ("permutation",)
+    if text.startswith("quadratic:"):
+        try:
+            return ("quadratic", int(text.split(":", 1)[1]))
+        except ValueError:
+            pass
+    raise InvalidParam(f"bad generator {text!r}; use quadratic:C or permutation")
+
+
+def _generator_text(gen):
+    """The inverse of parse_generator."""
+    return f"quadratic:{gen[1]}" if gen[0] == "quadratic" else "permutation"
+
+
+# kind -> (builder, parameter names in call order, whether the builder takes the seed)
+MODELS = {
+    "complete": (complete, ("n",), False),
+    "cycle": (cycle, ("n",), False),
+    "path": (path, ("n",), False),
+    "star": (star, ("n",), False),
+    "wheel": (wheel, ("n",), False),
+    "complete_bipartite": (complete_bipartite, ("a", "b"), False),
+    "erdos_renyi": (erdos_renyi, ("n", "p"), True),
+    "watts_strogatz": (watts_strogatz, ("n", "k", "p"), True),
+    "barabasi_albert": (barabasi_albert, ("n", "m"), True),
+    "orbital": (orbital, ("n", "generators"), True),
+}

@@ -18,7 +18,7 @@ from typing import Optional
 from . import combinatorial, metrics, spectral, topology
 from .errors import (CliqueBudgetExceeded, Disconnected, EstimatorUndefined,
                      NoEdges, RecursionBudgetExceeded, SingularZ, SizeCapExceeded,
-                     TooSmall, UndefinedRatio)
+                     TooSmall, UndefinedRatio, UnknownFunctional)
 from .graph import CLIQUE_BUDGET, connected_components
 
 _SKIPS = (SizeCapExceeded, CliqueBudgetExceeded, RecursionBudgetExceeded)
@@ -170,10 +170,6 @@ def render_value(value, kind):
 def _profile_dict(rec):
     return {k: encode_value(v, "rational") if isinstance(v, Fraction) else v
             for k, v in asdict(rec).items()}
-
-
-class UnknownFunctional(KeyError):
-    pass
 
 
 def compute_report(g, names=None, caps=None, include_profile=False):

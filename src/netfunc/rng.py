@@ -30,11 +30,12 @@ def derive_seed(seed, *path):
 
 
 def ordered_map(fn, calls, workers=1):
-    """[fn(*args) for args in calls] (a list), over `workers` processes when
-    workers > 1, where fn and its arguments must pickle.  Results come back in
-    call order either way, so a reduction in that order does not depend on
-    the split."""
+    """[fn(*args) for args in calls] (a list), over min(workers, len(calls))
+    processes when that is above 1, where fn and its arguments must pickle.
+    Results come back in call order either way, so a reduction in that order
+    does not depend on the split."""
     if workers <= 1 or len(calls) <= 1:
         return [fn(*args) for args in calls]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its workers at the first submit, needed or not
+    with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
         return list(pool.map(fn, *zip(*calls)))

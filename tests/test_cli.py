@@ -173,8 +173,13 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "0"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "-2"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5,-3", "--seeds", "1"), "n >= 0"),
+    (("generate", "--model", "orbital", "--n", "10"), "orbital needs --generator"),
+    (("generate", "--model", "bipartite", "--a", "2"), "complete_bipartite needs --b"),
+    (("sweep", "--model", "ws", "--k", "4", "--n-list", "10", "--seeds", "1"),
+     "watts_strogatz needs --p"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero",
-        "radius-negative", "radius-zero", "seeds-zero", "seeds-negative", "n-list-negative"])
+        "radius-negative", "radius-zero", "seeds-zero", "seeds-negative", "n-list-negative",
+        "orbital-no-generator", "bipartite-no-b", "sweep-ws-no-p"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1

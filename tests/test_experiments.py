@@ -7,7 +7,7 @@ import pytest
 
 from netfunc import experiments, rng
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
-                            RecursionBudgetExceeded, UndefinedRatio)
+                            RecursionBudgetExceeded, UndefinedRatio, UnknownFunctional)
 from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _tree_wiener,
                                  bound_audit, evaluate_sweep_record, extremal_search,
                                  growth_sweep, ratio_dimension_sweep)
@@ -79,6 +79,43 @@ def test_extremal_rejects_large_or_unknown():
         extremal_search(8)
     with pytest.raises(InvalidParam):
         extremal_search(4, functionals=("no_such",))
+
+
+def test_unknown_functional_is_one_error():
+    with pytest.raises(UnknownFunctional, match="^no_such$"):
+        extremal_search(4, functionals=("char_length", "no_such"))
+    with pytest.raises(UnknownFunctional, match="^no_such$"):
+        compute_report(complete(3), ["char_length", "no_such"])
+
+
+def test_ordered_map_starts_no_more_workers_than_calls(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rng, "ProcessPoolExecutor", SerialPool)
+    calls = [(x, 10 * x) for x in range(3)]
+    assert rng.ordered_map(pow, calls, workers=5000) == [pow(x, 10 * x) for x in range(3)]
+    assert rng.ordered_map(pow, calls, workers=2) == [pow(x, 10 * x) for x in range(3)]
+    assert rng.ordered_map(pow, calls[:1], workers=5000) == [1]  # one call runs in-process
+    assert started == [3, 2]
+
+
+def test_growth_sweep_missing_parameter_fails_before_fan_out(monkeypatch):
+    monkeypatch.setattr(rng, "ordered_map", None)  # any fan-out would raise TypeError
+    with pytest.raises(InvalidParam, match="watts_strogatz needs --p"):
+        growth_sweep("watts_strogatz", {"k": 4}, [10], 1)
 
 
 def test_extremal_tiny_orders():

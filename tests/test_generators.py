@@ -5,18 +5,18 @@ from fractions import Fraction
 import pytest
 
 from netfunc.errors import InvalidParam
-from netfunc.generators import (ModelSpec, barabasi_albert, build_model, complete,
-                                complete_bipartite, cycle, erdos_renyi, make_family,
-                                orbital, path, star, watts_strogatz, wheel)
+from netfunc.generators import (MODELS, ModelSpec, barabasi_albert, build_model, complete,
+                                complete_bipartite, cycle, erdos_renyi, orbital, path, star,
+                                watts_strogatz, wheel)
 from netfunc.graph import connected_components, from_edge_list
 from netfunc.metrics import mean_cluster
 
 
 def test_families():
-    assert make_family(ModelSpec("complete", {"n": 4})).m == 6
-    w = make_family(ModelSpec("wheel", {"n": 5}))
+    assert build_model(ModelSpec("complete", {"n": 4})).m == 6
+    w = build_model(ModelSpec("wheel", {"n": 5}))
     assert w.n == 6 and w.m == 10
-    assert make_family(ModelSpec("complete_bipartite", {"a": 4, "b": 4})).m == 16
+    assert build_model(ModelSpec("complete_bipartite", {"a": 4, "b": 4})).m == 16
     assert path(5).m == 4
     assert star(4).n == 5 and star(4).degree(0) == 4
     assert cycle(7).m == 7
@@ -27,9 +27,26 @@ def test_family_invalid_params():
     with pytest.raises(InvalidParam):
         wheel(2)
     with pytest.raises(InvalidParam):
-        make_family(ModelSpec("complete", {}))
+        build_model(ModelSpec("complete", {}))
     with pytest.raises(InvalidParam):
         build_model(ModelSpec("no_such_model", {"n": 3}))
+
+
+# one full parameter set per kind; test_describe_round_trips_flags builds each
+PARAMS = {"complete": {"n": 4}, "cycle": {"n": 5}, "path": {"n": 4}, "star": {"n": 3},
+          "wheel": {"n": 5}, "complete_bipartite": {"a": 2, "b": 3},
+          "erdos_renyi": {"n": 5, "p": 0.5}, "watts_strogatz": {"n": 8, "k": 2, "p": 0.5},
+          "barabasi_albert": {"n": 5, "m": 1},
+          "orbital": {"n": 9, "generators": (("quadratic", 2), ("permutation",))}}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind, (_, names, _) in MODELS.items()
+                                        for name in names])
+def test_spec_missing_parameter_names_its_flag(kind, name):
+    params = {k: v for k, v in PARAMS[kind].items() if k != name}
+    flag = "--generator" if name == "generators" else f"--{name}"
+    with pytest.raises(InvalidParam, match=f"^{kind} needs {flag}$"):
+        ModelSpec(kind, params, seed=1)
 
 
 def test_er_extremes_and_determinism():
@@ -119,18 +136,16 @@ def test_describe_round_trips_flags():
     spec = ModelSpec("erdos_renyi", {"n": 50, "p": 0.1}, seed=42)
     assert spec.describe() == "--model er --n 50 --p 0.1 --seed 42"
     assert cli.MODEL_ALIASES is generators.MODEL_ALIASES
-    params = {"erdos_renyi": {"n": 5, "p": 0.5}, "watts_strogatz": {"n": 8, "k": 2, "p": 0.5},
-              "barabasi_albert": {"n": 5, "m": 1}, "complete_bipartite": {"a": 2, "b": 3},
-              "cycle": {"n": 5}}
-    names = {**{kind: alias for alias, kind in generators.MODEL_ALIASES.items()},
-             "cycle": "cycle"}
-    assert set(params) == set(names)  # every alias, plus one un-aliased kind
+    names = {kind: kind for kind in generators.MODELS}
+    names.update((kind, alias) for alias, kind in generators.MODEL_ALIASES.items())
+    assert set(PARAMS) == set(names)  # every kind, aliased ones by their alias
     for kind, flag in names.items():
-        spec = ModelSpec(kind, params[kind], seed=3)
+        spec = ModelSpec(kind, PARAMS[kind], seed=3)
         text = spec.describe()
         assert text.startswith(f"--model {flag} ")
         args = cli.build_parser().parse_args(["generate"] + text.split())
         assert cli._model_spec(args) == spec
+        assert build_model(cli._model_spec(args)) == build_model(spec)
     orb = ModelSpec("orbital", {"n": 9, "generators": (("quadratic", 2), ("permutation",))},
                     seed=5)
     assert "--generator quadratic:2" in orb.describe()
