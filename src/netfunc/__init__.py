@@ -1,5 +1,13 @@
 """Exact graph functionals, generators, continuum estimators and experiments."""
 
+import os
+
+# Parallelism is by processes (--workers); BLAS threads on top of them
+# oversubscribe the cores.  Set before any submodule imports numpy; an
+# explicit setting in the environment still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+del os
+
 from .graph import (Graph, SimplexCounts, Subgraph, UNREACHABLE,
                     all_pairs_distances, ball, connected_components, distance_levels,
                     from_edge_list, induced_subgraph, is_connected, read_edge_list,

@@ -77,6 +77,13 @@ def _model_spec(args, n=None):
     return ModelSpec(kind, params, seed=args.seed)
 
 
+def _names(text, every):
+    """The names in the comma list `text`, empty ones dropped; `every` for 'all'."""
+    if text == "all":
+        return tuple(every)
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
 def _render(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -87,10 +94,7 @@ def _render(value):
 
 def cmd_analyze(args):
     graph = read_edge_list(args.input)
-    if args.functionals in (None, "all"):
-        names = None
-    else:
-        names = [x.strip() for x in args.functionals.split(",") if x.strip()]
+    names = _names(args.functionals, report.FUNCTIONALS)
     rep = report.compute_report(graph, names=names, caps=_caps(args),
                                 include_profile=args.profile)
     _emit(args, report.report_json(rep) if args.format == "json" else rep.to_csv())
@@ -148,10 +152,7 @@ def _records_csv(records):
 
 
 def cmd_extremal(args):
-    if args.functional == "all":
-        wants = experiments.EXTREMAL_FUNCTIONALS
-    else:
-        wants = tuple(x.strip() for x in args.functional.split(","))
+    wants = _names(args.functional, experiments.EXTREMAL_FUNCTIONALS)
     rep = experiments.extremal_search(args.n, functionals=wants,
                                       workers=args.workers, bins=args.bins)
     if args.format == "json":

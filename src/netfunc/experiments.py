@@ -25,7 +25,7 @@ from .combinatorial import (ARBORICITY_CAP, CHROMATIC_CAP, INDEPENDENCE_CAP, arb
                             chromatic_number, independence_number)
 from .errors import (InvalidParam, RecursionBudgetExceeded, SizeCapExceeded,
                      UnknownFunctional)
-from .generators import ModelSpec, build_model
+from .generators import MODELS, ModelSpec, build_model
 from .graph import all_pairs_distances, distance_levels, from_edge_list, is_connected
 from .metrics import characteristic_length, wiener_index
 from .report import compute_report
@@ -272,6 +272,8 @@ def growth_sweep(kind, params, n_list, seeds_per_n, seed=0, workers=1):
         raise InvalidParam(f"a sweep needs at least one seed per n, got {seeds_per_n}")
     if min(n_list, default=0) < 0:  # a negative n would reach derive_seed's path first
         raise InvalidParam(f"a sweep needs vertex counts n >= 0, got {min(n_list)}")
+    if kind in MODELS and "n" not in MODELS[kind][1]:
+        raise InvalidParam(f"{kind} takes no --n, so it cannot be swept over n")
     specs = [ModelSpec(kind, {**params, "n": n}, seed=rng.derive_seed(seed, n, s))
              for n in n_list for s in range(seeds_per_n)]
     return rng.ordered_map(evaluate_sweep_record, [(spec,) for spec in specs], workers)

@@ -6,6 +6,8 @@ given (spec, seed) always reproduces the same graph.  `MODELS` names each
 model kind's builder and parameters; `ModelSpec` and `build_model` read it.
 """
 
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,16 @@ from .graph import Graph, from_edge_list
 MODEL_ALIASES = {"er": "erdos_renyi", "ws": "watts_strogatz", "ba": "barabasi_albert",
                  "bipartite": "complete_bipartite"}
 _SHORT_NAMES = {kind: alias for alias, kind in MODEL_ALIASES.items()}
+
+
+def _well_typed(name, value):
+    """p is a real, generators a non-empty sequence, any other parameter an
+    integer; numpy numbers qualify, bools and strings do not."""
+    if isinstance(value, (bool, str)):
+        return False
+    if name == "generators":
+        return isinstance(value, Sequence) and len(value) > 0
+    return isinstance(value, numbers.Real if name == "p" else numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -31,9 +43,14 @@ class ModelSpec:
         if self.kind not in MODELS:
             raise InvalidParam(f"unknown model kind {self.kind!r}")
         for name in MODELS[self.kind][1]:
+            flag = "generator" if name == "generators" else name  # one per orbital map
             if name not in self.params:
-                flag = "generator" if name == "generators" else name  # one per orbital map
                 raise InvalidParam(f"{self.kind} needs --{flag}")
+            value = self.params[name]
+            if not _well_typed(name, value):
+                what = {"p": "a real number", "generators": "a non-empty sequence"}
+                raise InvalidParam(f"{self.kind} --{flag} must be "
+                                   f"{what.get(name, 'an integer')}, got {value!r}")
 
     def describe(self):
         """Canonical flat flag string, e.g. '--model er --n 50 --p 0.1 --seed 42'."""

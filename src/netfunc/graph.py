@@ -6,7 +6,8 @@ Python-int bitmasks (`adjacency_masks`), on which the clique walks run:
 `simplex_counts` here and the dimension walk in `topology`.  Hop distances
 come from one bit-parallel walk that grows every vertex's ball a hop per
 round, read through two views: `distance_levels` (cached level counts) and
-`all_pairs_distances` (the full numpy matrix).  Graphs never mutate after
+`all_pairs_distances` (the full numpy matrix); `metrics` sums distances
+inside a vertex subset straight from the walk.  Graphs never mutate after
 construction, so every operation here is a pure function that can be called
 concurrently.
 """

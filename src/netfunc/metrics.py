@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
-from .graph import (UNREACHABLE, all_pairs_distances, connected_components,
+from .graph import (_ball_walk, all_pairs_distances, connected_components,
                     distance_levels, is_connected)
 
 
@@ -66,12 +66,20 @@ def relative_characteristic_length(g, subset):
     k = len(verts)
     if k < 2:
         raise TooSmall("need at least two vertices in the subset")
-    block = all_pairs_distances(g)[np.ix_(verts, verts)]
-    cut = np.argwhere(block == UNREACHABLE)
-    if len(cut):
-        x, y = cut[0]
-        raise Disconnected(f"vertices {verts[x]} and {verts[y]} lie in different components")
-    return Fraction(int(block.sum()), k * (k - 1))
+    mask = sum(1 << v for v in verts)
+    balls = {v: 1 << v for v in verts}
+    total = 0
+    for radius, (grew, spheres) in enumerate(_ball_walk(g), start=1):
+        for v, s in zip(grew, spheres):
+            if v in balls:
+                balls[v] |= s
+                total += radius * (s & mask).bit_count()
+    for v in verts:
+        missing = mask & ~balls[v]
+        if missing:
+            y = (missing & -missing).bit_length() - 1
+            raise Disconnected(f"vertices {v} and {y} lie in different components")
+    return Fraction(total, k * (k - 1))
 
 
 def local_length(g, x):

@@ -175,6 +175,29 @@ def brute_rooted_forest_count(g):
     return total
 
 
+def bareiss_determinant(matrix):
+    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    a = [list(map(int, row)) for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def pruefer_to_edges(seq, n):
     """Decode a Pruefer sequence into the edge list of a labeled tree."""
     degree = [1] * n

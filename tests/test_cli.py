@@ -221,6 +221,16 @@ def test_extremal_cli_small(capsys):
     assert code == 4
 
 
+def test_extremal_functional_list_drops_empty_names(capsys):
+    code, plain, _ = run(capsys, "extremal", "--n", "4", "--functional", "char_length")
+    assert code == 0
+    code, trailing, _ = run(capsys, "extremal", "--n", "4", "--functional",
+                            "char_length, ,")
+    assert code == 0
+    assert trailing == plain
+    assert list(json.loads(trailing)["results"]) == ["char_length"]
+
+
 def test_continuum_cli(capsys):
     code, stdout, _ = run(capsys, "continuum", "--space", "torus2", "--samples",
                           "20000", "--seed", "1")

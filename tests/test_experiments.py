@@ -118,6 +118,11 @@ def test_growth_sweep_missing_parameter_fails_before_fan_out(monkeypatch):
         growth_sweep("watts_strogatz", {"k": 4}, [10], 1)
 
 
+def test_growth_sweep_rejects_a_kind_without_n():
+    with pytest.raises(InvalidParam, match="complete_bipartite takes no --n"):
+        growth_sweep("complete_bipartite", {"a": 2, "b": 3}, [5, 9], 1)
+
+
 def test_extremal_tiny_orders():
     rep = extremal_search(1)
     assert rep.connected_count == 1

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netfunc.errors import InvalidParam
@@ -47,6 +48,23 @@ def test_spec_missing_parameter_names_its_flag(kind, name):
     flag = "--generator" if name == "generators" else f"--{name}"
     with pytest.raises(InvalidParam, match=f"^{kind} needs {flag}$"):
         ModelSpec(kind, params, seed=1)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("erdos_renyi", {"n": 5.5, "p": 0.5}, "--n must be an integer, got 5.5"),
+    ("watts_strogatz", {"n": 8, "k": 2, "p": "0.5"}, "--p must be a real number"),
+    ("erdos_renyi", {"n": 5, "p": True}, "--p must be a real number"),
+    ("complete", {"n": False}, "--n must be an integer"),
+    ("orbital", {"n": 9, "generators": ()}, "--generator must be a non-empty sequence"),
+])
+def test_spec_rejects_mistyped_parameter(kind, params, message):
+    with pytest.raises(InvalidParam, match=f"^{kind} {message}"):
+        ModelSpec(kind, params)
+
+
+def test_spec_accepts_numpy_numbers():
+    spec = ModelSpec("erdos_renyi", {"n": np.int64(12), "p": np.float64(0.5)}, seed=4)
+    assert build_model(spec) == erdos_renyi(12, 0.5, 4)
 
 
 def test_er_extremes_and_determinism():

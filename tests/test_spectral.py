@@ -8,12 +8,12 @@ from netfunc.errors import Disconnected
 from netfunc.generators import complete, cycle, path
 from netfunc.graph import from_edge_list
 from netfunc.metrics import characteristic_length
-from netfunc.spectral import (bareiss_determinant, forest_complexity,
-                              laplacian_spectrum, pseudoinverse_trace_bound,
-                              spanning_tree_count, spectral_complexity)
+from netfunc.spectral import (forest_complexity, laplacian_spectrum,
+                              pseudoinverse_trace_bound, spanning_tree_count,
+                              spectral_complexity)
 
-from conftest import (brute_rooted_forest_count, iter_connected_graphs, iter_graphs,
-                      iter_labeled_trees)
+from conftest import (bareiss_determinant, brute_rooted_forest_count,
+                      iter_connected_graphs, iter_graphs, iter_labeled_trees)
 
 
 def test_spectrum_examples():
