@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import continuum as continuum_mod
 from . import experiments, report
-from .errors import NetfuncError, ParseError, UnknownFunctional
+from .errors import InvalidParam, NetfuncError, ParseError, UnknownFunctional
 from .generators import MODEL_ALIASES, MODELS, ModelSpec, build_model, parse_generator
 from .graph import open_text, read_edge_list, write_edge_list
 
@@ -202,7 +202,12 @@ def _extremal_csv(rep):
 
 def cmd_continuum(args):
     space_cls = continuum_mod.SPACES[args.space]  # argparse choices reject other names
-    space = space_cls() if args.space == "sphere_area1" else space_cls(args.side)
+    if args.space != "sphere_area1":
+        space = space_cls(1.0 if args.side is None else args.side)
+    elif args.side is None:
+        space = space_cls()
+    else:
+        raise InvalidParam("sphere_area1 has a fixed area of 1 and takes no --side")
     if args.quantity == "length":
         est = continuum_mod.mc_characteristic_length(space, args.samples, args.seed,
                                                      workers=args.workers)
@@ -278,7 +283,7 @@ def build_parser():
 
     p = sub.add_parser("continuum", help="Monte-Carlo estimates on model spaces")
     p.add_argument("--space", required=True, choices=sorted(continuum_mod.SPACES))
-    p.add_argument("--side", type=float, default=1.0, help="torus side length")
+    p.add_argument("--side", type=float, help="torus side length (default 1)")
     p.add_argument("--radius", type=float, default=0.01, help="sphere radius for cluster")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--quantity", choices=("length", "cluster", "ratio"),

@@ -32,6 +32,8 @@ from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
 
 EXTREMAL_FUNCTIONALS = ("char_length", "euler_char", "curvature_action", "log_complexity")
+CHUNK_SIZE = 1 << 17  # edge masks per extremal work unit
+TRACE_TOL = 1e-9  # slack of the audit's float pseudoinverse-trace comparison
 
 
 def edge_mask_pairs(n):
@@ -76,57 +78,53 @@ class ExtremalReport:
 
 
 def _scan_chunk(n, lo, hi, wants):
-    """Evaluate one contiguous mask range; returns per-connected-graph arrays."""
-    pairs = edge_mask_pairs(n)
-    m = len(pairs)
-    masks = np.arange(lo, hi, dtype=np.int64)
-    if n >= 2:
-        pc = np.zeros(masks.shape, dtype=np.int8)
-        x = masks.copy()
-        for _ in range(m):
-            pc += (x & 1).astype(np.int8)
-            x >>= 1
-        masks = masks[pc >= n - 1]  # too few edges to be connected
-    if masks.size == 0:
-        empty = {"masks": masks}
-        for w in wants:
-            empty[w] = np.array([])
-        return empty
+    """Evaluate one contiguous mask range; returns per-connected-graph arrays.
 
-    count = masks.size
-    adj = np.zeros((count, n, n), dtype=np.uint8)
+    The batched form of `graph._ball_walk`: each graph is n uint8 row masks,
+    bit u of rows[:, v] set iff u ~ v, and ball[:, v] grows one hop per level
+    by OR-ing in ball[:, u] for every neighbor u of v.  The functionals read
+    the ball sizes |B_k(v)|, counted by one popcount per level.
+    """
+    pairs = edge_mask_pairs(n)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) >= n - 1]  # too few edges to be connected
+    rows = np.zeros((masks.size, n), dtype=np.uint8)
     for i, (u, v) in enumerate(pairs):
         bit = ((masks >> i) & 1).astype(np.uint8)
-        adj[:, u, v] = bit
-        adj[:, v, u] = bit
+        rows[:, u] |= bit << v
+        rows[:, v] |= bit << u
 
-    eye = np.eye(n, dtype=np.uint8)
-    step = adj | eye
-    reach = step
-    total_dist = np.full(count, n * n - n, dtype=np.int64)  # pairs at distance > 0
-    reach_two = None
-    for k in range(1, n):
-        if k == 2:
-            reach_two = reach  # reachable within two hops
-        total_dist += (n * n) - reach.astype(np.int64).sum(axis=(1, 2))
-        if k < n - 1:
-            reach = (np.matmul(reach, step) > 0).astype(np.uint8)
-    connected = reach.sum(axis=(1, 2)) == n * n if n > 1 else np.ones(count, bool)
+    # Over v and k = 0..levels, sum (n - |B_k(v)|) is a connected graph's
+    # distance total: its balls are full from level n - 1 on.
+    levels = max(n - 1, 2)  # curvature reads |B_2| even below n = 3
+    total_dist = np.full(masks.size, (levels + 1) * n * n - n, dtype=np.int64)
+    ball = rows | (np.uint8(1) << np.arange(n, dtype=np.uint8))
+    sizes = []  # |B_1| and |B_2|
+    for k in range(1, levels + 1):
+        if k > 1:
+            grown = ball.copy()
+            for u in range(n):
+                grown |= ball[:, u:u + 1] * ((rows >> u) & 1)
+            ball = grown
+        size = np.bitwise_count(ball)
+        total_dist -= size.sum(axis=1, dtype=np.int64)
+        if k <= 2:
+            sizes.append(size)
+    connected = (ball == (1 << n) - 1).all(axis=1)
 
     masks = masks[connected]
+    rows = rows[connected]
     out = {"masks": masks}
-    adj = adj[connected]
-    total_dist = total_dist[connected]
 
     if "char_length" in wants:
-        out["char_length"] = total_dist
+        out["char_length"] = total_dist[connected]
 
     if "euler_char" in wants:
         pair_bit = {p: i for i, p in enumerate(pairs)}
         chi = np.full(masks.size, n, dtype=np.int64)  # single vertices
-        for size in range(2, n + 1):
-            sign = 1 if size % 2 else -1
-            for subset in combinations(range(n), size):
+        for order in range(2, n + 1):
+            sign = 1 if order % 2 else -1
+            for subset in combinations(range(n), order):
                 pm = 0
                 for a, b in combinations(subset, 2):
                     pm |= 1 << pair_bit[(a, b)]
@@ -134,37 +132,25 @@ def _scan_chunk(n, lo, hi, wants):
         out["euler_char"] = chi
 
     if "curvature_action" in wants:
-        deg = adj.sum(axis=2).astype(np.float64)
-        if n >= 3:
-            within1 = (adj | eye).astype(np.int64).sum(axis=2)
-            within2 = reach_two[connected].astype(np.int64).sum(axis=2)
-            d2 = (within2 - within1).astype(np.float64)
-        else:
-            d2 = np.zeros_like(deg)
-        ok = (deg >= 1) & (d2 >= 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(ok, np.log(np.where(ok, d2, 1) / np.where(ok, deg, 1)), np.nan)
-        admissible = ok.sum(axis=1)
+        within1, within2 = (size[connected].astype(np.float64) for size in sizes)
+        d1 = within1 - 1
+        d2 = within2 - within1
+        ok = (d1 >= 1) & (d2 >= 1)
+        s = np.log(np.divide(d2, d1, out=np.ones_like(d1), where=ok))  # 0 where not ok
         with np.errstate(invalid="ignore"):
-            eta = np.where(admissible > 0, np.nansum(s, axis=1) / np.maximum(admissible, 1),
-                           np.nan)
-        out["curvature_action"] = eta
+            out["curvature_action"] = s.sum(axis=1) / ok.sum(axis=1)  # 0/0 -> NaN
 
     if "log_complexity" in wants:
-        if n == 1:
-            out["log_complexity"] = np.zeros(masks.size)
-        else:
-            deg = adj.sum(axis=2).astype(np.float64)
-            lap = -adj.astype(np.float64)
-            idx = np.arange(n)
-            lap[:, idx, idx] = deg
-            _, logdet = np.linalg.slogdet(lap[:, 1:, 1:])
-            out["log_complexity"] = math.log(n) + logdet  # n * tree count
+        adj = np.unpackbits(rows[:, 1:, None], axis=2, count=n, bitorder="little")[:, :, 1:]
+        lap = -adj.astype(np.float64)
+        idx = np.arange(n - 1)
+        lap[:, idx, idx] = np.bitwise_count(rows[:, 1:])
+        _, logdet = np.linalg.slogdet(lap)
+        out["log_complexity"] = math.log(n) + logdet  # n * tree count
     return out
 
 
-def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
-                    chunk_size=1 << 17):
+def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
     """Scan all connected labeled graphs on n vertices for min/max/histograms."""
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
@@ -175,7 +161,7 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64,
         raise InvalidParam("extremal histograms need bins >= 1")
     m = n * (n - 1) // 2
     total = 1 << m
-    ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+    ranges = [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
     wants = tuple(functionals)
     chunks = rng.ordered_map(_scan_chunk, [(n, lo, hi, wants) for lo, hi in ranges], workers)
 
@@ -346,7 +332,7 @@ class BoundCheck:
 
 
 def bound_audit(g, independence_cap=INDEPENDENCE_CAP, chromatic_cap=CHROMATIC_CAP,
-                arboricity_cap=ARBORICITY_CAP, tree_enumeration_limit=5000, trace_tol=1e-9):
+                arboricity_cap=ARBORICITY_CAP, tree_enumeration_limit=5000):
     """Evaluate every implemented length/coloring bound on one graph.
 
     Skipped comparisons (caps, disconnected input) come back with holds=None
@@ -388,8 +374,8 @@ def bound_audit(g, independence_cap=INDEPENDENCE_CAP, chromatic_cap=CHROMATIC_CA
         check("length_upper_independence", mu, None, None, str(exc))
 
     bound = pseudoinverse_trace_bound(g)
-    holds = float(mu) >= bound - trace_tol
-    note = "equality" if abs(float(mu) - bound) <= trace_tol else ""
+    holds = float(mu) >= bound - TRACE_TOL
+    note = "equality" if abs(float(mu) - bound) <= TRACE_TOL else ""
     check("length_lower_trace", mu, bound, holds, note)
 
     try:

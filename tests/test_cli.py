@@ -166,6 +166,7 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("extremal", "--n", "3", "--bins", "0"), "bins"),
     (("continuum", "--space", "torus2", "--side", "-1", "--samples", "1000"), "side"),
     (("continuum", "--space", "torus2", "--side", "0", "--samples", "1000"), "side"),
+    (("continuum", "--space", "sphere_area1", "--side", "5", "--samples", "1000"), "--side"),
     (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "-0.01",
       "--samples", "1000"), "radius"),
     (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "0",
@@ -177,7 +178,7 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("generate", "--model", "bipartite", "--a", "2"), "complete_bipartite needs --b"),
     (("sweep", "--model", "ws", "--k", "4", "--n-list", "10", "--seeds", "1"),
      "watts_strogatz needs --p"),
-], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero",
+], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero", "sphere-side",
         "radius-negative", "radius-zero", "seeds-zero", "seeds-negative", "n-list-negative",
         "orbital-no-generator", "bipartite-no-b", "sweep-ws-no-p"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):

@@ -1,5 +1,7 @@
 """Extremal scans, sweeps and the bound audit."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -64,14 +66,50 @@ def test_extremal_witnesses_reproduce_values():
     assert spectral_complexity(xi.max_witness).log_value == pytest.approx(xi.max_value)
 
 
-def test_extremal_worker_split_identical():
-    seq = extremal_search(4, workers=1, chunk_size=8)
-    par = extremal_search(4, workers=3, chunk_size=8)
+def test_extremal_worker_split_identical(monkeypatch):
+    monkeypatch.setattr(experiments, "CHUNK_SIZE", 8)
+    seq = extremal_search(4, workers=1)
+    par = extremal_search(4, workers=3)
     assert seq.connected_count == par.connected_count
     for name in seq.results:
         assert seq.results[name].min_value == par.results[name].min_value
         assert seq.results[name].max_value == par.results[name].max_value
         assert seq.results[name].histogram.counts == par.results[name].histogram.counts
+
+
+def _kernel_rows(n, masks):
+    """(mask, kernel values) for every mask the chunk kernel keeps."""
+    wants = experiments.EXTREMAL_FUNCTIONALS
+    for lo, hi in masks:
+        out = experiments._scan_chunk(n, lo, hi, wants)
+        for i, mask in enumerate(out["masks"].tolist()):
+            yield mask, {w: out[w][i] for w in wants}
+
+
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None),
+                                       (5, None), (6, 150), (7, 150)])
+def test_scan_chunk_matches_registry_per_graph(n, sample):
+    total = 1 << (n * (n - 1) // 2)
+    if sample is None:
+        ranges = [(0, total)]
+    else:
+        picks = random.Random(n).sample(range(total - 1), sample) + [total - 1]  # and K_n
+        ranges = [(m, m + 1) for m in picks]
+    kept = set()
+    for mask, values in _kernel_rows(n, ranges):
+        kept.add(mask)
+        g = experiments.graph_from_mask(n, mask)
+        assert values["char_length"] == wiener_index(g)
+        assert values["euler_char"] == euler_characteristic(g)
+        action = curvature_summary(g).action
+        if action is None:
+            assert math.isnan(values["curvature_action"])
+        else:
+            assert values["curvature_action"] == pytest.approx(action, abs=1e-12)
+        assert values["log_complexity"] == pytest.approx(spectral_complexity(g).log_value,
+                                                         abs=1e-9)
+    scanned = [m for lo, hi in ranges for m in range(lo, hi)]
+    assert kept == {m for m in scanned if is_connected(experiments.graph_from_mask(n, m))}
 
 
 def test_extremal_rejects_large_or_unknown():
