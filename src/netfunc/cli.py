@@ -208,14 +208,17 @@ def cmd_continuum(args):
         space = space_cls()
     else:
         raise InvalidParam("sphere_area1 has a fixed area of 1 and takes no --side")
+    radius = 0.01 if args.radius is None else args.radius
     if args.quantity == "length":
+        if args.radius is not None:
+            raise InvalidParam("--quantity length takes no --radius")
         est = continuum_mod.mc_characteristic_length(space, args.samples, args.seed,
                                                      workers=args.workers)
     elif args.quantity == "cluster":
-        est = continuum_mod.mc_mean_cluster(space, args.radius, args.samples,
+        est = continuum_mod.mc_mean_cluster(space, radius, args.samples,
                                             args.seed, workers=args.workers)
     else:
-        value = continuum_mod.continuum_ratio(space, args.radius, args.samples,
+        value = continuum_mod.continuum_ratio(space, radius, args.samples,
                                                args.seed, workers=args.workers)
         _emit(args, json.dumps({"estimate": value, "samples": args.samples}))
         return 0
@@ -284,7 +287,8 @@ def build_parser():
     p = sub.add_parser("continuum", help="Monte-Carlo estimates on model spaces")
     p.add_argument("--space", required=True, choices=sorted(continuum_mod.SPACES))
     p.add_argument("--side", type=float, help="torus side length (default 1)")
-    p.add_argument("--radius", type=float, default=0.01, help="sphere radius for cluster")
+    p.add_argument("--radius", type=float,
+                   help="sphere radius for cluster and ratio (default 0.01)")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--quantity", choices=("length", "cluster", "ratio"),
                    default="length")

@@ -2,18 +2,24 @@
 
 These deliberately re-derive quantities by the dumbest correct method
 (exhaustive subsets, Floyd-Warshall, product colorings) so the fast
-implementations are checked against an independent route.
+implementations are checked against an independent route.  Replaced
+implementations (Bareiss elimination, the whole-block Monte-Carlo kernels)
+stay here as the references their successors must match.
 """
 
 import heapq
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
 from netfunc.graph import UNREACHABLE, from_edge_list
+from netfunc.rng import generator
 
 INF = float("inf")
 
@@ -225,6 +231,78 @@ def iter_labeled_trees(n):
         return
     for seq in product(range(n), repeat=n - 2):
         yield from_edge_list(n, pruefer_to_edges(seq, n))
+
+
+def _whole_block_points(space, gen, count):
+    """`count` uniform points of a FlatTorus or SphereArea1 as a (count, dim)
+    array, in the space's draw order."""
+    if isinstance(space, FlatTorus):
+        return gen.random((count, space.dim)) * space.r
+    z = space.radius * (1 - 2 * gen.random(count))
+    phi = gen.random(count) * (2 * math.pi)
+    rho = np.sqrt(np.maximum(0.0, space.radius**2 - z * z))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def _whole_block_distance(space, a, b):
+    if isinstance(space, FlatTorus):
+        delta = np.abs(a - b)
+        delta = np.minimum(delta, space.r - delta)
+        return np.sqrt((delta * delta).sum(axis=1))
+    cos = (a * b).sum(axis=1) / (space.radius**2)
+    return space.radius * np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def whole_block_sphere_pair(space, gen, centers, radius):
+    out = []
+    if isinstance(space, FlatTorus):
+        for _ in range(2):  # draw order per dimension fixes the seeded stream
+            if space.dim == 2:
+                phi = gen.random(len(centers)) * (2 * math.pi)
+                unit = [np.cos(phi), np.sin(phi)]
+            else:
+                cos_theta = 1 - 2 * gen.random(len(centers))
+                sin_theta = np.sqrt(np.maximum(0.0, 1 - cos_theta**2))
+                phi = gen.random(len(centers)) * (2 * math.pi)
+                unit = [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta]
+            out.append(np.mod(centers + radius * np.stack(unit, axis=1), space.r))
+        return out
+    R = space.radius
+    axis = centers / R
+    helper = np.zeros_like(axis)
+    helper[np.arange(len(axis)), np.argmin(np.abs(axis), axis=1)] = 1.0
+    e1 = np.cross(helper, axis)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(axis, e1)
+    theta = radius / R
+    for _ in range(2):
+        phi = gen.random(len(centers)) * (2 * math.pi)
+        direction = (math.cos(theta) * axis
+                     + math.sin(theta) * (np.cos(phi)[:, None] * e1
+                                          + np.sin(phi)[:, None] * e2))
+        out.append(R * direction)
+    return out
+
+
+def whole_block_length(space, block, count, seed):
+    """Monte-Carlo length block over whole (count, dim) arrays, with a draw
+    per point set: the reference for the sliced column kernel."""
+    gen = generator(seed, _LENGTH_TAG, block)
+    a = _whole_block_points(space, gen, count)
+    b = _whole_block_points(space, gen, count)
+    d = _whole_block_distance(space, a, b)
+    return float(d.sum()), float((d * d).sum())
+
+
+def whole_block_cluster(space, block, count, seed, radius):
+    """Monte-Carlo cluster block over whole (count, dim) arrays, with
+    np.cross, np.linalg.norm, argmin and np.mod: the reference for the sliced
+    column kernel."""
+    gen = generator(seed, _CLUSTER_TAG, block)
+    centers = _whole_block_points(space, gen, count)
+    a, b = whole_block_sphere_pair(space, gen, centers, radius)
+    v = _whole_block_distance(space, a, b) / radius
+    return float(v.sum()), float((v * v).sum())
 
 
 @st.composite

@@ -171,6 +171,14 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
       "--samples", "1000"), "radius"),
     (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "0",
       "--samples", "1000"), "radius"),
+    (("continuum", "--space", "torus2", "--quantity", "length", "--radius", "0.3",
+      "--samples", "1000"), "--radius"),
+    (("continuum", "--space", "torus3", "--side", "inf", "--samples", "1000"), "side"),
+    (("continuum", "--space", "torus3", "--side", "1e308", "--samples", "1000"), "side"),
+    (("continuum", "--space", "sphere_area1", "--quantity", "cluster", "--radius", "1e-9",
+      "--samples", "1000"), "radius"),
+    (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "1e-200",
+      "--samples", "1000"), "radius"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "0"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "-2"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5,-3", "--seeds", "1"), "n >= 0"),
@@ -179,8 +187,9 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("sweep", "--model", "ws", "--k", "4", "--n-list", "10", "--seeds", "1"),
      "watts_strogatz needs --p"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero", "sphere-side",
-        "radius-negative", "radius-zero", "seeds-zero", "seeds-negative", "n-list-negative",
-        "orbital-no-generator", "bipartite-no-b", "sweep-ws-no-p"])
+        "radius-negative", "radius-zero", "length-radius", "side-inf", "side-overflow",
+        "radius-below-precision", "radius-underflow", "seeds-zero", "seeds-negative",
+        "n-list-negative", "orbital-no-generator", "bipartite-no-b", "sweep-ws-no-p"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1
@@ -243,6 +252,10 @@ def test_continuum_cli(capsys):
     code, _, err = run(capsys, "continuum", "--space", "torus2", "--samples", "1000",
                        "--radius", "0.4", "--quantity", "cluster")
     assert code == 1
+    # cluster and ratio use radius 0.01 when --radius is absent
+    for quantity in ("cluster", "ratio"):
+        args = ("continuum", "--space", "torus3", "--samples", "5000", "--quantity", quantity)
+        assert run(capsys, *args) == run(capsys, *args, "--radius", "0.01")
 
 
 def test_generate_reproduces_model_exactly(tmp_path, capsys):
