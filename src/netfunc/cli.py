@@ -276,7 +276,7 @@ def build_parser():
     _common_flags(p)
     p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("extremal", help="scan all connected graphs on n <= 7 vertices")
+    p = sub.add_parser("extremal", help="scan all connected graphs on n <= 8 vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--functional", default="all",
                    help="comma list of " + ", ".join(experiments.EXTREMAL_FUNCTIONALS))

@@ -5,11 +5,12 @@ A sweep record reads its values from the functional registry
 (`report.compute_report`), so a sweep and `analyze` evaluate, skip and flag
 each functional the same way.
 
-The extremal scan streams every labeled graph on n <= 7 vertices as a
-C(n,2)-bit edge mask, rejects disconnected graphs, and evaluates the
-requested functionals on numpy batches.  Workers split the mask space into
-fixed chunks that are reduced in chunk order, so results do not depend on
-the worker count.
+The extremal scan streams every labeled graph on n <= 8 vertices as a
+C(n,2)-bit edge mask, packs each into one uint64 word of row masks, rejects
+disconnected graphs, and evaluates the requested functionals on numpy
+batches.  Workers split the mask space into fixed chunks; each chunk comes
+back as a summary of distinct values and first witnesses, merged in chunk
+order, so results do not depend on the worker count.
 """
 
 import math
@@ -32,7 +33,9 @@ from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
 
 EXTREMAL_FUNCTIONALS = ("char_length", "euler_char", "curvature_action", "log_complexity")
+MAX_EXTREMAL_N = 8  # a graph is one uint64 word, a byte lane per vertex
 CHUNK_SIZE = 1 << 17  # edge masks per extremal work unit
+MAX_BINS = 1 << 20  # histogram bins per functional, 8 MB of counts
 TRACE_TOL = 1e-9  # slack of the audit's float pseudoinverse-trace comparison
 
 
@@ -77,134 +80,290 @@ class ExtremalReport:
     results: dict
 
 
+# A graph on n <= 8 vertices is one uint64 word: byte lane v holds the row
+# mask of v (bit u set iff u ~ v) or, during the walk, the ball of v.
+_LSB = np.uint64(0x0101010101010101)  # bit 0 of every lane
+_LANE = np.uint64(0xFF)
+
+
+def _row_words(n, masks):
+    """Row words of edge masks: one 256-entry table per byte of the mask,
+    entry x the OR of the rows of the edges whose bits are set in x."""
+    pairs = edge_mask_pairs(n)
+    byte = np.arange(256)
+    words = np.zeros(masks.size, dtype=np.uint64)
+    for b in range(0, len(pairs), 8):
+        table = np.zeros(256, dtype=np.uint64)
+        for i, (u, v) in enumerate(pairs[b:b + 8]):
+            table[(byte >> i) & 1 == 1] |= np.uint64((1 << (8 * u + v)) | (1 << (8 * v + u)))
+        words |= table[(masks >> b) & 0xFF]
+    return words
+
+
+def _lanes(words, n):
+    """(n, words.size) uint8 array: row v holds lane v of every word."""
+    return np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8)
+                                .reshape(-1, 8).T[:n])
+
+
+def _spread(rows, n):
+    """Per vertex u, the words whose lane v is full iff u ~ v."""
+    return [((rows >> np.uint64(u)) & _LSB) * _LANE for u in range(n)]
+
+
+def _grow(ball, spread):
+    """One hop of the walk: lane v ORs in lane u wherever u ~ v."""
+    grown = ball.copy()
+    step = np.empty_like(ball)
+    for u, near in enumerate(spread):
+        np.right_shift(ball, np.uint64(8 * u), out=step)
+        step &= _LANE
+        step *= _LSB  # lane u copied into every lane
+        step &= near
+        grown |= step
+    return grown
+
+
+def _euler_chars(lanes, n):
+    """chi = sum over cliques P, the empty one included, of (-1)^|P| times
+    |cand(P)|, the common neighbours of P above its last vertex: every
+    nonempty clique is one P plus one of its candidates."""
+    above = [lanes[v] & np.uint8((0xFF << (v + 1)) & 0xFF) for v in range(n)]
+    chi = np.full(lanes.shape[1], n, dtype=np.int16)  # P empty: every vertex
+    stack = [(v, above[v], 1) for v in range(n - 1)]  # cand of the last vertex is empty
+    while stack:
+        v, cand, size = stack.pop()
+        count = np.bitwise_count(cand)
+        if size % 2:
+            chi -= count
+        else:
+            chi += count
+        for w in range(v + 1, n - 1):
+            within = (cand << np.uint8(7 - w)).view(np.int8) >> 7  # all ones iff w in cand
+            child = cand & above[w] & within.view(np.uint8)
+            if child.any():
+                stack.append((w, child, size + 1))
+    return chi.astype(np.int64)
+
+
+def _curvature_actions(within1, within2, n):
+    """Mean over vertices of log(d2/d1), d1 = |B_1| - 1 and d2 = |B_2| - |B_1|,
+    from (n, count) lane ball sizes; vertices with d1 or d2 zero are left out,
+    and a graph with none left is NaN.  The logs come from a table indexed by
+    (|B_1|, |B_2|) and are summed over the vertices left to right."""
+    size = np.arange(n + 1, dtype=np.float64)
+    d1 = size[:, None] - 1
+    d2 = size[None, :] - size[:, None]
+    ok = (d1 >= 1) & (d2 >= 1)
+    logs = np.log(np.divide(d2, d1, out=np.ones_like(d2), where=ok)).ravel()  # 0 where not ok
+    ok = ok.ravel().astype(np.uint8)
+    key = within1 * np.uint8(n + 1) + within2
+    total, count = logs[key[0]], ok[key[0]]
+    for v in range(1, n):
+        total += logs[key[v]]
+        count += ok[key[v]]
+    with np.errstate(invalid="ignore"):
+        return total / count  # 0/0 -> NaN
+
+
+def _tree_counts(lanes, n):
+    """Spanning-tree counts: det of the Laplacian with vertex 0 deleted, by
+    elimination without pivoting over per-entry float64 columns.  The matrix
+    is symmetric positive definite for a connected graph, so the pivots stay
+    positive, and the count (at most n^(n-2)) is their rounded product."""
+    size = n - 1
+    a = {}
+    for i in range(size):
+        row = lanes[i + 1]
+        a[i, i] = np.bitwise_count(row).astype(np.float64)
+        for j in range(i):
+            a[i, j] = -((row >> np.uint8(j + 1)) & np.uint8(1)).astype(np.float64)
+    det = np.ones(lanes.shape[1])
+    step = np.empty_like(det)
+    for p in range(size):
+        det *= a[p, p]
+        for i in range(p + 1, size):
+            f = a[i, p] / a[p, p]
+            for j in range(p + 1, i + 1):
+                np.multiply(f, a[j, p], out=step)
+                a[i, j] -= step
+    return np.rint(det).astype(np.int64)
+
+
 def _scan_chunk(n, lo, hi, wants):
     """Evaluate one contiguous mask range; returns per-connected-graph arrays.
 
-    The batched form of `graph._ball_walk`: each graph is n uint8 row masks,
-    bit u of rows[:, v] set iff u ~ v, and ball[:, v] grows one hop per level
-    by OR-ing in ball[:, u] for every neighbor u of v.  The functionals read
-    the ball sizes |B_k(v)|, counted by one popcount per level.
+    The batched form of `graph._ball_walk` on words: the ball word starts as
+    the rows plus the diagonal and grows a hop per level, so one
+    `np.bitwise_count` of a word is sum_v |B_k(v)|, and a graph is connected
+    iff its ball becomes the full word.  From level 2 on, graphs whose ball is
+    full or stopped growing leave the walk.  `char_length` is the
+    ordered-pair distance total, `log_complexity` is log(n * tree_count).
     """
-    pairs = edge_mask_pairs(n)
     masks = np.arange(lo, hi, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) >= n - 1]  # too few edges to be connected
-    rows = np.zeros((masks.size, n), dtype=np.uint8)
-    for i, (u, v) in enumerate(pairs):
-        bit = ((masks >> i) & 1).astype(np.uint8)
-        rows[:, u] |= bit << v
-        rows[:, v] |= bit << u
+    rows = _row_words(n, masks)
+    low = sum(1 << (8 * v) for v in range(n))  # bit 0 of lanes 0..n-1
+    full = np.uint64(low * ((1 << n) - 1))
+    ball1 = rows | np.uint64(sum(1 << (9 * v) for v in range(n)))  # bit v of lane v
+    spread = _spread(rows, n)
+    ball2 = _grow(ball1, spread)
 
-    # Over v and k = 0..levels, sum (n - |B_k(v)|) is a connected graph's
-    # distance total: its balls are full from level n - 1 on.
-    levels = max(n - 1, 2)  # curvature reads |B_2| even below n = 3
-    total_dist = np.full(masks.size, (levels + 1) * n * n - n, dtype=np.int64)
-    ball = rows | (np.uint8(1) << np.arange(n, dtype=np.uint8))
-    sizes = []  # |B_1| and |B_2|
-    for k in range(1, levels + 1):
-        if k > 1:
-            grown = ball.copy()
-            for u in range(n):
-                grown |= ball[:, u:u + 1] * ((rows >> u) & 1)
-            ball = grown
-        size = np.bitwise_count(ball)
-        total_dist -= size.sum(axis=1, dtype=np.int64)
-        if k <= 2:
-            sizes.append(size)
-    connected = (ball == (1 << n) - 1).all(axis=1)
+    # Summed over k >= 0 and v, n - |B_k(v)| is a connected graph's distance
+    # total: its balls are full from its diameter on.
+    nn = n * n
+    dist = np.full(masks.size, 3 * nn - n, dtype=np.int64)  # levels 0, 1, 2
+    dist -= np.bitwise_count(ball1)
+    dist -= np.bitwise_count(ball2)
+    connected = np.zeros(masks.size, dtype=bool)
+    total = np.empty(masks.size, dtype=np.int64)
+    live = np.arange(masks.size)
+    prev, ball = ball1, ball2
+    while live.size:
+        done = (ball == full) | (ball == prev)
+        gone, kept = np.flatnonzero(done), np.flatnonzero(~done)  # faster than masks
+        connected[live[gone]] = ball[gone] == full
+        total[live[gone]] = dist[gone]
+        live, ball, dist = live[kept], ball[kept], dist[kept]
+        spread = [near[kept] for near in spread]
+        prev, ball = ball, _grow(ball, spread)
+        dist += nn - np.bitwise_count(ball)
 
-    masks = masks[connected]
-    rows = rows[connected]
-    out = {"masks": masks}
-
+    connected = np.flatnonzero(connected)
+    out = {"masks": masks[connected]}
     if "char_length" in wants:
-        out["char_length"] = total_dist[connected]
-
+        out["char_length"] = total[connected]
+    lanes = _lanes(rows[connected], n)
     if "euler_char" in wants:
-        pair_bit = {p: i for i, p in enumerate(pairs)}
-        chi = np.full(masks.size, n, dtype=np.int64)  # single vertices
-        for order in range(2, n + 1):
-            sign = 1 if order % 2 else -1
-            for subset in combinations(range(n), order):
-                pm = 0
-                for a, b in combinations(subset, 2):
-                    pm |= 1 << pair_bit[(a, b)]
-                chi += sign * ((masks & pm) == pm)
-        out["euler_char"] = chi
-
+        out["euler_char"] = _euler_chars(lanes, n)
     if "curvature_action" in wants:
-        within1, within2 = (size[connected].astype(np.float64) for size in sizes)
-        d1 = within1 - 1
-        d2 = within2 - within1
-        ok = (d1 >= 1) & (d2 >= 1)
-        s = np.log(np.divide(d2, d1, out=np.ones_like(d1), where=ok))  # 0 where not ok
-        with np.errstate(invalid="ignore"):
-            out["curvature_action"] = s.sum(axis=1) / ok.sum(axis=1)  # 0/0 -> NaN
-
+        within1 = np.bitwise_count(lanes) + np.uint8(1)  # |B_1(v)| = degree + 1
+        within2 = np.bitwise_count(_lanes(ball2[connected], n))
+        out["curvature_action"] = _curvature_actions(within1, within2, n)
     if "log_complexity" in wants:
-        adj = np.unpackbits(rows[:, 1:, None], axis=2, count=n, bitorder="little")[:, :, 1:]
-        lap = -adj.astype(np.float64)
-        idx = np.arange(n - 1)
-        lap[:, idx, idx] = np.bitwise_count(rows[:, 1:])
-        _, logdet = np.linalg.slogdet(lap)
-        out["log_complexity"] = math.log(n) + logdet  # n * tree count
+        out["tree_count"] = _tree_counts(lanes, n)
+        out["log_complexity"] = np.log(n * out["tree_count"])
     return out
 
 
+def _merge_counts(keys, counts):
+    """Sum the counts of equal keys; the keys come back distinct and ascending."""
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return keys[first], np.add.reduceat(counts, first)
+
+
+class _Tally:
+    """One functional over a mask range: its defined scan values as distinct
+    keys with counts, and the first mask (in mask order) at the least and at
+    the greatest key.  A NaN key is undefined."""
+
+    def __init__(self, masks, keys):
+        self.undefined = 0
+        if keys.dtype.kind == "f":
+            defined = ~np.isnan(keys)
+            self.undefined = int(keys.size - np.count_nonzero(defined))
+            masks, keys = masks[defined], keys[defined]
+            self.keys, self.counts = np.unique(keys, return_counts=True)
+        else:
+            base = int(keys.min()) if keys.size else 0
+            counts = np.bincount(keys - base)
+            self.keys = np.flatnonzero(counts)
+            self.counts = counts[self.keys]
+            self.keys += base
+        self.evaluated = int(keys.size)
+        self.least = self.greatest = None
+        if keys.size:
+            i, j = int(np.argmin(keys)), int(np.argmax(keys))
+            self.least = (keys[i].item(), int(masks[i]))
+            self.greatest = (keys[j].item(), int(masks[j]))
+
+    def merge(self, later):
+        """Fold in the tally of a later mask range; a tie keeps the earlier mask."""
+        self.evaluated += later.evaluated
+        self.undefined += later.undefined
+        if later.least is not None:
+            if self.least is None or later.least[0] < self.least[0]:
+                self.least = later.least
+            if self.greatest is None or later.greatest[0] > self.greatest[0]:
+                self.greatest = later.greatest
+        self.keys, self.counts = _merge_counts(np.concatenate((self.keys, later.keys)),
+                                               np.concatenate((self.counts, later.counts)))
+
+
+def _scan_tallies(n, lo, hi, wants):
+    """One work unit: the connected count and each wanted functional's _Tally.
+    log_complexity is tallied by tree count, which orders it the same way."""
+    out = _scan_chunk(n, lo, hi, wants)
+    return out["masks"].size, {
+        name: _Tally(out["masks"], out["tree_count" if name == "log_complexity" else name])
+        for name in wants}
+
+
+def _extremal_result(name, n, tally, bins):
+    if not tally.evaluated:
+        return ExtremalResult(functional=name, evaluated=0, undefined=tally.undefined,
+                              min_value=None, max_value=None, min_witness=None,
+                              max_witness=None, histogram=Histogram((), 0.0, 0.0))
+    keys, counts = tally.keys, tally.counts
+    if name == "log_complexity":
+        values = np.array([math.log(n * tau) for tau in keys.tolist()])
+    else:  # char_length bins the distance totals, not the lengths
+        values = keys.astype(np.float64)
+    lo_v, hi_v = float(values[0]), float(values[-1])
+    hist_hi = hi_v if hi_v > lo_v else lo_v + 1  # degenerate constant case
+    hist, _ = np.histogram(values, bins=bins, range=(lo_v, hist_hi), weights=counts)
+    min_value, max_value = lo_v, hi_v
+    if name == "char_length":
+        denom = n * n - n
+        min_value, max_value = ((Fraction(int(keys[0]), denom), Fraction(int(keys[-1]), denom))
+                                if denom else (Fraction(0), Fraction(0)))
+    elif name == "euler_char":
+        min_value, max_value = int(keys[0]), int(keys[-1])
+    return ExtremalResult(
+        functional=name,
+        evaluated=tally.evaluated,
+        undefined=tally.undefined,
+        min_value=min_value,
+        max_value=max_value,
+        min_witness=graph_from_mask(n, tally.least[1]),
+        max_witness=graph_from_mask(n, tally.greatest[1]),
+        histogram=Histogram(tuple(int(c) for c in hist), lo_v, hist_hi),
+    )
+
+
 def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
-    """Scan all connected labeled graphs on n vertices for min/max/histograms."""
+    """Scan all connected labeled graphs on n vertices for min/max/histograms.
+
+    Each chunk comes back as a summary, merged in chunk order, so memory
+    holds one chunk and the distinct values, not every graph's values.
+    """
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
         raise UnknownFunctional(", ".join(sorted(unknown)))
-    if not 1 <= n <= 7:
-        raise InvalidParam("extremal scan supports 1 <= n <= 7")
-    if bins < 1:
-        raise InvalidParam("extremal histograms need bins >= 1")
+    if not 1 <= n <= MAX_EXTREMAL_N:
+        raise InvalidParam(f"extremal scan supports 1 <= n <= {MAX_EXTREMAL_N}")
+    if not 1 <= bins <= MAX_BINS:
+        raise InvalidParam(f"extremal histograms need 1 <= bins <= {MAX_BINS}")
     m = n * (n - 1) // 2
     total = 1 << m
     ranges = [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
     wants = tuple(functionals)
-    chunks = rng.ordered_map(_scan_chunk, [(n, lo, hi, wants) for lo, hi in ranges], workers)
-
-    masks = np.concatenate([c["masks"] for c in chunks])
-    report = ExtremalReport(n=n, total_masks=total, connected_count=int(masks.size),
-                            results={})
-    for name in wants:
-        values = np.concatenate([np.asarray(c[name], dtype=np.float64) for c in chunks])
-        defined = ~np.isnan(values)
-        vals = values[defined]
-        vmasks = masks[defined]
-        if vals.size == 0:
-            report.results[name] = ExtremalResult(
-                functional=name, evaluated=0, undefined=int(values.size),
-                min_value=None, max_value=None, min_witness=None, max_witness=None,
-                histogram=Histogram((), 0.0, 0.0))
-            continue
-        imin = int(np.argmin(vals))
-        imax = int(np.argmax(vals))
-        lo_v, hi_v = float(vals[imin]), float(vals[imax])
-        hist_hi = hi_v if hi_v > lo_v else lo_v + 1  # degenerate constant case
-        counts, _ = np.histogram(vals, bins=bins, range=(lo_v, hist_hi))
-        min_value, max_value = lo_v, hi_v
-        if name == "char_length":
-            denom = n * n - n
-            if denom:
-                min_value = Fraction(int(vals[imin])) / denom
-                max_value = Fraction(int(vals[imax])) / denom
-            else:
-                min_value = max_value = Fraction(0)
-        elif name == "euler_char":
-            min_value, max_value = int(lo_v), int(hi_v)
-        report.results[name] = ExtremalResult(
-            functional=name,
-            evaluated=int(defined.sum()),
-            undefined=int((~defined).sum()),
-            min_value=min_value,
-            max_value=max_value,
-            min_witness=graph_from_mask(n, int(vmasks[imin])),
-            max_witness=graph_from_mask(n, int(vmasks[imax])),
-            histogram=Histogram(tuple(int(c) for c in counts), lo_v, hist_hi),
-        )
-    return report
+    connected, tallies = 0, None
+    for count, chunk in rng.ordered_imap(_scan_tallies,
+                                         [(n, lo, hi, wants) for lo, hi in ranges], workers):
+        connected += count
+        if tallies is None:
+            tallies = chunk
+        else:
+            for name in wants:
+                tallies[name].merge(chunk[name])
+    return ExtremalReport(n=n, total_masks=total, connected_count=connected,
+                          results={name: _extremal_result(name, n, tallies[name], bins)
+                                   for name in wants})
 
 
 # -- sweeps --------------------------------------------------------------------

@@ -3,7 +3,7 @@
 All randomness in the package flows through Philox counter-based generators
 keyed by a 64-bit seed plus an integer path.  Distinct paths give independent
 substreams, so sample budgets can be partitioned across workers while the
-merged result stays identical for every partition.  `ordered_map` is that
+merged result stays identical for every partition.  `ordered_imap` is that
 fan-out: results come back in call order for every worker count.
 """
 
@@ -29,13 +29,19 @@ def derive_seed(seed, *path):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def ordered_map(fn, calls, workers=1):
-    """[fn(*args) for args in calls] (a list), over min(workers, len(calls))
-    processes when that is above 1, where fn and its arguments must pickle.
-    Results come back in call order either way, so a reduction in that order
-    does not depend on the split."""
+def ordered_imap(fn, calls, workers=1):
+    """fn(*args) for args in calls, lazily and in call order, over
+    min(workers, len(calls)) processes when that is above 1, where fn and its
+    arguments must pickle.  A reduction in that order does not depend on the
+    split, and it can fold each result in as it arrives."""
     if workers <= 1 or len(calls) <= 1:
-        return [fn(*args) for args in calls]
+        yield from (fn(*args) for args in calls)
+        return
     # the pool forks all its workers at the first submit, needed or not
     with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
-        return list(pool.map(fn, *zip(*calls)))
+        yield from pool.map(fn, *zip(*calls))
+
+
+def ordered_map(fn, calls, workers=1):
+    """[fn(*args) for args in calls] by `ordered_imap`."""
+    return list(ordered_imap(fn, calls, workers))

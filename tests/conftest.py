@@ -3,8 +3,9 @@
 These deliberately re-derive quantities by the dumbest correct method
 (exhaustive subsets, Floyd-Warshall, product colorings) so the fast
 implementations are checked against an independent route.  Replaced
-implementations (Bareiss elimination, the whole-block Monte-Carlo kernels)
-stay here as the references their successors must match.
+implementations (Bareiss elimination, the whole-block Monte-Carlo kernels,
+the row-bitmask extremal kernel and its full-array reduction) stay here as the
+references their successors must match.
 """
 
 import heapq
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
+from netfunc.experiments import ExtremalResult, Histogram
 from netfunc.graph import UNREACHABLE, from_edge_list
 from netfunc.rng import generator
 
@@ -202,6 +204,132 @@ def bareiss_determinant(matrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def reduced_laplacian(g):
+    """The Laplacian of g with row and column 0 deleted, as integer lists."""
+    return [[len(g.adj_sets[i]) if i == j else -int(g.has_edge(i, j)) for j in range(1, g.n)]
+            for i in range(1, g.n)]
+
+
+def row_mask_scan(n, lo, hi, wants):
+    """The extremal chunk kernel on n uint8 row masks per graph, with a
+    `slogdet` per reduced Laplacian and an edge-mask test per vertex subset:
+    the reference for the word kernel.  Returns per-connected-graph arrays,
+    `char_length` as the ordered-pair distance total.  The curvature logs are
+    summed over the vertices left to right, which is numpy's `sum(axis=1)`
+    order below 8 columns."""
+    pairs = all_pairs(n)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) >= n - 1]  # too few edges to be connected
+    rows = np.zeros((masks.size, n), dtype=np.uint8)
+    for i, (u, v) in enumerate(pairs):
+        bit = ((masks >> i) & 1).astype(np.uint8)
+        rows[:, u] |= bit << v
+        rows[:, v] |= bit << u
+
+    # Over v and k = 0..levels, sum (n - |B_k(v)|) is a connected graph's
+    # distance total: its balls are full from level n - 1 on.
+    levels = max(n - 1, 2)  # curvature reads |B_2| even below n = 3
+    total_dist = np.full(masks.size, (levels + 1) * n * n - n, dtype=np.int64)
+    ball = rows | (np.uint8(1) << np.arange(n, dtype=np.uint8))
+    sizes = []  # |B_1| and |B_2|
+    for k in range(1, levels + 1):
+        if k > 1:
+            grown = ball.copy()
+            for u in range(n):
+                grown |= ball[:, u:u + 1] * ((rows >> u) & 1)
+            ball = grown
+        size = np.bitwise_count(ball)
+        total_dist -= size.sum(axis=1, dtype=np.int64)
+        if k <= 2:
+            sizes.append(size)
+    connected = (ball == (1 << n) - 1).all(axis=1)
+
+    masks = masks[connected]
+    rows = rows[connected]
+    out = {"masks": masks}
+
+    if "char_length" in wants:
+        out["char_length"] = total_dist[connected]
+
+    if "euler_char" in wants:
+        pair_bit = {p: i for i, p in enumerate(pairs)}
+        chi = np.full(masks.size, n, dtype=np.int64)  # single vertices
+        for order in range(2, n + 1):
+            sign = 1 if order % 2 else -1
+            for subset in combinations(range(n), order):
+                pm = 0
+                for a, b in combinations(subset, 2):
+                    pm |= 1 << pair_bit[(a, b)]
+                chi += sign * ((masks & pm) == pm)
+        out["euler_char"] = chi
+
+    if "curvature_action" in wants:
+        within1, within2 = (size[connected].astype(np.float64) for size in sizes)
+        d1 = within1 - 1
+        d2 = within2 - within1
+        ok = (d1 >= 1) & (d2 >= 1)
+        s = np.log(np.divide(d2, d1, out=np.ones_like(d1), where=ok))  # 0 where not ok
+        total = s[:, 0].copy()
+        for column in s.T[1:]:
+            total += column
+        with np.errstate(invalid="ignore"):
+            out["curvature_action"] = total / ok.sum(axis=1)  # 0/0 -> NaN
+
+    if "log_complexity" in wants:
+        adj = np.unpackbits(rows[:, 1:, None], axis=2, count=n, bitorder="little")[:, :, 1:]
+        lap = -adj.astype(np.float64)
+        idx = np.arange(n - 1)
+        lap[:, idx, idx] = np.bitwise_count(rows[:, 1:])
+        _, logdet = np.linalg.slogdet(lap)
+        out["log_complexity"] = math.log(n) + logdet  # n * tree count
+    return out
+
+
+def row_mask_extremal(n, wants, bins=64):
+    """{functional: ExtremalResult} from one `row_mask_scan` over every mask,
+    reduced over the whole value arrays: the first minimum and maximum in
+    mask order, and `np.histogram` of every defined value."""
+    out = row_mask_scan(n, 0, 1 << (n * (n - 1) // 2), wants)
+    results = {}
+    for name in wants:
+        values = np.asarray(out[name], dtype=np.float64)
+        defined = ~np.isnan(values)
+        vals = values[defined]
+        vmasks = out["masks"][defined]
+        if vals.size == 0:
+            results[name] = ExtremalResult(
+                functional=name, evaluated=0, undefined=int(values.size),
+                min_value=None, max_value=None, min_witness=None, max_witness=None,
+                histogram=Histogram((), 0.0, 0.0))
+            continue
+        imin = int(np.argmin(vals))
+        imax = int(np.argmax(vals))
+        lo_v, hi_v = float(vals[imin]), float(vals[imax])
+        hist_hi = hi_v if hi_v > lo_v else lo_v + 1  # degenerate constant case
+        counts, _ = np.histogram(vals, bins=bins, range=(lo_v, hist_hi))
+        min_value, max_value = lo_v, hi_v
+        if name == "char_length":
+            denom = n * n - n
+            if denom:
+                min_value = Fraction(int(vals[imin])) / denom
+                max_value = Fraction(int(vals[imax])) / denom
+            else:
+                min_value = max_value = Fraction(0)
+        elif name == "euler_char":
+            min_value, max_value = int(lo_v), int(hi_v)
+        results[name] = ExtremalResult(
+            functional=name,
+            evaluated=int(defined.sum()),
+            undefined=int((~defined).sum()),
+            min_value=min_value,
+            max_value=max_value,
+            min_witness=graph_from_mask(n, int(vmasks[imin])),
+            max_witness=graph_from_mask(n, int(vmasks[imax])),
+            histogram=Histogram(tuple(int(c) for c in counts), lo_v, hist_hi),
+        )
+    return results
 
 
 def pruefer_to_edges(seq, n):

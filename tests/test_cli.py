@@ -164,6 +164,7 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("generate", "--model", "orbital", "--n", "10", "--generator", "quadratic:x"),
      "quadratic:x"),
     (("extremal", "--n", "3", "--bins", "0"), "bins"),
+    (("extremal", "--n", "3", "--bins", "1000000000"), "bins"),
     (("continuum", "--space", "torus2", "--side", "-1", "--samples", "1000"), "side"),
     (("continuum", "--space", "torus2", "--side", "0", "--samples", "1000"), "side"),
     (("continuum", "--space", "sphere_area1", "--side", "5", "--samples", "1000"), "--side"),
@@ -186,10 +187,11 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("generate", "--model", "bipartite", "--a", "2"), "complete_bipartite needs --b"),
     (("sweep", "--model", "ws", "--k", "4", "--n-list", "10", "--seeds", "1"),
      "watts_strogatz needs --p"),
-], ids=["ws-odd-k", "n-list", "generator", "bins", "side-negative", "side-zero", "sphere-side",
-        "radius-negative", "radius-zero", "length-radius", "side-inf", "side-overflow",
-        "radius-below-precision", "radius-underflow", "seeds-zero", "seeds-negative",
-        "n-list-negative", "orbital-no-generator", "bipartite-no-b", "sweep-ws-no-p"])
+], ids=["ws-odd-k", "n-list", "generator", "bins", "bins-huge", "side-negative", "side-zero",
+        "sphere-side", "radius-negative", "radius-zero", "length-radius", "side-inf",
+        "side-overflow", "radius-below-precision", "radius-underflow", "seeds-zero",
+        "seeds-negative", "n-list-negative", "orbital-no-generator", "bipartite-no-b",
+        "sweep-ws-no-p"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1

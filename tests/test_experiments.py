@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from conftest import bareiss_determinant, reduced_laplacian, row_mask_extremal, row_mask_scan
 
 from netfunc import experiments, rng
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
@@ -71,10 +73,59 @@ def test_extremal_worker_split_identical(monkeypatch):
     seq = extremal_search(4, workers=1)
     par = extremal_search(4, workers=3)
     assert seq.connected_count == par.connected_count
-    for name in seq.results:
-        assert seq.results[name].min_value == par.results[name].min_value
-        assert seq.results[name].max_value == par.results[name].max_value
-        assert seq.results[name].histogram.counts == par.results[name].histogram.counts
+    for name in seq.results:  # values, witnesses, counts and histograms with lo and hi
+        assert seq.results[name] == par.results[name]
+
+
+def test_chunk_reduction_matches_full_array_reduction(monkeypatch):
+    """Eight-mask chunks merged in order give the whole-array reduction of the
+    row-mask kernel: a tie across chunks keeps the first mask."""
+    monkeypatch.setattr(experiments, "CHUNK_SIZE", 8)
+    rep = extremal_search(5)
+    want = row_mask_extremal(5, experiments.EXTREMAL_FUNCTIONALS)
+    for name in ("char_length", "euler_char", "curvature_action"):
+        assert rep.results[name] == want[name]
+    got, old = rep.results["log_complexity"], want["log_complexity"]
+    assert (got.evaluated, got.undefined) == (old.evaluated, old.undefined)
+    assert got.min_value == pytest.approx(old.min_value, abs=1e-12)
+    assert got.max_value == pytest.approx(old.max_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_log_complexity_extremes_are_exact(n):
+    """Trees have one spanning tree and K_n has n^(n-2); the first tree in
+    mask order is the star at 0, whose edges are the lowest bits."""
+    xi = extremal_search(n, functionals=("log_complexity",)).results["log_complexity"]
+    assert xi.min_value == math.log(n)
+    assert xi.max_value == math.log(n ** (n - 1))
+    assert xi.min_witness == star(n - 1)
+    assert xi.max_witness == complete(n)
+
+
+def _oracle_ranges(n):
+    """Every mask for n <= 6; at n = 7 and 8, seeded 1024-mask chunks and the
+    last chunk, which holds K_n."""
+    total = 1 << (n * (n - 1) // 2)
+    if n <= 6:
+        return [(0, total)]
+    starts = random.Random(n).sample(range(0, total - 1024, 1024), 3) + [total - 1024]
+    return [(lo, lo + 1024) for lo in starts]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_scan_chunk_matches_row_mask_kernel(n):
+    wants = experiments.EXTREMAL_FUNCTIONALS
+    for lo, hi in _oracle_ranges(n):
+        out = experiments._scan_chunk(n, lo, hi, wants)
+        old = row_mask_scan(n, lo, hi, wants)
+        assert np.array_equal(out["masks"], old["masks"])
+        assert np.array_equal(out["char_length"], old["char_length"])
+        assert np.array_equal(out["euler_char"], old["euler_char"])
+        assert out["curvature_action"].tobytes() == old["curvature_action"].tobytes()
+        assert np.allclose(out["log_complexity"], old["log_complexity"], rtol=0, atol=1e-12)
+        taus = [bareiss_determinant(reduced_laplacian(experiments.graph_from_mask(n, mask)))
+                for mask in out["masks"].tolist()]
+        assert out["tree_count"].tolist() == taus
 
 
 def _kernel_rows(n, masks):
@@ -114,7 +165,7 @@ def test_scan_chunk_matches_registry_per_graph(n, sample):
 
 def test_extremal_rejects_large_or_unknown():
     with pytest.raises(InvalidParam):
-        extremal_search(8)
+        extremal_search(9)
     with pytest.raises(InvalidParam):
         extremal_search(4, functionals=("no_such",))
 
