@@ -20,21 +20,32 @@ from .generators import MODEL_ALIASES, MODELS, ModelSpec, build_model, parse_gen
 from .graph import open_text, read_edge_list, write_edge_list
 
 
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("NETFUNC_WORKERS", "1")))
-    except ValueError:
-        return 1
+def _at_least(low, name):
+    """An argparse type: an integer >= low, else InvalidParam naming `name`.
+
+    argparse converts a string default such as $NETFUNC_WORKERS only after
+    the arguments are read, so --help still works when the default is bad.
+    """
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise InvalidParam(f"{name} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
+    parser.add_argument("--workers", type=_at_least(1, "--workers ($NETFUNC_WORKERS)"),
+                        default=os.environ.get("NETFUNC_WORKERS", "1"),
                         help="parallel fan-out (default $NETFUNC_WORKERS or 1)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 when a cap forces a functional to be skipped")
-    parser.add_argument("--max-exact-n", type=int, default=None,
+    parser.add_argument("--max-exact-n", type=_at_least(0, "--max-exact-n"), default=None,
                         help="override the vertex caps of the exact searches")
     parser.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -303,8 +314,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

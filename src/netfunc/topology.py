@@ -5,15 +5,22 @@ The Euler characteristic sums the clique counts of `graph.simplex_counts`.
 The inductive dimension walks the same bitmask adjacency (`adjacency_masks`):
 a vertex subset is a Python int, the unit sphere of v inside subset S is
 masks[v] & S, and the dimension of every subset reached is memoized on its
-bitmask as a reduced (num, den) int pair.  The walk keeps its frames on an
-explicit stack, so its depth is bounded by the budget, not by the
-interpreter's recursion limit.
+bitmask as one number, scale·dim(S), with scale = min(Δ, 64)! for the
+maximum degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S)
+divides |S|!, and every subset below the root lies inside a sphere, so
+|S| <= Δ: whenever |S| <= 64 the scaled value is an int, and each subset
+costs one add per child and one divmod by |S|.  Only the root and, when
+Δ > 64, subsets of more than 64 vertices fall back to a Fraction, and only
+when their value is not integral.  The cap keeps every int within
+log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.
+The walk keeps its frames on an explicit stack, so its depth is bounded by
+the budget, not by the interpreter's recursion limit.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial
 from typing import Optional
 
 from .errors import EstimatorUndefined, RecursionBudgetExceeded
@@ -29,6 +36,7 @@ def euler_characteristic(g, budget=CLIQUE_BUDGET):
 # -- inductive dimension ------------------------------------------------------
 
 DIMENSION_BUDGET = 1_000_000  # distinct subsets one dimension call may evaluate
+_SCALE_CAP = 64  # the memo scales by at most 64! (see the module docstring)
 
 
 def inductive_dimension(g, budget=DIMENSION_BUDGET):
@@ -60,29 +68,34 @@ def vertex_dimensions(g):
 class _DimensionMemo:
     """Dimensions of the induced subgraphs of one graph, keyed on bitmasks.
 
-    `values` maps a vertex bitmask to its dimension as a reduced (num, den)
-    pair.  Each call evaluates at most `budget` distinct nonempty subsets not
-    already in the memo; the next raises RecursionBudgetExceeded.
+    `values` maps a vertex bitmask S to scale·dim(S), where
+    scale = min(Δ, _SCALE_CAP)! for the maximum degree Δ: an int whenever
+    |S| <= min(Δ, _SCALE_CAP) (see the module docstring), else an int or a
+    Fraction.  Each call evaluates at most `budget` distinct nonempty subsets
+    not already in the memo; the next raises RecursionBudgetExceeded.
     """
 
     def __init__(self, g, budget):
         self.masks = adjacency_masks(g)
-        self.values = {0: (-1, 1)}  # the empty graph
+        degree = max(map(int.bit_count, self.masks), default=0)
+        self.scale = factorial(min(degree, _SCALE_CAP))
+        self.values = {0: -self.scale}  # the empty graph
         self.budget = budget
 
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
-        masks, values = self.masks, self.values
+        masks, values, scale = self.masks, self.values, self.scale
         known = values.get
         self.spent = 0
-        # A frame is [subset, its vertices not yet visited, its children's values].
+        # A frame is [subset, its vertices not yet visited, the sum of its
+        # children's values so far].
         stack = []
         if subset not in values:
             self._spend()
-            stack.append([subset, subset, []])
+            stack.append([subset, subset, 0])
         while stack:
             frame = stack[-1]
-            s, rest, found = frame
+            s, rest, acc = frame
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -90,23 +103,21 @@ class _DimensionMemo:
                 value = known(child)
                 if value is None:
                     break
-                found.append(value)
+                acc += value
             else:
-                # every child is known: dim = 1 + (sum of child values) / |s|
-                size = len(found)
-                common = lcm(*[den for _, den in found])
-                num = size * common + sum([a * (common // den) for a, den in found])
-                den = size * common
-                q = gcd(num, den)
-                value = values[s] = (num // q, den // q)
+                # every child is known: scale·dim = scale + acc / |s|
+                size = s.bit_count()
+                q, r = divmod(acc, size)
+                value = values[s] = scale + (Fraction(acc, size) if r else q)
                 stack.pop()
                 if stack:
-                    stack[-1][2].append(value)
+                    stack[-1][2] += value
                 continue
             frame[1] = rest
+            frame[2] = acc
             self._spend()
-            stack.append([child, child, []])
-        return Fraction(*values[subset])
+            stack.append([child, child, 0])
+        return Fraction(values[subset]) / scale
 
     def _spend(self):
         self.spent += 1

@@ -3,9 +3,9 @@
 These deliberately re-derive quantities by the dumbest correct method
 (exhaustive subsets, Floyd-Warshall, product colorings) so the fast
 implementations are checked against an independent route.  Replaced
-implementations (Bareiss elimination, the whole-block Monte-Carlo kernels,
-the row-bitmask extremal kernel and its full-array reduction) stay here as the
-references their successors must match.
+implementations (Bareiss elimination, the reduced-pair dimension memo, the
+whole-block Monte-Carlo kernels, the row-bitmask extremal kernel and its
+full-array reduction) stay here as the references their successors must match.
 """
 
 import heapq
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
 from netfunc.experiments import ExtremalResult, Histogram
-from netfunc.graph import UNREACHABLE, from_edge_list
+from netfunc.graph import UNREACHABLE, adjacency_masks, from_edge_list
 from netfunc.rng import generator
 
 INF = float("inf")
@@ -126,6 +126,55 @@ def brute_inductive_dimension(g):
         return memo[subset]
 
     return dim(frozenset(range(g.n)))
+
+
+class PairDimensionMemo:
+    """The dimension memo that kept each subset's dimension as a reduced
+    (num, den) int pair: one lcm, one multiply-and-divide per child and one
+    gcd per subset.  The reference the scaled-integer memo must match."""
+
+    def __init__(self, g):
+        self.masks = adjacency_masks(g)
+        self.values = {0: (-1, 1)}  # the empty graph
+
+    def dimension(self, subset):
+        masks, values = self.masks, self.values
+        known = values.get
+        stack = [] if subset in values else [[subset, subset, []]]
+        while stack:
+            frame = stack[-1]
+            s, rest, found = frame
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = masks[low.bit_length() - 1] & s
+                value = known(child)
+                if value is None:
+                    break
+                found.append(value)
+            else:
+                size = len(found)
+                common = math.lcm(*[den for _, den in found])
+                num = size * common + sum([a * (common // den) for a, den in found])
+                den = size * common
+                q = math.gcd(num, den)
+                value = values[s] = (num // q, den // q)
+                stack.pop()
+                if stack:
+                    stack[-1][2].append(value)
+                continue
+            frame[1] = rest
+            stack.append([child, child, []])
+        return Fraction(*values[subset])
+
+
+def pair_inductive_dimension(g):
+    return PairDimensionMemo(g).dimension((1 << g.n) - 1)
+
+
+def pair_vertex_dimensions(g):
+    memo = PairDimensionMemo(g)
+    return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
 
 
 def brute_independence_number(g):

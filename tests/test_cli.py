@@ -327,3 +327,44 @@ def test_tiny_graphs_report_everything(tmp_path, capsys):
     assert code == 0
     eta = json.loads(stdout)["results"]["curvature_action"]
     assert eta["min_witness_edges"] is None
+
+
+@pytest.mark.parametrize("command", [
+    ("analyze", "g.edges"), ("generate", "--model", "complete", "--n", "3"),
+    ("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "1"),
+    ("extremal", "--n", "3"), ("continuum", "--space", "torus2", "--samples", "100"),
+    ("audit", "g.edges")], ids=lambda command: command[0])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_workers_below_one_exit_1(capsys, command, workers):
+    code, stdout, err = run(capsys, *command, "--workers", workers)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and "--workers" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many", ""])
+def test_bad_workers_env_exit_1_but_help_works(capsys, monkeypatch, value):
+    monkeypatch.setenv("NETFUNC_WORKERS", value)
+    code, stdout, err = run(capsys, "extremal", "--n", "3")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and "NETFUNC_WORKERS" in err
+    for argv in (["--help"], ["extremal", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: netfunc")
+    # an explicit flag is never checked against the environment
+    assert run(capsys, "extremal", "--n", "3", "--workers", "1")[0] == 0
+
+
+def test_negative_max_exact_n_exit_1(tmp_path, capsys):
+    target = tmp_path / "k4.edges"
+    write_edge_list(complete(4), target)
+    for command in ("analyze", "audit"):
+        code, stdout, err = run(capsys, command, str(target), "--max-exact-n", "-1")
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and "--max-exact-n" in err
+    code, stdout, _ = run(capsys, "analyze", str(target), "--functionals",
+                          "independence_number", "--max-exact-n", "0")
+    assert code == 0
+    entry = json.loads(stdout)["functionals"]["independence_number"]
+    assert entry["status"] == "skipped" and "capped at 0 vertices" in entry["reason"]

@@ -4,6 +4,7 @@ the discrete Gauss-Bonnet theorem as an independent check of the Euler
 characteristic."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
 from netfunc.graph import adjacency_masks, from_edge_list, simplex_counts, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
-from netfunc.topology import (euler_characteristic, inductive_dimension,
-                              vertex_dimension, vertex_dimensions)
+from netfunc.topology import (DIMENSION_BUDGET, _DimensionMemo, euler_characteristic,
+                              inductive_dimension, vertex_dimension, vertex_dimensions)
 
-from conftest import (brute_inductive_dimension, brute_simplex_counts, iter_graphs,
+from conftest import (PairDimensionMemo, brute_inductive_dimension, brute_simplex_counts,
+                      iter_graphs, pair_inductive_dimension, pair_vertex_dimensions,
                       relabelled_graphs)
 
 
@@ -34,7 +36,9 @@ def test_adjacency_masks():
 @pytest.mark.parametrize("n", range(7))
 def test_dimension_and_euler_match_oracles_exhaustive(n):
     for g in iter_graphs(n):
-        assert inductive_dimension(g) == brute_inductive_dimension(g)
+        assert inductive_dimension(g) == brute_inductive_dimension(g) == \
+            pair_inductive_dimension(g)
+        assert vertex_dimensions(g) == pair_vertex_dimensions(g)
         assert euler_characteristic(g) == alternating_sum(brute_simplex_counts(g))
 
 
@@ -58,6 +62,87 @@ def test_vertex_dimensions_share_one_memo():
         shared = vertex_dimensions(g)
         assert shared == tuple(vertex_dimension(g, x) for x in range(g.n))
         assert tuple(r.dimension for r in local_profile(g)) == shared
+
+
+# -- the scaled-integer memo against the reduced-pair oracle ----------------------
+
+def assert_memo_matches_pairs(g, memo):
+    """Every entry of `memo`, the root of each call included, equals the
+    reduced-pair oracle's dimension of the same subset; taken in the order
+    they were stored (children first), each oracle call is one subset."""
+    oracle = PairDimensionMemo(g)
+    for subset, value in memo.values.items():
+        assert Fraction(value) / memo.scale == oracle.dimension(subset)
+
+
+def hub_graph():
+    """A hub joined to an edge {1, 2} and to 65 vertices of degree one: Δ = 67
+    passes the scale cap, and the hub's sphere, of prime size 67, has
+    dimension 1 - 65/67 = 2/67."""
+    return from_edge_list(68, [(1, 2)] + [(0, v) for v in range(1, 68)])
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (30, 40, 60) for p in (0.3, 0.5, 0.8)])
+def test_dimension_matches_pair_memo_on_er_draws(n, p):
+    g = erdos_renyi(n, p, rng.derive_seed(1414, n, int(p * 10)))
+    full = (1 << n) - 1
+    if (n, p) == (60, 0.8):
+        # past the default budget: the entries stored before the raise still match
+        memo = _DimensionMemo(g, 20_000)
+        with pytest.raises(RecursionBudgetExceeded):
+            memo.dimension(full)
+        assert_memo_matches_pairs(g, memo)
+        return
+    memo = _DimensionMemo(g, DIMENSION_BUDGET)
+    memo.dimension(full)
+    assert_memo_matches_pairs(g, memo)
+    if p < 0.8:
+        assert vertex_dimensions(g) == pair_vertex_dimensions(g)
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_dimension_matches_pair_memo_on_complete_graphs(n):
+    # K_n has 2^n - 1 nonempty subsets, so past n = 12 the budget stops the
+    # walk; the subsets of the last vertices it stored cover the scale cap
+    # (n >= 66 has Δ > 64)
+    g = complete(n)
+    memo = _DimensionMemo(g, 4096)
+    if n <= 12:
+        assert memo.dimension((1 << n) - 1) == n - 1 == pair_inductive_dimension(g)
+    else:
+        with pytest.raises(RecursionBudgetExceeded):
+            memo.dimension((1 << n) - 1)
+    assert memo.scale == factorial(min(n - 1, 64))
+    assert all(value == memo.scale * (subset.bit_count() - 1)
+               for subset, value in memo.values.items())
+    assert_memo_matches_pairs(g, memo)
+
+
+def test_non_integral_sphere_past_the_scale_cap():
+    g = hub_graph()
+    memo = _DimensionMemo(g, DIMENSION_BUDGET)
+    hub_sphere = adjacency_masks(g)[0]
+    assert memo.dimension(hub_sphere) == Fraction(2, 67)
+    assert isinstance(memo.values[hub_sphere], Fraction)
+    assert inductive_dimension(g) == pair_inductive_dimension(g) == \
+        1 + (Fraction(2, 67) + 2) / 68
+    assert vertex_dimensions(g) == pair_vertex_dimensions(g)
+    assert_memo_matches_pairs(g, memo)
+
+
+@pytest.mark.parametrize("g,budget", [(complete(200), 5000), (hub_graph(), DIMENSION_BUDGET)],
+                         ids=["K200", "hub68"])
+def test_memo_ints_stay_within_the_capped_scale(g, budget):
+    # |dim| < n, so scale·dim needs at most log2(64!) + log2(n) bits
+    memo = _DimensionMemo(g, budget)
+    try:
+        memo.dimension((1 << g.n) - 1)
+    except RecursionBudgetExceeded:
+        pass
+    bound = factorial(64).bit_length() + g.n.bit_length()
+    ints = [v for v in memo.values.values() if isinstance(v, int)]
+    assert ints
+    assert all(v.bit_length() <= bound for v in ints)
 
 
 # -- budgets --------------------------------------------------------------------
