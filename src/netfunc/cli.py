@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, generate, sweep, extremal, continuum, audit.
-Exit codes: 0 ok, 1 invalid input, 2 edge-list parse error, 3 cap exceeded
-under --strict, 4 unknown functional name.
+Exit codes: 0 ok, 1 usage, invalid input or file access, 2 edge-list parse
+error, 3 cap exceeded under --strict, 4 unknown functional name.
 """
 
 import argparse
@@ -37,37 +37,45 @@ def _at_least(low, name):
     return parse
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
+def _shared_flags(parser, seed=False, fmt=False, strict=False):
+    """--workers and --output, then the optional groups a subcommand reads."""
     parser.add_argument("--workers", type=_at_least(1, "--workers ($NETFUNC_WORKERS)"),
                         default=os.environ.get("NETFUNC_WORKERS", "1"),
                         help="parallel fan-out (default $NETFUNC_WORKERS or 1)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 3 when a cap forces a functional to be skipped")
-    parser.add_argument("--max-exact-n", type=_at_least(0, "--max-exact-n"), default=None,
-                        help="override the vertex caps of the exact searches")
     parser.add_argument("--output", default=None, help="write here instead of stdout")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="base seed")
+    if fmt:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+    if strict:
+        parser.add_argument("--strict", action="store_true",
+                            help="exit 3 when a cap forces a functional to be skipped")
+        parser.add_argument("--max-exact-n", type=_at_least(0, "--max-exact-n"),
+                            default=None, help="override the vertex caps of the exact searches")
 
 
-def _emit(args, text):
+def _write(args, doc, to_csv=None, skipped=False):
+    """Write `doc` as JSON, or `to_csv()` under --format csv, to --output or
+    stdout; return 3 when `skipped` under --strict, else 0."""
+    text = to_csv() if getattr(args, "format", "json") == "csv" else json.dumps(doc, indent=2)
     if args.output:
         with open_text(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 3 if skipped and getattr(args, "strict", False) else 0
 
 
 def _caps(args):
-    if args.max_exact_n is not None:
-        return report.Caps.with_max_exact_n(args.max_exact_n)
-    return report.Caps()
+    n = args.max_exact_n
+    return report.Caps() if n is None else report.Caps.with_max_exact_n(n)
 
 
-def _model_flags(parser):
+def _model_flags(parser, n=True):
     parser.add_argument("--model", required=True,
                         help=f"one of {', '.join(sorted(set(MODELS) | set(MODEL_ALIASES)))}")
-    parser.add_argument("--n", type=int, help="vertex count / family size")
+    if n:
+        parser.add_argument("--n", type=int, help="vertex count / family size")
     parser.add_argument("--a", type=int, help="first part size (bipartite)")
     parser.add_argument("--b", type=int, help="second part size (bipartite)")
     parser.add_argument("--p", type=float, help="edge / rewiring probability")
@@ -78,10 +86,16 @@ def _model_flags(parser):
 
 
 def _model_spec(args, n=None):
-    """The ModelSpec of the model flags, with `n`, when given, in place of --n."""
+    """The ModelSpec of the model flags, with `n`, when given, in place of --n;
+    a model flag that the kind does not take is an InvalidParam naming it."""
     kind = MODEL_ALIASES.get(args.model, args.model)
-    flags = {**vars(args), "n": args.n if n is None else n}
     names = MODELS[kind][1] if kind in MODELS else ()
+    flags = {name: getattr(args, name, None)
+             for name in ("n", "a", "b", "p", "k", "m", "generators")}
+    extra = [name for name, value in flags.items() if value is not None and name not in names]
+    if extra and kind in MODELS:  # an unknown kind is ModelSpec's error
+        raise InvalidParam(f"{kind} takes no --{extra[0].removesuffix('s')}")
+    flags["n"] = flags["n"] if n is None else n
     params = {name: flags[name] for name in names if flags[name] is not None}
     if "generators" in params:
         params["generators"] = tuple(parse_generator(s) for s in params["generators"])
@@ -97,8 +111,15 @@ def _names(text, every):
 
 def _render(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return report.render_value(value, "rational")
     return value if value is None or isinstance(value, (int, float, str)) else str(value)
+
+
+def _rows_csv(rows):
+    """A header of the keys of rows[0], then each row's values (None empty)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([list(rows[0])] + [list(row.values()) for row in rows])
+    return buf.getvalue()
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -108,10 +129,8 @@ def cmd_analyze(args):
     names = _names(args.functionals, report.FUNCTIONALS)
     rep = report.compute_report(graph, names=names, caps=_caps(args),
                                 include_profile=args.profile)
-    _emit(args, report.report_json(rep) if args.format == "json" else rep.to_csv())
-    if args.strict and any(e.status == "skipped" for e in rep.entries.values()):
-        return 3
-    return 0
+    skipped = any(e.status == "skipped" for e in rep.entries.values())
+    return _write(args, rep.to_json_dict(), rep.to_csv, skipped)
 
 
 def cmd_generate(args):
@@ -137,11 +156,8 @@ def cmd_sweep(args):
     params = {k: v for k, v in spec.params.items() if k != "n"}
     records = experiments.growth_sweep(spec.kind, params, n_list, args.seeds,
                                        seed=args.seed, workers=args.workers)
-    if args.format == "json":
-        _emit(args, json.dumps([_record_dict(r) for r in records], indent=2))
-    else:
-        _emit(args, _records_csv(records))
-    return 0
+    rows = [_record_dict(r) for r in records]
+    return _write(args, rows, lambda: _rows_csv(rows))
 
 
 def _record_dict(rec):
@@ -150,27 +166,11 @@ def _record_dict(rec):
     return out
 
 
-def _records_csv(records):
-    buf = io.StringIO()
-    names = list(experiments.SWEEP_FIELDS)
-    names += [f"{name}_flag" for name in experiments.SWEEP_FUNCTIONALS]
-    writer = csv.DictWriter(buf, fieldnames=names)
-    writer.writeheader()
-    for rec in records:
-        row = {k: ("" if v is None else v) for k, v in _record_dict(rec).items()}
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def cmd_extremal(args):
     wants = _names(args.functional, experiments.EXTREMAL_FUNCTIONALS)
     rep = experiments.extremal_search(args.n, functionals=wants,
                                       workers=args.workers, bins=args.bins)
-    if args.format == "json":
-        _emit(args, json.dumps(_extremal_dict(rep), indent=2))
-    else:
-        _emit(args, _extremal_csv(rep))
-    return 0
+    return _write(args, _extremal_dict(rep), lambda: _extremal_csv(rep))
 
 
 def _witness_edges(graph):
@@ -231,11 +231,9 @@ def cmd_continuum(args):
     else:
         value = continuum_mod.continuum_ratio(space, radius, args.samples,
                                                args.seed, workers=args.workers)
-        _emit(args, json.dumps({"estimate": value, "samples": args.samples}))
-        return 0
-    _emit(args, json.dumps({"estimate": est.estimate, "std_error": est.std_error,
-                            "samples": est.samples}))
-    return 0
+        return _write(args, {"estimate": value, "samples": args.samples})
+    return _write(args, {"estimate": est.estimate, "std_error": est.std_error,
+                         "samples": est.samples})
 
 
 def cmd_audit(args):
@@ -244,47 +242,44 @@ def cmd_audit(args):
     checks = experiments.bound_audit(graph, independence_cap=caps.independence,
                                      chromatic_cap=caps.chromatic,
                                      arboricity_cap=caps.arboricity)
-    if args.format == "json":
-        rows = [{"name": c.name, "lhs": _render(c.lhs), "rhs": _render(c.rhs),
-                 "holds": c.holds, "note": c.note} for c in checks]
-        _emit(args, json.dumps(rows, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "lhs", "rhs", "holds", "note"])
-        for c in checks:
-            writer.writerow([c.name, _render(c.lhs), _render(c.rhs),
-                             "" if c.holds is None else c.holds, c.note])
-        _emit(args, buf.getvalue())
-    if args.strict and any(c.holds is None for c in checks):
-        return 3
-    return 0
+    rows = [{"name": c.name, "lhs": _render(c.lhs), "rhs": _render(c.rhs),
+             "holds": c.holds, "note": c.note} for c in checks]
+    return _write(args, rows, lambda: _rows_csv(rows), any(c.holds is None for c in checks))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Full flag names only; a usage error is an InvalidParam, so it exits 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InvalidParam(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="netfunc",
-                                     description="graph functional toolbox")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="netfunc", description="graph functional toolbox")
+    sub = parser.add_subparsers(dest="command", required=True)  # of _Parser, as is parser
 
     p = sub.add_parser("analyze", help="evaluate functionals on an edge-list file")
     p.add_argument("input")
     p.add_argument("--functionals", default="all",
                    help="comma list (default all): " + ", ".join(report.FUNCTIONALS))
     p.add_argument("--profile", action="store_true", help="include per-vertex records")
-    _common_flags(p)
+    _shared_flags(p, fmt=True, strict=True)
     p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("generate", help="write a model draw as an edge-list file")
     _model_flags(p)
-    _common_flags(p)
+    _shared_flags(p, seed=True)
     p.set_defaults(run=cmd_generate)
 
     p = sub.add_parser("sweep", help="sweep a model family over vertex counts")
-    _model_flags(p)
+    _model_flags(p, n=False)
     p.add_argument("--n-list", required=True, metavar="N1,N2,...",
                    help="comma-separated vertex counts")
     p.add_argument("--seeds", type=int, default=10, help="replicates per n")
-    _common_flags(p)
+    _shared_flags(p, seed=True, fmt=True)
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("extremal", help="scan all connected graphs on n <= 8 vertices")
@@ -292,7 +287,7 @@ def build_parser():
     p.add_argument("--functional", default="all",
                    help="comma list of " + ", ".join(experiments.EXTREMAL_FUNCTIONALS))
     p.add_argument("--bins", type=int, default=64)
-    _common_flags(p)
+    _shared_flags(p, fmt=True)
     p.set_defaults(run=cmd_extremal)
 
     p = sub.add_parser("continuum", help="Monte-Carlo estimates on model spaces")
@@ -303,12 +298,12 @@ def build_parser():
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--quantity", choices=("length", "cluster", "ratio"),
                    default="length")
-    _common_flags(p)
+    _shared_flags(p, seed=True)
     p.set_defaults(run=cmd_continuum)
 
     p = sub.add_parser("audit", help="check every length/coloring bound on a graph")
     p.add_argument("input")
-    _common_flags(p)
+    _shared_flags(p, fmt=True, strict=True)
     p.set_defaults(run=cmd_audit)
     return parser
 
@@ -316,7 +311,12 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

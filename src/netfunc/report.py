@@ -9,7 +9,6 @@ mathematically undefined ones as undefined entries.
 
 import csv
 import io
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -244,7 +243,3 @@ REPORT_SCHEMA = {
         "profile": {"type": "array"},
     },
 }
-
-
-def report_json(report):
-    return json.dumps(report.to_json_dict(), indent=2)

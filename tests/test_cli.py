@@ -187,11 +187,27 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     (("generate", "--model", "bipartite", "--a", "2"), "complete_bipartite needs --b"),
     (("sweep", "--model", "ws", "--k", "4", "--n-list", "10", "--seeds", "1"),
      "watts_strogatz needs --p"),
+    # a model flag the kind does not take; the first in --help order is named
+    (("generate", "--model", "er", "--n", "5", "--p", "0.5", "--k", "4", "--a", "9"),
+     "erdos_renyi takes no --a"),
+    (("generate", "--model", "complete", "--n", "5", "--p", "0.5"), "complete takes no --p"),
+    (("generate", "--model", "bipartite", "--a", "2", "--b", "3", "--n", "5"),
+     "complete_bipartite takes no --n"),
+    (("generate", "--model", "ws", "--n", "8", "--k", "2", "--p", "0.1",
+      "--generator", "permutation"), "watts_strogatz takes no --generator"),
+    (("generate", "--model", "ba", "--n", "8", "--m", "2", "--k", "0"),
+     "barabasi_albert takes no --k"),
+    (("sweep", "--model", "er", "--p", "0.5", "--m", "2", "--n-list", "5", "--seeds", "1"),
+     "erdos_renyi takes no --m"),
+    (("sweep", "--model", "ws", "--k", "2", "--p", "0.1", "--b", "1", "--n-list", "8",
+      "--seeds", "1"), "watts_strogatz takes no --b"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "bins-huge", "side-negative", "side-zero",
         "sphere-side", "radius-negative", "radius-zero", "length-radius", "side-inf",
         "side-overflow", "radius-below-precision", "radius-underflow", "seeds-zero",
         "seeds-negative", "n-list-negative", "orbital-no-generator", "bipartite-no-b",
-        "sweep-ws-no-p"])
+        "sweep-ws-no-p", "er-takes-no-k-a", "complete-takes-no-p", "bipartite-takes-no-n",
+        "ws-takes-no-generator", "ba-takes-no-k-zero", "sweep-er-takes-no-m",
+        "sweep-ws-takes-no-b"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1
@@ -368,3 +384,79 @@ def test_negative_max_exact_n_exit_1(tmp_path, capsys):
     assert code == 0
     entry = json.loads(stdout)["functionals"]["independence_number"]
     assert entry["status"] == "skipped" and "capped at 0 vertices" in entry["reason"]
+
+
+K4 = "{tmp}/k4.edges"
+GENERATE = ("generate", "--model", "complete", "--n", "3")
+SWEEP = ("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "1")
+EXTREMAL = ("extremal", "--n", "3")
+CONTINUUM = ("continuum", "--space", "torus2", "--samples", "100")
+
+
+@pytest.mark.parametrize("argv", [
+    ("extremal", "--n", "x"),
+    ("analyze",),
+    (),
+    ("bogus",),
+    (*EXTREMAL, "--no-such-flag"),
+    ("continuum", "--space", "torus2", "--sam", "3000"),
+    (*CONTINUUM, "--se", "2"),
+    ("sweep", "--model", "er", "--p", "0.1", "--n", "5", "--seeds", "1"),
+    # each flag that only some subcommands take, on a subcommand that does not
+    ("analyze", K4, "--seed", "3"),
+    ("audit", K4, "--seed", "3"),
+    (*EXTREMAL, "--seed", "3"),
+    *[(*cmd, "--strict") for cmd in (GENERATE, SWEEP, EXTREMAL, CONTINUUM)],
+    *[(*cmd, "--max-exact-n", "5") for cmd in (GENERATE, SWEEP, EXTREMAL, CONTINUUM)],
+    (*GENERATE, "--format", "json"),
+    (*CONTINUUM, "--format", "csv"),
+    (*SWEEP, "--n", "999"),
+], ids=["int-type", "missing-input", "no-subcommand", "unknown-subcommand", "unknown-flag",
+        "abbreviation", "abbreviated-seed", "abbreviated-n-list", "analyze-seed",
+        "audit-seed", "extremal-seed", "generate-strict", "sweep-strict", "extremal-strict",
+        "continuum-strict", "generate-max-exact-n", "sweep-max-exact-n",
+        "extremal-max-exact-n", "continuum-max-exact-n", "generate-format",
+        "continuum-format", "sweep-n"])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    write_edge_list(complete(4), tmp_path / "k4.edges")
+    code, stdout, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err and "Traceback" not in err
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    from netfunc.cli import build_parser
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    flags = {name: [a.option_strings[0] if a.option_strings else a.dest
+                    for a in p._actions if a.dest != "help"]
+             for name, p in sub.choices.items()}
+    shared = ["--workers", "--output"]
+    model = ["--model", "--n", "--a", "--b", "--p", "--k", "--m", "--generator"]
+    assert flags == {
+        "analyze": ["input", "--functionals", "--profile", *shared, "--format", "--strict",
+                    "--max-exact-n"],
+        "generate": [*model, *shared, "--seed"],
+        "sweep": [f for f in model if f != "--n"] + ["--n-list", "--seeds", *shared,
+                                                     "--seed", "--format"],
+        "extremal": ["--n", "--functional", "--bins", *shared, "--format"],
+        "continuum": ["--space", "--side", "--radius", "--samples", "--quantity", *shared,
+                      "--seed"],
+        "audit": ["input", *shared, "--format", "--strict", "--max-exact-n"],
+    }
+    assert sum(map(len, flags.values())) == 52
+    assert not parser.allow_abbrev and not any(p.allow_abbrev for p in sub.choices.values())
+
+
+def test_closed_stdout_ends_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1])}
+    # 44,850 edge lines, far more than a pipe buffers, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "netfunc.cli", "generate", "--model",
+                             "complete", "--n", "300"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("# --model complete --n 300")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
