@@ -102,11 +102,15 @@ def _model_spec(args, n=None):
     return ModelSpec(kind, params, seed=args.seed)
 
 
-def _names(text, every):
-    """The names in the comma list `text`, empty ones dropped; `every` for 'all'."""
+def _names(text, every, flag):
+    """The names in the comma list `text`, empty ones dropped; `every` for 'all'.
+    A list with no name left is an InvalidParam naming `flag`."""
     if text == "all":
         return tuple(every)
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+    names = tuple(x.strip() for x in text.split(",") if x.strip())
+    if not names:
+        raise InvalidParam(f"{flag} names no functional, got {text!r}")
+    return names
 
 
 def _render(value):
@@ -125,8 +129,8 @@ def _rows_csv(rows):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_analyze(args):
+    names = _names(args.functionals, report.FUNCTIONALS, "--functionals")
     graph = read_edge_list(args.input)
-    names = _names(args.functionals, report.FUNCTIONALS)
     rep = report.compute_report(graph, names=names, caps=_caps(args),
                                 include_profile=args.profile)
     skipped = any(e.status == "skipped" for e in rep.entries.values())
@@ -167,7 +171,7 @@ def _record_dict(rec):
 
 
 def cmd_extremal(args):
-    wants = _names(args.functional, experiments.EXTREMAL_FUNCTIONALS)
+    wants = _names(args.functional, experiments.EXTREMAL_FUNCTIONALS, "--functional")
     rep = experiments.extremal_search(args.n, functionals=wants,
                                       workers=args.workers, bins=args.bins)
     return _write(args, _extremal_dict(rep), lambda: _extremal_csv(rep))

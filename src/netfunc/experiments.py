@@ -11,6 +11,16 @@ disconnected graphs, and evaluates the requested functionals on numpy
 batches.  Workers split the mask space into fixed chunks; each chunk comes
 back as a summary of distinct values and first witnesses, merged in chunk
 order, so results do not depend on the worker count.
+
+χ and the tree count come from per-H tables, by vertex extension: a mask's
+high bits are the edge mask of H, its graph on vertices 1..n-1, and its low
+n - 1 bits are a, the neighbours of vertex 0, so each H serves 2^(n-1)
+masks.  χ(G) = χ(H) + 1 - χ(H[a]), read from a table of χ(H[S]) over every
+vertex set S.  τ(G) = det(L_H + diag a) = Σ_{T⊆a} det L_H[V-T, V-T], a
+subset-sum over a of H's principal minors, which Bareiss updates compute
+exactly in int64: a Laplacian row on at most 7 vertices has norm at most
+sqrt(42), so by Hadamard's bound each minor and bordered minor is below
+42^(7/2) < 2^19, and every product in an update is below 2^39.
 """
 
 import math
@@ -124,28 +134,6 @@ def _grow(ball, spread):
     return grown
 
 
-def _euler_chars(lanes, n):
-    """chi = sum over cliques P, the empty one included, of (-1)^|P| times
-    |cand(P)|, the common neighbours of P above its last vertex: every
-    nonempty clique is one P plus one of its candidates."""
-    above = [lanes[v] & np.uint8((0xFF << (v + 1)) & 0xFF) for v in range(n)]
-    chi = np.full(lanes.shape[1], n, dtype=np.int16)  # P empty: every vertex
-    stack = [(v, above[v], 1) for v in range(n - 1)]  # cand of the last vertex is empty
-    while stack:
-        v, cand, size = stack.pop()
-        count = np.bitwise_count(cand)
-        if size % 2:
-            chi -= count
-        else:
-            chi += count
-        for w in range(v + 1, n - 1):
-            within = (cand << np.uint8(7 - w)).view(np.int8) >> 7  # all ones iff w in cand
-            child = cand & above[w] & within.view(np.uint8)
-            if child.any():
-                stack.append((w, child, size + 1))
-    return chi.astype(np.int64)
-
-
 def _curvature_actions(within1, within2, n):
     """Mean over vertices of log(d2/d1), d1 = |B_1| - 1 and d2 = |B_2| - |B_1|,
     from (n, count) lane ball sizes; vertices with d1 or d2 zero are left out,
@@ -166,28 +154,60 @@ def _curvature_actions(within1, within2, n):
         return total / count  # 0/0 -> NaN
 
 
-def _tree_counts(lanes, n):
-    """Spanning-tree counts: det of the Laplacian with vertex 0 deleted, by
-    elimination without pivoting over per-entry float64 columns.  The matrix
-    is symmetric positive definite for a connected graph, so the pivots stay
-    positive, and the count (at most n^(n-2)) is their rounded product."""
-    size = n - 1
-    a = {}
-    for i in range(size):
-        row = lanes[i + 1]
-        a[i, i] = np.bitwise_count(row).astype(np.float64)
-        for j in range(i):
-            a[i, j] = -((row >> np.uint8(j + 1)) & np.uint8(1)).astype(np.float64)
-    det = np.ones(lanes.shape[1])
-    step = np.empty_like(det)
-    for p in range(size):
-        det *= a[p, p]
-        for i in range(p + 1, size):
-            f = a[i, p] / a[p, p]
-            for j in range(p + 1, i + 1):
-                np.multiply(f, a[j, p], out=step)
-                a[i, j] -= step
-    return np.rint(det).astype(np.int64)
+def _link_chars(rows, k):
+    """(2^k, H count) table: entry [S, h] is chi of the subgraph that S, a
+    subset of the k vertices, induces in graph h of row masks `rows`.  Deleting
+    v, the top vertex of S, leaves S - v, and the cliques through v are v
+    joined to the cliques of its link, so chi(S) = chi(S - v) + 1 - chi(N(v)
+    in S - v)."""
+    chi = np.zeros((1 << k, rows.shape[1]), dtype=np.int64)
+    h = np.arange(rows.shape[1])
+    for v in range(k):
+        below = np.arange(1 << v)[:, None]  # S - v
+        chi[1 << v:2 << v] = chi[:1 << v] + 1 - chi[rows[v] & below, h]
+    return chi
+
+
+def _principal_minors(rows, k):
+    """(2^k, H count) table: entry [U, h] is det L[U, U], L the Laplacian of
+    graph h of row masks `rows`.  A prefix trie over U in vertex order: node P
+    holds the bordered minors t(i, j) = det L[P + i, P + j] for i, j above
+    its top vertex, and by Sylvester's identity the child P + v holds
+    (t(v,v) t(i,j) - t(i,v) t(v,j)) / det L[P, P], with det L[P + v, P + v]
+    = t(v, v), exactly in int64 (Bareiss).  L is positive semidefinite, so
+    when det L[P, P] = 0 the columns P are dependent in L and every t below P
+    is 0: the division by that zero is replaced by one."""
+    count = rows.shape[1]
+    minors = np.zeros((1 << k, count), dtype=np.int64)
+    minors[0] = 1
+    lap = -((rows[:, None, :] >> np.arange(k, dtype=np.uint8)[:, None]) & 1).astype(np.int64)
+    for v in range(k):
+        lap[v, v] = np.bitwise_count(rows[v])
+    stack = [(0, 0, lap, np.ones(count, dtype=np.int64))]  # (P, top + 1, t, det L[P, P])
+    while stack:
+        subset, first, t, det = stack.pop()
+        det = np.where(det == 0, 1, det)
+        for i in range(t.shape[0]):
+            child, pivot = subset | (1 << (first + i)), t[i, i]
+            minors[child] = pivot
+            if i + 1 < t.shape[0]:
+                rest = pivot * t[i + 1:, i + 1:] - t[i + 1:, i, None] * t[i, None, i + 1:]
+                stack.append((child, first + i + 1, rest // det, pivot))
+    return minors
+
+
+def _tree_tables(rows, k):
+    """(2^k, H count) table: entry [a, h] is the spanning-tree count of graph h
+    plus a vertex joined to the vertex set a.  That count is det(L + diag a),
+    L the Laplacian of h (the matrix-tree theorem with the new vertex
+    deleted), and expanding the determinant along the diagonal gives
+    sum over T in a of det L[V - T, V - T]: a subset-sum over a of the
+    principal minors read in complement order."""
+    taus = _principal_minors(rows, k)[::-1].copy()  # [T] = det L[V - T, V - T]
+    for b in range(k):
+        pair = taus.reshape(-1, 2, 1 << b, taus.shape[1])
+        pair[:, 1] += pair[:, 0]
+    return taus
 
 
 def _scan_chunk(n, lo, hi, wants):
@@ -233,15 +253,25 @@ def _scan_chunk(n, lo, hi, wants):
     out = {"masks": masks[connected]}
     if "char_length" in wants:
         out["char_length"] = total[connected]
-    lanes = _lanes(rows[connected], n)
-    if "euler_char" in wants:
-        out["euler_char"] = _euler_chars(lanes, n)
     if "curvature_action" in wants:
-        within1 = np.bitwise_count(lanes) + np.uint8(1)  # |B_1(v)| = degree + 1
+        within1 = np.bitwise_count(_lanes(ball1[connected], n))
         within2 = np.bitwise_count(_lanes(ball2[connected], n))
         out["curvature_action"] = _curvature_actions(within1, within2, n)
+
+    # G is H, its graph on vertices 1..n-1, plus vertex 0 joined to the set a:
+    # the high bits of a mask are H's edge mask (H vertex j is vertex j + 1),
+    # its low k bits are a, so the range's H values are consecutive.
+    k = n - 1
+    first = lo >> k
+    hs = np.arange(first, ((hi - 1) >> k) + 1, dtype=np.int64)
+    h_rows = _lanes(_row_words(k, hs), k)
+    h = (out["masks"] >> k) - first
+    a = out["masks"] & ((1 << k) - 1)
+    if "euler_char" in wants:
+        chi = _link_chars(h_rows, k)
+        out["euler_char"] = chi[-1, h] + 1 - chi[a, h]  # chi(H) + 1 - chi(link of 0)
     if "log_complexity" in wants:
-        out["tree_count"] = _tree_counts(lanes, n)
+        out["tree_count"] = _tree_tables(h_rows, k)[a, h]
         out["log_complexity"] = np.log(n * out["tree_count"])
     return out
 

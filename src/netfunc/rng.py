@@ -7,8 +7,6 @@ merged result stays identical for every partition.  `ordered_imap` is that
 fan-out: results come back in call order for every worker count.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 
@@ -37,6 +35,8 @@ def ordered_imap(fn, calls, workers=1):
     if workers <= 1 or len(calls) <= 1:
         yield from (fn(*args) for args in calls)
         return
+    # imported here, since it loads multiprocessing, which one worker never uses
+    from concurrent.futures import ProcessPoolExecutor
     # the pool forks all its workers at the first submit, needed or not
     with ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
         yield from pool.map(fn, *zip(*calls))

@@ -411,12 +411,14 @@ CONTINUUM = ("continuum", "--space", "torus2", "--samples", "100")
     (*GENERATE, "--format", "json"),
     (*CONTINUUM, "--format", "csv"),
     (*SWEEP, "--n", "999"),
+    ("analyze", K4, "--functionals", ","),
+    (*EXTREMAL, "--functional", " , "),
 ], ids=["int-type", "missing-input", "no-subcommand", "unknown-subcommand", "unknown-flag",
         "abbreviation", "abbreviated-seed", "abbreviated-n-list", "analyze-seed",
         "audit-seed", "extremal-seed", "generate-strict", "sweep-strict", "extremal-strict",
         "continuum-strict", "generate-max-exact-n", "sweep-max-exact-n",
         "extremal-max-exact-n", "continuum-max-exact-n", "generate-format",
-        "continuum-format", "sweep-n"])
+        "continuum-format", "sweep-n", "analyze-no-functional", "extremal-no-functional"])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     write_edge_list(complete(4), tmp_path / "k4.edges")
     code, stdout, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
@@ -460,3 +462,15 @@ def test_closed_stdout_ends_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only --workers above 1 starts a pool, so importing the CLI loads none
+    of the pool's modules."""
+    env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1])}
+    pool = ("concurrent.futures.process", "multiprocessing", "subprocess")
+    code = f"import sys, netfunc.cli; print([m for m in {pool!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

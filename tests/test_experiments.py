@@ -17,11 +17,11 @@ from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _t
                                  growth_sweep, ratio_dimension_sweep)
 from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
                                 star, wheel)
-from netfunc.graph import from_edge_list, is_connected
+from netfunc.graph import from_edge_list, induced_subgraph, is_connected
 from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                              wiener_index)
 from netfunc.report import Caps, compute_report
-from netfunc.spectral import spectral_complexity
+from netfunc.spectral import laplacian_matrix, spectral_complexity
 from netfunc.topology import (curvature_summary, euler_characteristic, inductive_dimension,
                               length_estimate)
 
@@ -77,10 +77,13 @@ def test_extremal_worker_split_identical(monkeypatch):
         assert seq.results[name] == par.results[name]
 
 
-def test_chunk_reduction_matches_full_array_reduction(monkeypatch):
-    """Eight-mask chunks merged in order give the whole-array reduction of the
-    row-mask kernel: a tie across chunks keeps the first mask."""
-    monkeypatch.setattr(experiments, "CHUNK_SIZE", 8)
+@pytest.mark.parametrize("chunk", [8, 24])
+def test_chunk_reduction_matches_full_array_reduction(monkeypatch, chunk):
+    """Small chunks merged in order give the whole-array reduction of the
+    row-mask kernel: a tie across chunks keeps the first mask.  At n = 5 a
+    graph on vertices 1..4 owns 16 consecutive masks, so a 24-mask chunk
+    starts or ends inside one."""
+    monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk)
     rep = extremal_search(5)
     want = row_mask_extremal(5, experiments.EXTREMAL_FUNCTIONALS)
     for name in ("char_length", "euler_char", "curvature_action"):
@@ -100,6 +103,48 @@ def test_log_complexity_extremes_are_exact(n):
     assert xi.max_value == math.log(n ** (n - 1))
     assert xi.min_witness == star(n - 1)
     assert xi.max_witness == complete(n)
+
+
+def _graph_rows(k, masks):
+    """Graphs on k vertices by edge mask, as the (k, count) row lanes the
+    per-H tables read."""
+    return experiments._lanes(experiments._row_words(k, np.asarray(masks, dtype=np.int64)), k)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_link_table_matches_euler_characteristic(k):
+    masks = range(1 << (k * (k - 1) // 2))
+    chi = experiments._link_chars(_graph_rows(k, masks), k)
+    for h, mask in enumerate(masks):
+        g = experiments.graph_from_mask(k, mask)
+        for subset in range(1 << k):
+            part = induced_subgraph(g, [v for v in range(k) if subset >> v & 1]).graph
+            assert chi[subset, h] == euler_characteristic(part)
+
+
+def _minor_cases(k):
+    """Every graph on k <= 5 vertices; on 6 and 7, K_k and seeded draws."""
+    total = 1 << (k * (k - 1) // 2)
+    if k <= 5:
+        return list(range(total))
+    return [total - 1] + random.Random(k).sample(range(total), 40)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_principal_minor_table_matches_bareiss(k):
+    """det L[U, U] for every U, singular ones included: an isolated vertex in
+    U, or a whole component inside U, makes the minor 0."""
+    masks = _minor_cases(k)
+    minors = experiments._principal_minors(_graph_rows(k, masks), k)
+    singular = 0
+    for h, mask in enumerate(masks):
+        lap = laplacian_matrix(experiments.graph_from_mask(k, mask)).tolist()
+        for subset in range(1 << k):
+            keep = [v for v in range(k) if subset >> v & 1]
+            want = bareiss_determinant([[lap[i][j] for j in keep] for i in keep])
+            assert minors[subset, h] == want
+            singular += want == 0 and subset != (1 << k) - 1
+    assert singular or k <= 1
 
 
 def _oracle_ranges(n):
@@ -193,7 +238,7 @@ def test_ordered_map_starts_no_more_workers_than_calls(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(rng, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     calls = [(x, 10 * x) for x in range(3)]
     assert rng.ordered_map(pow, calls, workers=5000) == [pow(x, 10 * x) for x in range(3)]
     assert rng.ordered_map(pow, calls, workers=2) == [pow(x, 10 * x) for x in range(3)]
