@@ -6,21 +6,25 @@ A sweep record reads its values from the functional registry
 each functional the same way.
 
 The extremal scan streams every labeled graph on n <= 8 vertices as a
-C(n,2)-bit edge mask, packs each into one uint64 word of row masks, rejects
-disconnected graphs, and evaluates the requested functionals on numpy
-batches.  Workers split the mask space into fixed chunks; each chunk comes
+C(n,2)-bit edge mask and computes each functional by vertex extension: a
+mask's high bits are the edge mask of H, its graph on vertices 1..n-1, and
+its low n - 1 bits are a, the neighbours of vertex 0, so a chunk of masks is
+a grid of (a, H) cells and every value comes from tables built once per H.
+Floyd-Warshall gives H's distances, and from them r(x, a), the distance in H
+from x to the set a, for every a.  A shortest path meets vertex 0 at most
+once, so d(0, x) = 1 + r(x, a) and d(x, y) = min(d_H(x, y), r(x, a) +
+r(y, a) + 2), and G is connected iff every r(x, a) is finite; the distance
+total and the counts of vertices at distance 2 that curvature reads are
+sums of these over the pairs.  χ(G) = χ(H) + 1 - χ(H[a]), read from a table
+of χ(H[S]) over every vertex set S.  τ(G) = det(L_H + diag a) = Σ_{T⊆a}
+det L_H[V-T, V-T], a subset-sum over a of H's principal minors, which
+Bareiss updates compute exactly in int64: a Laplacian row on at most 7
+vertices has norm at most sqrt(42), so by Hadamard's bound each minor and
+bordered minor is below 42^(7/2) < 2^19, and every product in an update is
+below 2^39.  The grid is compacted once, to the connected graphs in mask
+order.  Workers split the mask space into fixed chunks; each chunk comes
 back as a summary of distinct values and first witnesses, merged in chunk
 order, so results do not depend on the worker count.
-
-χ and the tree count come from per-H tables, by vertex extension: a mask's
-high bits are the edge mask of H, its graph on vertices 1..n-1, and its low
-n - 1 bits are a, the neighbours of vertex 0, so each H serves 2^(n-1)
-masks.  χ(G) = χ(H) + 1 - χ(H[a]), read from a table of χ(H[S]) over every
-vertex set S.  τ(G) = det(L_H + diag a) = Σ_{T⊆a} det L_H[V-T, V-T], a
-subset-sum over a of H's principal minors, which Bareiss updates compute
-exactly in int64: a Laplacian row on at most 7 vertices has norm at most
-sqrt(42), so by Hadamard's bound each minor and bordered minor is below
-42^(7/2) < 2^19, and every product in an update is below 2^39.
 """
 
 import math
@@ -43,7 +47,7 @@ from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
 
 EXTREMAL_FUNCTIONALS = ("char_length", "euler_char", "curvature_action", "log_complexity")
-MAX_EXTREMAL_N = 8  # a graph is one uint64 word, a byte lane per vertex
+MAX_EXTREMAL_N = 8  # H has <= 7 vertices: uint8 rows, int8 distances, int64 minors
 CHUNK_SIZE = 1 << 17  # edge masks per extremal work unit
 MAX_BINS = 1 << 20  # histogram bins per functional, 8 MB of counts
 TRACE_TOL = 1e-9  # slack of the audit's float pseudoinverse-trace comparison
@@ -90,66 +94,60 @@ class ExtremalReport:
     results: dict
 
 
-# A graph on n <= 8 vertices is one uint64 word: byte lane v holds the row
-# mask of v (bit u set iff u ~ v) or, during the walk, the ball of v.
-_LSB = np.uint64(0x0101010101010101)  # bit 0 of every lane
-_LANE = np.uint64(0xFF)
+_INF = 32  # distance across components: distances are below 8, and 2 * _INF + 2 fits int8
 
 
-def _row_words(n, masks):
-    """Row words of edge masks: one 256-entry table per byte of the mask,
-    entry x the OR of the rows of the edges whose bits are set in x."""
-    pairs = edge_mask_pairs(n)
-    byte = np.arange(256)
-    words = np.zeros(masks.size, dtype=np.uint64)
-    for b in range(0, len(pairs), 8):
-        table = np.zeros(256, dtype=np.uint64)
-        for i, (u, v) in enumerate(pairs[b:b + 8]):
-            table[(byte >> i) & 1 == 1] |= np.uint64((1 << (8 * u + v)) | (1 << (8 * v + u)))
-        words |= table[(masks >> b) & 0xFF]
-    return words
+def _row_masks(n, masks):
+    """(n, masks.size) uint8 array: entry [v, i] is the row mask of v (bit u
+    set iff u ~ v) in the graph of edge mask masks[i]."""
+    rows = np.zeros((n, masks.size), dtype=np.uint8)
+    for i, (u, v) in enumerate(edge_mask_pairs(n)):
+        bit = ((masks >> i) & 1).astype(np.uint8)
+        rows[u] |= bit << v
+        rows[v] |= bit << u
+    return rows
 
 
-def _lanes(words, n):
-    """(n, words.size) uint8 array: row v holds lane v of every word."""
-    return np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8)
-                                .reshape(-1, 8).T[:n])
+def _adjacency(rows, k):
+    """(k, k, count) 0/1 array: entry [u, v, h] is 1 iff u ~ v in graph h."""
+    return (rows[:, None, :] >> np.arange(k, dtype=np.uint8)[:, None]) & 1
 
 
-def _spread(rows, n):
-    """Per vertex u, the words whose lane v is full iff u ~ v."""
-    return [((rows >> np.uint64(u)) & _LSB) * _LANE for u in range(n)]
+def _distances(rows, k):
+    """(k, k, count) int8 array: entry [x, y, h] is the distance from x to y in
+    graph h, _INF across components (Floyd-Warshall)."""
+    d = np.where(_adjacency(rows, k) == 1, np.int8(1), np.int8(_INF))
+    d[np.arange(k), np.arange(k)] = 0
+    for m in range(k):
+        np.minimum(d, d[:, m, None] + d[None, m], out=d)
+    return d
 
 
-def _grow(ball, spread):
-    """One hop of the walk: lane v ORs in lane u wherever u ~ v."""
-    grown = ball.copy()
-    step = np.empty_like(ball)
-    for u, near in enumerate(spread):
-        np.right_shift(ball, np.uint64(8 * u), out=step)
-        step &= _LANE
-        step *= _LSB  # lane u copied into every lane
-        step &= near
-        grown |= step
-    return grown
+def _set_distances(d, k):
+    """(k, 2^k, count) int8 array: entry [x, a, h] is the distance in graph h
+    from x to its nearest vertex in the set a, _INF if there is none, built a
+    vertex at a time: the sets holding b are those below b plus b."""
+    near = np.empty((k, 1 << k, d.shape[2]), dtype=np.int8)
+    near[:, 0] = _INF
+    for b in range(k):
+        np.minimum(near[:, :1 << b], d[:, b, None], out=near[:, 1 << b:2 << b])
+    return near
 
 
-def _curvature_actions(within1, within2, n):
-    """Mean over vertices of log(d2/d1), d1 = |B_1| - 1 and d2 = |B_2| - |B_1|,
-    from (n, count) lane ball sizes; vertices with d1 or d2 zero are left out,
-    and a graph with none left is NaN.  The logs come from a table indexed by
-    (|B_1|, |B_2|) and are summed over the vertices left to right."""
-    size = np.arange(n + 1, dtype=np.float64)
-    d1 = size[:, None] - 1
-    d2 = size[None, :] - size[:, None]
-    ok = (d1 >= 1) & (d2 >= 1)
-    logs = np.log(np.divide(d2, d1, out=np.ones_like(d2), where=ok)).ravel()  # 0 where not ok
-    ok = ok.ravel().astype(np.uint8)
-    key = within1 * np.uint8(n + 1) + within2
-    total, count = logs[key[0]], ok[key[0]]
+def _curvature_actions(d1, d2, n):
+    """Mean over the vertices of a connected graph of log(d2/d1), from
+    per-vertex arrays of d1, the degree, and d2, the count of vertices at
+    distance 2; vertices with d2 zero are left out (d1 is positive once
+    n > 1), and a graph with none left is NaN.  The logs come from a table
+    indexed by (d1, d2) and are summed over the vertices left to right."""
+    size = np.arange(n, dtype=np.float64)
+    logs = np.log(np.divide(size, size[:, None], out=np.ones((n, n)),
+                            where=size * size[:, None] > 0)).ravel()  # 0 where either is 0
+    total = logs[d1[0] * np.uint8(n) + d2[0]]
+    count = (d2[0] != 0).astype(np.uint8)
     for v in range(1, n):
-        total += logs[key[v]]
-        count += ok[key[v]]
+        total += logs[d1[v] * np.uint8(n) + d2[v]]
+        count += d2[v] != 0
     with np.errstate(invalid="ignore"):
         return total / count  # 0/0 -> NaN
 
@@ -180,7 +178,7 @@ def _principal_minors(rows, k):
     count = rows.shape[1]
     minors = np.zeros((1 << k, count), dtype=np.int64)
     minors[0] = 1
-    lap = -((rows[:, None, :] >> np.arange(k, dtype=np.uint8)[:, None]) & 1).astype(np.int64)
+    lap = -_adjacency(rows, k).astype(np.int64)
     for v in range(k):
         lap[v, v] = np.bitwise_count(rows[v])
     stack = [(0, 0, lap, np.ones(count, dtype=np.int64))]  # (P, top + 1, t, det L[P, P])
@@ -213,65 +211,56 @@ def _tree_tables(rows, k):
 def _scan_chunk(n, lo, hi, wants):
     """Evaluate one contiguous mask range; returns per-connected-graph arrays.
 
-    The batched form of `graph._ball_walk` on words: the ball word starts as
-    the rows plus the diagonal and grows a hop per level, so one
-    `np.bitwise_count` of a word is sum_v |B_k(v)|, and a graph is connected
-    iff its ball becomes the full word.  From level 2 on, graphs whose ball is
-    full or stopped growing leave the walk.  `char_length` is the
-    ordered-pair distance total, `log_complexity` is log(n * tree_count).
+    The range covers consecutive H, whole or cut at its ends, and every
+    functional is computed on their (a, H) grid from the tables per H (see
+    the module docstring).  `char_length` is the ordered-pair distance total,
+    `log_complexity` is log(n * tree_count).
     """
-    masks = np.arange(lo, hi, dtype=np.int64)
-    masks = masks[np.bitwise_count(masks) >= n - 1]  # too few edges to be connected
-    rows = _row_words(n, masks)
-    low = sum(1 << (8 * v) for v in range(n))  # bit 0 of lanes 0..n-1
-    full = np.uint64(low * ((1 << n) - 1))
-    ball1 = rows | np.uint64(sum(1 << (9 * v) for v in range(n)))  # bit v of lane v
-    spread = _spread(rows, n)
-    ball2 = _grow(ball1, spread)
-
-    # Summed over k >= 0 and v, n - |B_k(v)| is a connected graph's distance
-    # total: its balls are full from its diameter on.
-    nn = n * n
-    dist = np.full(masks.size, 3 * nn - n, dtype=np.int64)  # levels 0, 1, 2
-    dist -= np.bitwise_count(ball1)
-    dist -= np.bitwise_count(ball2)
-    connected = np.zeros(masks.size, dtype=bool)
-    total = np.empty(masks.size, dtype=np.int64)
-    live = np.arange(masks.size)
-    prev, ball = ball1, ball2
-    while live.size:
-        done = (ball == full) | (ball == prev)
-        gone, kept = np.flatnonzero(done), np.flatnonzero(~done)  # faster than masks
-        connected[live[gone]] = ball[gone] == full
-        total[live[gone]] = dist[gone]
-        live, ball, dist = live[kept], ball[kept], dist[kept]
-        spread = [near[kept] for near in spread]
-        prev, ball = ball, _grow(ball, spread)
-        dist += nn - np.bitwise_count(ball)
-
-    connected = np.flatnonzero(connected)
-    out = {"masks": masks[connected]}
-    if "char_length" in wants:
-        out["char_length"] = total[connected]
-    if "curvature_action" in wants:
-        within1 = np.bitwise_count(_lanes(ball1[connected], n))
-        within2 = np.bitwise_count(_lanes(ball2[connected], n))
-        out["curvature_action"] = _curvature_actions(within1, within2, n)
-
-    # G is H, its graph on vertices 1..n-1, plus vertex 0 joined to the set a:
-    # the high bits of a mask are H's edge mask (H vertex j is vertex j + 1),
-    # its low k bits are a, so the range's H values are consecutive.
     k = n - 1
     first = lo >> k
     hs = np.arange(first, ((hi - 1) >> k) + 1, dtype=np.int64)
-    h_rows = _lanes(_row_words(k, hs), k)
-    h = (out["masks"] >> k) - first
-    a = out["masks"] & ((1 << k) - 1)
+    rows = _row_masks(k, hs)
+    d = _distances(rows, k)
+    from0 = _set_distances(d, k) + np.int8(1)  # [x, a, h] = d(0, x)
+    connected = from0.max(axis=0, initial=0) <= _INF  # initial: n = 1 has no x
+
+    grid = {}
+    length, curvature = "char_length" in wants, "curvature_action" in wants
+    if length:
+        total = from0.sum(axis=0, dtype=np.int16)
+    if curvature:
+        at2 = from0 == 2
+        d2 = at2.astype(np.uint8)  # [x] counts the vertices at distance 2 from x
+    for x, y in combinations(range(k), 2) if length or curvature else ():
+        dxy = np.minimum(from0[x] + from0[y], d[x, y])
+        if length:
+            total += dxy
+        if curvature:
+            hit = dxy == 2
+            d2[x] += hit
+            d2[y] += hit
+    if length:
+        grid["char_length"] = 2 * total
+    if curvature:
+        a = np.arange(1 << k, dtype=np.uint8)[:, None]
+        degrees = [np.bitwise_count(a)] + [(a >> x & 1) + np.bitwise_count(rows[x])
+                                           for x in range(k)]
+        grid["curvature_action"] = _curvature_actions(
+            degrees, [at2.sum(axis=0, dtype=np.uint8)] + list(d2), n)
     if "euler_char" in wants:
-        chi = _link_chars(h_rows, k)
-        out["euler_char"] = chi[-1, h] + 1 - chi[a, h]  # chi(H) + 1 - chi(link of 0)
+        chi = _link_chars(rows, k)
+        grid["euler_char"] = chi[-1] + 1 - chi  # chi(H) + 1 - chi(link of 0)
     if "log_complexity" in wants:
-        out["tree_count"] = _tree_tables(h_rows, k)[a, h]
+        grid["tree_count"] = _tree_tables(rows, k)
+
+    # one compaction, in mask order: the connected graphs with masks in [lo, hi)
+    start = lo - (first << k)
+    kept = np.flatnonzero(connected.T.ravel()[start:start + hi - lo]) + start
+    cell = (kept & ((1 << k) - 1)) * hs.size + (kept >> k)  # a * H count + h
+    out = {"masks": kept + (first << k)}
+    for name, values in grid.items():
+        out[name] = values.ravel()[cell]
+    if "log_complexity" in wants:
         out["log_complexity"] = np.log(n * out["tree_count"])
     return out
 
@@ -374,6 +363,8 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
         raise UnknownFunctional(", ".join(sorted(unknown)))
+    if not functionals:
+        raise InvalidParam("an extremal scan needs at least one functional")
     if not 1 <= n <= MAX_EXTREMAL_N:
         raise InvalidParam(f"extremal scan supports 1 <= n <= {MAX_EXTREMAL_N}")
     if not 1 <= bins <= MAX_BINS:

@@ -164,9 +164,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, p):
+        """The value at p, exact for a Fraction or int p; a float p is evaluated
+        exactly at Fraction(p) and rounded once."""
+        if isinstance(p, float):
+            return float(self(Fraction(p)))
         acc = 0
         for c in reversed(self.coefficients):
-            acc = acc * p + (float(c) if isinstance(p, float) else c)
+            acc = acc * p + c
         return acc
 
     def to_json_list(self):

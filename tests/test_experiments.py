@@ -17,7 +17,7 @@ from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _t
                                  growth_sweep, ratio_dimension_sweep)
 from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
                                 star, wheel)
-from netfunc.graph import from_edge_list, induced_subgraph, is_connected
+from netfunc.graph import all_pairs_distances, from_edge_list, induced_subgraph, is_connected
 from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                              wiener_index)
 from netfunc.report import Caps, compute_report
@@ -106,9 +106,9 @@ def test_log_complexity_extremes_are_exact(n):
 
 
 def _graph_rows(k, masks):
-    """Graphs on k vertices by edge mask, as the (k, count) row lanes the
+    """Graphs on k vertices by edge mask, as the (k, count) row masks the
     per-H tables read."""
-    return experiments._lanes(experiments._row_words(k, np.asarray(masks, dtype=np.int64)), k)
+    return experiments._row_masks(k, np.asarray(masks, dtype=np.int64))
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -120,6 +120,23 @@ def test_link_table_matches_euler_characteristic(k):
         for subset in range(1 << k):
             part = induced_subgraph(g, [v for v in range(k) if subset >> v & 1]).graph
             assert chi[subset, h] == euler_characteristic(part)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_distance_tables_match_all_pairs_distances(k):
+    """Every graph on k <= 5 vertices: H distances with _INF across
+    components, and the distance from each vertex to every vertex set."""
+    masks = range(1 << (k * (k - 1) // 2))
+    d = experiments._distances(_graph_rows(k, masks), k)
+    near = experiments._set_distances(d, k)
+    for h, mask in enumerate(masks):
+        dist = all_pairs_distances(experiments.graph_from_mask(k, mask))
+        want = np.where(dist < 0, experiments._INF, dist)
+        assert np.array_equal(d[:, :, h], want)
+        for a in range(1 << k):
+            members = [i for i in range(k) if a >> i & 1]
+            assert near[:, a, h].tolist() == [min((int(want[x, i]) for i in members),
+                                                  default=experiments._INF) for x in range(k)]
 
 
 def _minor_cases(k):
@@ -148,12 +165,14 @@ def test_principal_minor_table_matches_bareiss(k):
 
 
 def _oracle_ranges(n):
-    """Every mask for n <= 6; at n = 7 and 8, seeded 1024-mask chunks and the
-    last chunk, which holds K_n."""
+    """Every mask for n <= 6; at n = 7 and 8, seeded 1024-mask chunks, the
+    first chunk, whose graphs on vertices 1..n-1 are edgeless or nearly so
+    (the star at 0 is the one connected graph there with no such edge), and
+    the last chunk, which holds K_n."""
     total = 1 << (n * (n - 1) // 2)
     if n <= 6:
         return [(0, total)]
-    starts = random.Random(n).sample(range(0, total - 1024, 1024), 3) + [total - 1024]
+    starts = [0] + random.Random(n).sample(range(0, total - 1024, 1024), 3) + [total - 1024]
     return [(lo, lo + 1024) for lo in starts]
 
 
@@ -213,6 +232,8 @@ def test_extremal_rejects_large_or_unknown():
         extremal_search(9)
     with pytest.raises(InvalidParam):
         extremal_search(4, functionals=("no_such",))
+    with pytest.raises(InvalidParam, match="at least one functional"):
+        extremal_search(7, functionals=())
 
 
 def test_unknown_functional_is_one_error():
