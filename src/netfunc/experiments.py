@@ -5,11 +5,17 @@ A sweep record reads its values from the functional registry
 (`report.compute_report`), so a sweep and `analyze` evaluate, skip and flag
 each functional the same way.
 
-The extremal scan streams every labeled graph on n <= 8 vertices as a
-C(n,2)-bit edge mask and computes each functional by vertex extension: a
-mask's high bits are the edge mask of H, its graph on vertices 1..n-1, and
-its low n - 1 bits are a, the neighbours of vertex 0, so a chunk of masks is
-a grid of (a, H) cells and every value comes from tables built once per H.
+The extremal scan covers every labeled graph on n <= 8 vertices, a
+C(n,2)-bit edge mask each, and computes each functional by vertex extension:
+a mask's high bits are the edge mask of H, its graph on vertices 1..n-1, and
+its low n - 1 bits are a, the neighbours of vertex 0, so the masks form a
+grid of (a, H) cells and every value comes from tables built once per H.
+Relabelling 1..n-1 by π maps (H, a) to the isomorphic (πH, πa), so the scan
+evaluates one H per isomorphism class, the least mask of its S_{n-1}-orbit,
+and weights each of its cells by the orbit size.  The counts are then those
+of the full scan, and so are the witnesses: the first mask at a value has an
+orbit's least H in its high bits (else relabelling it would give a smaller
+mask at the same value), so it is a cell of the reduced scan.
 Floyd-Warshall gives H's distances, and from them r(x, a), the distance in H
 from x to the set a, for every a.  A shortest path meets vertex 0 at most
 once, so d(0, x) = 1 + r(x, a) and d(x, y) = min(d_H(x, y), r(x, a) +
@@ -21,16 +27,19 @@ det L_H[V-T, V-T], a subset-sum over a of H's principal minors, which
 Bareiss updates compute exactly in int64: a Laplacian row on at most 7
 vertices has norm at most sqrt(42), so by Hadamard's bound each minor and
 bordered minor is below 42^(7/2) < 2^19, and every product in an update is
-below 2^39.  The grid is compacted once, to the connected graphs in mask
-order.  Workers split the mask space into fixed chunks; each chunk comes
-back as a summary of distinct values and first witnesses, merged in chunk
-order, so results do not depend on the worker count.
+below 2^39.  The curvature action is kept exact, as prime exponents, and
+rounded once, so isomorphic graphs get the same float.  The grid is
+compacted once, to the connected graphs in mask order.  Workers split the
+representatives into fixed chunks; each chunk comes back as a summary of
+distinct values, weighted counts and first witnesses, merged in chunk order,
+so results do not depend on the worker count.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 import numpy as np
@@ -47,8 +56,10 @@ from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
 
 EXTREMAL_FUNCTIONALS = ("char_length", "euler_char", "curvature_action", "log_complexity")
-MAX_EXTREMAL_N = 8  # H has <= 7 vertices: uint8 rows, int8 distances, int64 minors
-CHUNK_SIZE = 1 << 17  # edge masks per extremal work unit
+# H has <= 7 vertices: uint8 rows, int8 distances, int64 minors, and 7! = 5040
+# relabellings mark the orbits of its 2^21 masks (at n = 9, 8! over 2^28)
+MAX_EXTREMAL_N = 8
+CHUNK_SIZE = 1 << 17  # (a, H) cells per extremal work unit
 MAX_BINS = 1 << 20  # histogram bins per functional, 8 MB of counts
 TRACE_TOL = 1e-9  # slack of the audit's float pseudoinverse-trace comparison
 
@@ -97,6 +108,40 @@ class ExtremalReport:
 _INF = 32  # distance across components: distances are below 8, and 2 * _INF + 2 fits int8
 
 
+@functools.cache
+def _orbits(k):
+    """(representatives, sizes), read-only int64 arrays: the least edge mask
+    of each S_k-orbit of graphs on k vertices, ascending, and the orbit's
+    size.  The masks are walked in ascending order, and each one not yet
+    marked is a representative whose k! relabellings mark its orbit: a
+    permutation moves bit i, the pair (u, v), to the bit of (π u, π v).  The
+    size is k! over the count of relabellings that fix the mask, |Aut H|."""
+    pairs = edge_mask_pairs(k)
+    index = np.zeros((k, k), dtype=np.int64)
+    for i, (u, v) in enumerate(pairs):
+        index[u, v] = index[v, u] = i
+    perms = np.array(list(permutations(range(k))), dtype=np.int64).reshape(math.factorial(k), k)
+    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    moved = np.int64(1) << index[perms[:, us], perms[:, vs]]  # [π, i]: the bit i moves to
+    bits = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
+    seen = np.zeros(1 << len(pairs), dtype=bool)
+    reps, sizes = [], []
+    mask = 0
+    while True:
+        images = moved[:, (mask & bits) != 0].sum(axis=1)
+        seen[images] = True
+        reps.append(mask)
+        sizes.append(len(perms) // np.count_nonzero(images == mask))
+        rest = seen[mask:]
+        step = int(rest.argmin())  # the next unmarked mask, if any
+        if rest[step]:
+            break
+        mask += step
+    reps, sizes = np.array(reps, dtype=np.int64), np.array(sizes, dtype=np.int64)
+    reps.flags.writeable = sizes.flags.writeable = False
+    return reps, sizes
+
+
 def _row_masks(n, masks):
     """(n, masks.size) uint8 array: entry [v, i] is the row mask of v (bit u
     set iff u ~ v) in the graph of edge mask masks[i]."""
@@ -134,22 +179,42 @@ def _set_distances(d, k):
     return near
 
 
+_PRIMES = (2, 3, 5, 7)  # every degree and distance-2 count on <= 8 vertices is below 8
+_LOG_PRIMES = tuple(math.log(p) for p in _PRIMES)
+
+
+def _valuation(d, p):
+    """The exponent of the prime p in the positive integer d."""
+    v = 0
+    while d % p == 0:
+        d, v = d // p, v + 1
+    return v
+
+
 def _curvature_actions(d1, d2, n):
     """Mean over the vertices of a connected graph of log(d2/d1), from
     per-vertex arrays of d1, the degree, and d2, the count of vertices at
     distance 2; vertices with d2 zero are left out (d1 is positive once
-    n > 1), and a graph with none left is NaN.  The logs come from a table
-    indexed by (d1, d2) and are summed over the vertices left to right."""
-    size = np.arange(n, dtype=np.float64)
-    logs = np.log(np.divide(size, size[:, None], out=np.ones((n, n)),
-                            where=size * size[:, None] > 0)).ravel()  # 0 where either is 0
-    total = logs[d1[0] * np.uint8(n) + d2[0]]
-    count = (d2[0] != 0).astype(np.uint8)
+    n > 1), and a graph with none left is NaN.  The mean is kept exact: over
+    the c vertices counted, e_p sums v_p(d2) - v_p(d1) for each prime p < 8,
+    and the action is Σ_p e_p log p / c.  With (e, c) divided by their gcd and
+    that sum taken in prime order, equal actions round to equal floats, an
+    action of 0 is 0.0, and negating an action negates its float."""
+    steps = np.zeros((n * n, len(_PRIMES) + 1), dtype=np.int8)  # [d1 * n + d2]: (e, 1)
+    for one in range(1, n):
+        for two in range(1, n):
+            steps[one * n + two] = [_valuation(two, p) - _valuation(one, p)
+                                    for p in _PRIMES] + [1]
+    total = steps[d1[0] * np.uint8(n) + d2[0]]
     for v in range(1, n):
-        total += logs[d1[v] * np.uint8(n) + d2[v]]
-        count += d2[v] != 0
-    with np.errstate(invalid="ignore"):
-        return total / count  # 0/0 -> NaN
+        total += steps[d1[v] * np.uint8(n) + d2[v]]
+    common = np.gcd.reduce(total, axis=-1, keepdims=True)
+    exps = total // np.maximum(common, 1)  # all 0 when no vertex is counted
+    action = exps[..., 0] * _LOG_PRIMES[0]
+    for i in range(1, len(_PRIMES)):
+        action += exps[..., i] * _LOG_PRIMES[i]
+    count = exps[..., -1]
+    return np.divide(action, count, out=np.full(action.shape, np.nan), where=count > 0)
 
 
 def _link_chars(rows, k):
@@ -208,17 +273,17 @@ def _tree_tables(rows, k):
     return taus
 
 
-def _scan_chunk(n, lo, hi, wants):
-    """Evaluate one contiguous mask range; returns per-connected-graph arrays.
+def _scan_chunk(n, hs, wants):
+    """Evaluate every (a, H) cell of the graphs H on vertices 1..n-1 with the
+    ascending edge masks `hs`; returns per-connected-graph arrays in mask
+    order, H-major and a-minor.
 
-    The range covers consecutive H, whole or cut at its ends, and every
-    functional is computed on their (a, H) grid from the tables per H (see
-    the module docstring).  `char_length` is the ordered-pair distance total,
-    `log_complexity` is log(n * tree_count).
+    Every functional is computed on the grid from the tables per H (see the
+    module docstring).  "masks" holds each graph's edge mask and "h" the
+    index in `hs` of its H; `char_length` is the ordered-pair distance total,
+    and `log_complexity` is read as "tree_count".
     """
     k = n - 1
-    first = lo >> k
-    hs = np.arange(first, ((hi - 1) >> k) + 1, dtype=np.int64)
     rows = _row_masks(k, hs)
     d = _distances(rows, k)
     from0 = _set_distances(d, k) + np.int8(1)  # [x, a, h] = d(0, x)
@@ -253,15 +318,12 @@ def _scan_chunk(n, lo, hi, wants):
     if "log_complexity" in wants:
         grid["tree_count"] = _tree_tables(rows, k)
 
-    # one compaction, in mask order: the connected graphs with masks in [lo, hi)
-    start = lo - (first << k)
-    kept = np.flatnonzero(connected.T.ravel()[start:start + hi - lo]) + start
-    cell = (kept & ((1 << k) - 1)) * hs.size + (kept >> k)  # a * H count + h
-    out = {"masks": kept + (first << k)}
+    # one compaction, in mask order: hs ascends, so H-major then a-minor
+    kept = np.flatnonzero(connected.T.ravel())  # h * 2^k + a
+    h, a = kept >> k, kept & ((1 << k) - 1)
+    out = {"masks": hs[h] << k | a, "h": h}
     for name, values in grid.items():
-        out[name] = values.ravel()[cell]
-    if "log_complexity" in wants:
-        out["log_complexity"] = np.log(n * out["tree_count"])
+        out[name] = values.ravel()[a * hs.size + h]
     return out
 
 
@@ -276,24 +338,19 @@ def _merge_counts(keys, counts):
 
 
 class _Tally:
-    """One functional over a mask range: its defined scan values as distinct
-    keys with counts, and the first mask (in mask order) at the least and at
-    the greatest key.  A NaN key is undefined."""
+    """One functional over a run of cells: its defined scan values as
+    distinct keys with counts, each cell counted with its weight, and the
+    first mask (in mask order) at the least and at the greatest key.  A NaN
+    key is undefined."""
 
-    def __init__(self, masks, keys):
+    def __init__(self, masks, keys, weights):
         self.undefined = 0
         if keys.dtype.kind == "f":
             defined = ~np.isnan(keys)
-            self.undefined = int(keys.size - np.count_nonzero(defined))
-            masks, keys = masks[defined], keys[defined]
-            self.keys, self.counts = np.unique(keys, return_counts=True)
-        else:
-            base = int(keys.min()) if keys.size else 0
-            counts = np.bincount(keys - base)
-            self.keys = np.flatnonzero(counts)
-            self.counts = counts[self.keys]
-            self.keys += base
-        self.evaluated = int(keys.size)
+            self.undefined = int(weights[~defined].sum())
+            masks, keys, weights = masks[defined], keys[defined], weights[defined]
+        self.keys, self.counts = _merge_counts(keys, weights)
+        self.evaluated = int(weights.sum())
         self.least = self.greatest = None
         if keys.size:
             i, j = int(np.argmin(keys)), int(np.argmax(keys))
@@ -301,7 +358,7 @@ class _Tally:
             self.greatest = (keys[j].item(), int(masks[j]))
 
     def merge(self, later):
-        """Fold in the tally of a later mask range; a tie keeps the earlier mask."""
+        """Fold in the tally of a later run of cells; a tie keeps the earlier mask."""
         self.evaluated += later.evaluated
         self.undefined += later.undefined
         if later.least is not None:
@@ -313,12 +370,16 @@ class _Tally:
                                                np.concatenate((self.counts, later.counts)))
 
 
-def _scan_tallies(n, lo, hi, wants):
-    """One work unit: the connected count and each wanted functional's _Tally.
-    log_complexity is tallied by tree count, which orders it the same way."""
-    out = _scan_chunk(n, lo, hi, wants)
-    return out["masks"].size, {
-        name: _Tally(out["masks"], out["tree_count" if name == "log_complexity" else name])
+def _scan_tallies(n, hs, sizes, wants):
+    """One work unit, the H of edge masks `hs` with orbit sizes `sizes`: the
+    weighted connected count and each wanted functional's _Tally, a cell
+    weighted by its H's orbit size.  log_complexity is tallied by tree count,
+    which orders it the same way."""
+    out = _scan_chunk(n, hs, wants)
+    weights = sizes[out["h"]]
+    return int(weights.sum()), {
+        name: _Tally(out["masks"], out["tree_count" if name == "log_complexity" else name],
+                     weights)
         for name in wants}
 
 
@@ -357,8 +418,10 @@ def _extremal_result(name, n, tally, bins):
 def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
     """Scan all connected labeled graphs on n vertices for min/max/histograms.
 
-    Each chunk comes back as a summary, merged in chunk order, so memory
-    holds one chunk and the distinct values, not every graph's values.
+    Only the orbit representatives of H are evaluated, each cell counted
+    with its orbit size (see the module docstring).  Each chunk comes back as
+    a summary, merged in chunk order, so memory holds one chunk and the
+    distinct values, not every graph's values.
     """
     unknown = set(functionals) - set(EXTREMAL_FUNCTIONALS)
     if unknown:
@@ -369,22 +432,21 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
         raise InvalidParam(f"extremal scan supports 1 <= n <= {MAX_EXTREMAL_N}")
     if not 1 <= bins <= MAX_BINS:
         raise InvalidParam(f"extremal histograms need 1 <= bins <= {MAX_BINS}")
-    m = n * (n - 1) // 2
-    total = 1 << m
-    ranges = [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-    wants = tuple(functionals)
+    reps, sizes = _orbits(n - 1)
+    step = -(-CHUNK_SIZE >> (n - 1))  # whole representatives, 2^(n-1) cells each
+    calls = [(n, reps[i:i + step], sizes[i:i + step], tuple(functionals))
+             for i in range(0, reps.size, step)]
     connected, tallies = 0, None
-    for count, chunk in rng.ordered_imap(_scan_tallies,
-                                         [(n, lo, hi, wants) for lo, hi in ranges], workers):
+    for count, chunk in rng.ordered_imap(_scan_tallies, calls, workers):
         connected += count
         if tallies is None:
             tallies = chunk
         else:
-            for name in wants:
-                tallies[name].merge(chunk[name])
-    return ExtremalReport(n=n, total_masks=total, connected_count=connected,
+            for name, tally in chunk.items():
+                tallies[name].merge(tally)
+    return ExtremalReport(n=n, total_masks=1 << (n * (n - 1) // 2), connected_count=connected,
                           results={name: _extremal_result(name, n, tallies[name], bins)
-                                   for name in wants})
+                                   for name in functionals})
 
 
 # -- sweeps --------------------------------------------------------------------

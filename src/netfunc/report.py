@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import combinatorial, metrics, spectral, topology
-from .errors import (CliqueBudgetExceeded, Disconnected, EstimatorUndefined,
+from .errors import (CliqueBudgetExceeded, Disconnected, EstimatorUndefined, InvalidParam,
                      NoEdges, RecursionBudgetExceeded, SingularZ, SizeCapExceeded,
                      TooSmall, UndefinedRatio, UnknownFunctional)
 from .graph import CLIQUE_BUDGET, connected_components
@@ -177,6 +177,8 @@ def compute_report(g, names=None, caps=None, include_profile=False):
     if names is None:
         names = list(FUNCTIONALS)
     names = list(dict.fromkeys(names))  # each functional at most once
+    if not names:
+        raise InvalidParam("a report needs at least one functional")
     entries = {}
     for name in names:
         if name not in FUNCTIONALS:

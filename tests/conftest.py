@@ -5,7 +5,8 @@ These deliberately re-derive quantities by the dumbest correct method
 implementations are checked against an independent route.  Replaced
 implementations (Bareiss elimination, the reduced-pair dimension memo, the
 whole-block Monte-Carlo kernels, the row-bitmask extremal kernel and its
-full-array reduction) stay here as the references their successors must match.
+full-array reduction, the extremal scan over every labeled H) stay here as
+the references their successors must match.
 """
 
 import heapq
@@ -13,11 +14,13 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from netfunc import experiments
 from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
 from netfunc.experiments import ExtremalResult, Histogram
 from netfunc.graph import UNREACHABLE, adjacency_masks, from_edge_list
@@ -261,13 +264,40 @@ def reduced_laplacian(g):
             for i in range(1, g.n)]
 
 
+def exact_curvature_action(d1s, d2s):
+    """The curvature action from per-vertex degrees and distance-2 counts,
+    rounded as the extremal kernel rounds it: over the c vertices with a
+    second sphere, the product r of d2/d1 is an exact Fraction, the action is
+    log(r) / c = Σ_p v_p(r) log p / c over the primes of r, and with (v, c)
+    divided by their gcd the float is that sum, taken in prime order, over c.
+    NaN when no vertex has a second sphere."""
+    counted = [(d1, d2) for d1, d2 in zip(d1s, d2s) if d2]
+    if not counted:
+        return float("nan")
+    r = Fraction(math.prod(d2 for _, d2 in counted), math.prod(d1 for d1, _ in counted))
+    exps = []
+    num, den = r.numerator, r.denominator
+    for p in (2, 3, 5, 7):
+        e = 0
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        exps.append(e)
+    assert num == den == 1  # the counts are below 8
+    common = math.gcd(*exps, len(counted))
+    total = 0.0
+    for p, e in zip((2, 3, 5, 7), exps):
+        total = total + e // common * math.log(p)
+    return total / (len(counted) // common)
+
+
 def row_mask_scan(n, lo, hi, wants):
     """The extremal chunk kernel on n uint8 row masks per graph, with a
-    `slogdet` per reduced Laplacian and an edge-mask test per vertex subset:
-    the reference for the word kernel.  Returns per-connected-graph arrays,
-    `char_length` as the ordered-pair distance total.  The curvature logs are
-    summed over the vertices left to right, which is numpy's `sum(axis=1)`
-    order below 8 columns."""
+    `slogdet` per reduced Laplacian, an edge-mask test per vertex subset and
+    the curvature action rounded per graph by `exact_curvature_action`: the
+    reference for the per-H kernel.  Returns per-connected-graph arrays,
+    `char_length` as the ordered-pair distance total."""
     pairs = all_pairs(n)
     masks = np.arange(lo, hi, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) >= n - 1]  # too few edges to be connected
@@ -315,16 +345,11 @@ def row_mask_scan(n, lo, hi, wants):
         out["euler_char"] = chi
 
     if "curvature_action" in wants:
-        within1, within2 = (size[connected].astype(np.float64) for size in sizes)
-        d1 = within1 - 1
-        d2 = within2 - within1
-        ok = (d1 >= 1) & (d2 >= 1)
-        s = np.log(np.divide(d2, d1, out=np.ones_like(d1), where=ok))  # 0 where not ok
-        total = s[:, 0].copy()
-        for column in s.T[1:]:
-            total += column
-        with np.errstate(invalid="ignore"):
-            out["curvature_action"] = total / ok.sum(axis=1)  # 0/0 -> NaN
+        within1, within2 = (size[connected].tolist() for size in sizes)
+        out["curvature_action"] = np.array([
+            exact_curvature_action([b1 - 1 for b1 in ball1],
+                                   [b2 - b1 for b1, b2 in zip(ball1, ball2)])
+            for ball1, ball2 in zip(within1, within2)], dtype=np.float64)
 
     if "log_complexity" in wants:
         adj = np.unpackbits(rows[:, 1:, None], axis=2, count=n, bitorder="little")[:, :, 1:]
@@ -379,6 +404,16 @@ def row_mask_extremal(n, wants, bins=64):
             histogram=Histogram(tuple(int(c) for c in counts), lo_v, hist_hi),
         )
     return results
+
+
+def full_scan_extremal(n, **kwargs):
+    """`extremal_search` over every labeled H on vertices 1..n-1, each its
+    own orbit of size 1: the scan before the isomorphism-class reduction, the
+    reference the orbit scan must equal."""
+    k = n - 1
+    every = np.arange(1 << (k * (k - 1) // 2), dtype=np.int64)
+    with mock.patch.object(experiments, "_orbits", lambda k: (every, np.ones_like(every))):
+        return experiments.extremal_search(n, **kwargs)
 
 
 def pruefer_to_edges(seq, n):

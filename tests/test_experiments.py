@@ -3,11 +3,12 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from conftest import bareiss_determinant, reduced_laplacian, row_mask_extremal, row_mask_scan
+from conftest import (bareiss_determinant, exact_curvature_action, full_scan_extremal,
+                      reduced_laplacian, row_mask_extremal, row_mask_scan)
 
 from netfunc import experiments, rng
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
@@ -20,7 +21,7 @@ from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_r
 from netfunc.graph import all_pairs_distances, from_edge_list, induced_subgraph, is_connected
 from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                              wiener_index)
-from netfunc.report import Caps, compute_report
+from netfunc.report import FUNCTIONALS, Caps, compute_report
 from netfunc.spectral import laplacian_matrix, spectral_complexity
 from netfunc.topology import (curvature_summary, euler_characteristic, inductive_dimension,
                               length_estimate)
@@ -68,6 +69,13 @@ def test_extremal_witnesses_reproduce_values():
     assert spectral_complexity(xi.max_witness).log_value == pytest.approx(xi.max_value)
 
 
+def test_repeated_functional_is_tallied_once(monkeypatch):
+    """A name given twice is one result, merged once per chunk."""
+    monkeypatch.setattr(experiments, "CHUNK_SIZE", 32)
+    assert (extremal_search(5, functionals=("char_length", "char_length"))
+            == extremal_search(5, functionals=("char_length",)))
+
+
 def test_extremal_worker_split_identical(monkeypatch):
     monkeypatch.setattr(experiments, "CHUNK_SIZE", 8)
     seq = extremal_search(4, workers=1)
@@ -80,9 +88,11 @@ def test_extremal_worker_split_identical(monkeypatch):
 @pytest.mark.parametrize("chunk", [8, 24])
 def test_chunk_reduction_matches_full_array_reduction(monkeypatch, chunk):
     """Small chunks merged in order give the whole-array reduction of the
-    row-mask kernel: a tie across chunks keeps the first mask.  At n = 5 a
-    graph on vertices 1..4 owns 16 consecutive masks, so a 24-mask chunk
-    starts or ends inside one."""
+    row-mask kernel over every labeled graph: a tie across chunks keeps the
+    first mask, and weighted counts add up to the labeled ones.  At n = 5 a
+    graph on vertices 1..4 owns 16 cells, so a chunk of 8 cells rounds up to
+    one of the 11 representatives and a chunk of 24 to two, the last chunk
+    holding one."""
     monkeypatch.setattr(experiments, "CHUNK_SIZE", chunk)
     rep = extremal_search(5)
     want = row_mask_extremal(5, experiments.EXTREMAL_FUNCTIONALS)
@@ -103,6 +113,94 @@ def test_log_complexity_extremes_are_exact(n):
     assert xi.max_value == math.log(n ** (n - 1))
     assert xi.min_witness == star(n - 1)
     assert xi.max_witness == complete(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbit_scan_equals_full_scan(n):
+    """One H per isomorphism class, its cells weighted by the orbit size,
+    gives the scan over every labeled H: counts, histograms and witnesses."""
+    assert repr(extremal_search(n)) == repr(full_scan_extremal(n))
+
+
+def test_extremal_order_eight_end_to_end():
+    """251,548,592 connected graphs on 8 vertices (OEIS A001187); the length
+    runs from K_8's 1 to the path's 3, the spanning-tree count from a tree's 1
+    to Cayley's 8^6; one and two workers give the same report."""
+    rep = extremal_search(8)
+    assert rep.connected_count == 251_548_592
+    mu, xi = rep.results["char_length"], rep.results["log_complexity"]
+    assert (mu.min_value, mu.max_value) == (1, 3)
+    assert (xi.min_value, xi.max_value) == (math.log(8), math.log(8 ** 7))
+    assert xi.max_value == pytest.approx(7 * math.log(8), rel=1e-15)
+    assert extremal_search(8, workers=2) == rep
+
+
+GRAPH_CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)  # graphs on k vertices up to isomorphism, A000088
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_orbit_table_has_the_least_mask_of_each_class(k):
+    """Each representative is the least mask among its relabellings, so no
+    two share an orbit, and there are as many as isomorphism classes; the
+    sizes add up to every labeled graph, and for k <= 5 each is k! / |Aut H|
+    with the automorphisms counted on edge sets."""
+    reps, sizes = experiments._orbits(k)
+    assert reps.size == GRAPH_CLASSES[k]
+    assert int(sizes.sum()) == 1 << (k * (k - 1) // 2)
+    assert np.all(np.diff(reps) > 0)
+    pairs = experiments.edge_mask_pairs(k)
+    us, vs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    perms = np.array(list(permutations(range(k))), dtype=np.intp).reshape(math.factorial(k), k)
+    bits = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        adj = np.zeros((k, k), dtype=np.int64)
+        adj[us, vs] = adj[vs, us] = rep >> np.arange(len(pairs)) & 1
+        assert (adj[perms[:, us], perms[:, vs]] @ bits).min() == rep
+        if k <= 5:
+            edges = {frozenset(pair) for i, pair in enumerate(pairs) if rep >> i & 1}
+            aut = sum({frozenset(perm[v] for v in e) for e in edges} == edges
+                      for perm in permutations(range(k)))
+            assert size == math.factorial(k) // aut
+
+
+# graphs whose exact curvature action is 0 while their vertices' d2/d1 are
+# not all 1: 1/3, 1/2, 1, 2, 3/2, 2 on six vertices; on seven, one 3/2 against
+# one 2/3 and five 1s
+ZERO_ACTION = {6: [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4)],
+               7: [(0, 1), (0, 5), (0, 6), (1, 2), (1, 6), (2, 3), (2, 5), (3, 4), (3, 6),
+                   (4, 5)]}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_curvature_is_one_float_per_isomorphism_class(n):
+    """Seeded connected graphs under random relabellings of all n vertices
+    get bit-identical kernel curvature; a graph whose d2 product equals its
+    d1 product over the vertices with a second sphere gets exactly 0.0; and
+    the scan's extremes are -log(n - 2) and its exact negation."""
+    gen = random.Random(n)
+    bit = {pair: i for i, pair in enumerate(experiments.edge_mask_pairs(n))}
+    cases = [ZERO_ACTION[n]] if n in ZERO_ACTION else []
+    while len(cases) < 40:
+        g = experiments.graph_from_mask(n, gen.randrange(1 << len(bit)))
+        if is_connected(g):
+            cases.append(list(g.edges()))
+    zeros = 0
+    for edges in cases:
+        perm = gen.sample(range(n), n)
+        moved = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+        value, image = (_scan_range(n, mask, mask + 1, ("curvature_action",))["curvature_action"]
+                        for mask in (sum(1 << bit[e] for e in es) for es in (edges, moved)))
+        assert value.size == 1 and value.tobytes() == image.tobytes()
+        dist = all_pairs_distances(from_edge_list(n, edges))
+        d1, d2 = (dist == 1).sum(axis=1).tolist(), (dist == 2).sum(axis=1).tolist()
+        counted = [(a, b) for a, b in zip(d1, d2) if b]
+        if counted and math.prod(b for _, b in counted) == math.prod(a for a, _ in counted):
+            zeros += 1
+            assert value.tobytes() == np.float64(0.0).tobytes()
+        assert value.tobytes() == np.float64(exact_curvature_action(d1, d2)).tobytes()
+    assert zeros or n not in ZERO_ACTION
+    eta = extremal_search(n, functionals=("curvature_action",)).results["curvature_action"]
+    assert eta.min_value == -eta.max_value == -math.log(n - 2)
 
 
 def _graph_rows(k, masks):
@@ -176,29 +274,40 @@ def _oracle_ranges(n):
     return [(lo, lo + 1024) for lo in starts]
 
 
+def _scan_range(n, lo, hi, wants=experiments.EXTREMAL_FUNCTIONALS):
+    """The chunk kernel's arrays for the connected graphs with masks in
+    [lo, hi): every H the range touches, scanned whole, then cut to it."""
+    k = n - 1
+    out = experiments._scan_chunk(n, np.arange(lo >> k, ((hi - 1) >> k) + 1), wants)
+    keep = (out["masks"] >= lo) & (out["masks"] < hi)
+    return {name: values[keep] for name, values in out.items()}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_scan_chunk_matches_row_mask_kernel(n):
     wants = experiments.EXTREMAL_FUNCTIONALS
     for lo, hi in _oracle_ranges(n):
-        out = experiments._scan_chunk(n, lo, hi, wants)
+        out = _scan_range(n, lo, hi)
         old = row_mask_scan(n, lo, hi, wants)
         assert np.array_equal(out["masks"], old["masks"])
         assert np.array_equal(out["char_length"], old["char_length"])
         assert np.array_equal(out["euler_char"], old["euler_char"])
         assert out["curvature_action"].tobytes() == old["curvature_action"].tobytes()
-        assert np.allclose(out["log_complexity"], old["log_complexity"], rtol=0, atol=1e-12)
+        assert np.allclose(np.log(n * out["tree_count"]), old["log_complexity"],
+                           rtol=0, atol=1e-12)
         taus = [bareiss_determinant(reduced_laplacian(experiments.graph_from_mask(n, mask)))
                 for mask in out["masks"].tolist()]
         assert out["tree_count"].tolist() == taus
 
 
 def _kernel_rows(n, masks):
-    """(mask, kernel values) for every mask the chunk kernel keeps."""
-    wants = experiments.EXTREMAL_FUNCTIONALS
+    """(mask, kernel values) for every mask the chunk kernel keeps, with
+    log_complexity as log(n * tree_count)."""
     for lo, hi in masks:
-        out = experiments._scan_chunk(n, lo, hi, wants)
+        out = _scan_range(n, lo, hi)
+        out["log_complexity"] = np.log(n * out["tree_count"])
         for i, mask in enumerate(out["masks"].tolist()):
-            yield mask, {w: out[w][i] for w in wants}
+            yield mask, {w: out[w][i] for w in experiments.EXTREMAL_FUNCTIONALS}
 
 
 @pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, None), (4, None),
@@ -234,6 +343,12 @@ def test_extremal_rejects_large_or_unknown():
         extremal_search(4, functionals=("no_such",))
     with pytest.raises(InvalidParam, match="at least one functional"):
         extremal_search(7, functionals=())
+
+
+def test_empty_functional_list_is_an_error():
+    with pytest.raises(InvalidParam, match="at least one functional"):
+        compute_report(complete(3), names=())
+    assert list(compute_report(complete(3), names=None).entries) == list(FUNCTIONALS)
 
 
 def test_unknown_functional_is_one_error():
