@@ -58,7 +58,8 @@ class RadiusTooLarge(NetfuncError):
 
 
 class UndefinedRatio(NetfuncError):
-    """The cluster-length ratio is undefined; `reason` is 'nu_zero' or 'nu_one'."""
+    """The cluster-length ratio is undefined; `reason` is 'nu_zero' or 'nu_one'
+    (graphs), or 'nu_at_most_zero' or 'nu_at_least_one' (continuum estimates)."""
 
     def __init__(self, reason):
         super().__init__(f"cluster-length ratio undefined: {reason}")

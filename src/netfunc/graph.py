@@ -34,7 +34,7 @@ class Graph:
     one-way neighbors).
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_levels", "_masks", "_hash")
+    __slots__ = ("n", "adj", "adj_sets", "m", "_levels", "_masks", "_spectrum", "_hash")
 
     def __init__(self, n, adj):
         self.n = n
@@ -46,6 +46,7 @@ class Graph:
         self.m = sum(len(x) for x in self.adj) // 2
         self._levels = None
         self._masks = None
+        self._spectrum = None  # spectral.laplacian_spectrum's cache
         self._hash = None
         self._validate()
 

@@ -21,7 +21,7 @@ from .errors import ConvergenceFailure, Disconnected
 from .graph import connected_components
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaplacianSpectrum:
     """Ascending Laplacian eigenvalues; the first component_count are the zeros."""
 
@@ -43,7 +43,14 @@ def laplacian_matrix(g):
 
 
 def laplacian_spectrum(g):
-    """Eigenvalues of D - A, sorted ascending, with the component count."""
+    """Eigenvalues of D - A, sorted ascending, with the component count;
+    computed once per graph and cached on it."""
+    if g._spectrum is None:
+        g._spectrum = _spectrum(g)
+    return g._spectrum
+
+
+def _spectrum(g):
     if g.n == 0:
         return LaplacianSpectrum((), 0)
     try:

@@ -4,9 +4,9 @@ These deliberately re-derive quantities by the dumbest correct method
 (exhaustive subsets, Floyd-Warshall, product colorings) so the fast
 implementations are checked against an independent route.  Replaced
 implementations (Bareiss elimination, the reduced-pair dimension memo, the
-whole-block Monte-Carlo kernels, the row-bitmask extremal kernel and its
-full-array reduction, the extremal scan over every labeled H) stay here as
-the references their successors must match.
+whole-block geometric Monte-Carlo kernels, the row-bitmask extremal kernel
+and its full-array reduction, the extremal scan over every labeled H) stay
+here as the references their successors must match.
 """
 
 import heapq
@@ -445,7 +445,7 @@ def iter_labeled_trees(n):
         yield from_edge_list(n, pruefer_to_edges(seq, n))
 
 
-def _whole_block_points(space, gen, count):
+def whole_block_points(space, gen, count):
     """`count` uniform points of a FlatTorus or SphereArea1 as a (count, dim)
     array, in the space's draw order."""
     if isinstance(space, FlatTorus):
@@ -456,7 +456,9 @@ def _whole_block_points(space, gen, count):
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _whole_block_distance(space, a, b):
+def whole_block_distance(space, a, b):
+    """Minimum-image (FlatTorus) or great-circle (SphereArea1) distance
+    between the rows of a and b."""
     if isinstance(space, FlatTorus):
         delta = np.abs(a - b)
         delta = np.minimum(delta, space.r - delta)
@@ -466,6 +468,10 @@ def _whole_block_distance(space, a, b):
 
 
 def whole_block_sphere_pair(space, gen, centers, radius):
+    """Two points on the metric sphere of the given radius around each center:
+    wrapped into the box on a FlatTorus, through a tangent frame on
+    SphereArea1.  Per point it draws phi (torus2, sphere) or cos theta then
+    phi (torus3), `len(centers)` uniforms at a time."""
     out = []
     if isinstance(space, FlatTorus):
         for _ in range(2):  # draw order per dimension fixes the seeded stream
@@ -497,23 +503,24 @@ def whole_block_sphere_pair(space, gen, centers, radius):
 
 
 def whole_block_length(space, block, count, seed):
-    """Monte-Carlo length block over whole (count, dim) arrays, with a draw
-    per point set: the reference for the sliced column kernel."""
+    """Monte-Carlo length block over two whole (count, dim) arrays of uniform
+    points: the geometric reference for the per-sample length formulas."""
     gen = generator(seed, _LENGTH_TAG, block)
-    a = _whole_block_points(space, gen, count)
-    b = _whole_block_points(space, gen, count)
-    d = _whole_block_distance(space, a, b)
+    a = whole_block_points(space, gen, count)
+    b = whole_block_points(space, gen, count)
+    d = whole_block_distance(space, a, b)
     return float(d.sum()), float((d * d).sum())
 
 
 def whole_block_cluster(space, block, count, seed, radius):
-    """Monte-Carlo cluster block over whole (count, dim) arrays, with
-    np.cross, np.linalg.norm, argmin and np.mod: the reference for the sliced
-    column kernel."""
+    """Monte-Carlo cluster block over whole (count, dim) arrays, from a
+    uniform centre and two points on its metric sphere, with np.cross,
+    np.linalg.norm, argmin and np.mod: the geometric reference for the
+    per-sample cluster formulas."""
     gen = generator(seed, _CLUSTER_TAG, block)
-    centers = _whole_block_points(space, gen, count)
+    centers = whole_block_points(space, gen, count)
     a, b = whole_block_sphere_pair(space, gen, centers, radius)
-    v = _whole_block_distance(space, a, b) / radius
+    v = whole_block_distance(space, a, b) / radius
     return float(v.sum()), float((v * v).sum())
 
 

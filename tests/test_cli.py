@@ -276,6 +276,18 @@ def test_continuum_cli(capsys):
         assert run(capsys, *args) == run(capsys, *args, "--radius", "0.01")
 
 
+def test_continuum_ratio_undefined_exits_1(capsys):
+    from netfunc.continuum import Torus2, mc_mean_cluster
+    # at seed 1 two samples put the cluster estimate above 1, at seed 0 below
+    assert mc_mean_cluster(Torus2(1.0), 0.01, 2, seed=1).estimate >= 1
+    args = ("continuum", "--space", "torus2", "--quantity", "ratio", "--samples", "2")
+    code, stdout, err = run(capsys, *args, "--seed", "1")
+    assert (code, stdout) == (1, "")
+    assert err == "error: cluster-length ratio undefined: nu_at_least_one\n"
+    code, stdout, _ = run(capsys, *args, "--seed", "0")
+    assert code == 0 and json.loads(stdout)["estimate"] > 0
+
+
 def test_generate_reproduces_model_exactly(tmp_path, capsys):
     from netfunc.generators import ModelSpec, build_model
     out = tmp_path / "ws.edges"

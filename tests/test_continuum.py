@@ -1,64 +1,109 @@
-"""Monte-Carlo geometry on the flat tori and the unit-area sphere."""
+"""Monte-Carlo estimators on the flat tori and the unit-area sphere, against
+the geometric whole-block kernels of conftest."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import whole_block_cluster, whole_block_length, whole_block_sphere_pair
+from conftest import (whole_block_cluster, whole_block_distance, whole_block_length,
+                      whole_block_points, whole_block_sphere_pair)
+from netfunc import continuum
 from netfunc.continuum import (BLOCK, SPACES, FlatTorus, SphereArea1, Torus2, Torus3,
                                _cluster_block, _length_block, continuum_ratio,
                                mc_characteristic_length, mc_mean_cluster)
-from netfunc.errors import InvalidParam, RadiusTooLarge
+from netfunc.errors import InvalidParam, RadiusTooLarge, UndefinedRatio
 from netfunc.rng import generator
 
 SIX_KERNELS = [(space, quantity) for space in ("torus2", "torus3", "sphere_area1")
                for quantity in ("length", "cluster")]
 
 # (sum, sum of squares) of blocks 0 (65,536 samples) and 30 (the 33,920-sample
-# tail of a 2e6-sample run) at seed 5 and radius 0.01, as float.hex, from the
-# whole-block kernels the sliced ones replaced
+# tail of a 2e6-sample run) at seed 5 and radius 0.01, as float.hex
 PINNED_BLOCKS = {
-    ("torus2", "length"): (("0x1.877d41516b0d4p+14", "0x1.549fe64da0188p+13"),
-                           ("0x1.93d3f9e08a095p+13", "0x1.5ede7b45141a5p+12")),
-    ("torus2", "cluster"): (("0x1.461f070819292p+16", "0x1.005a3ba4606ecp+17"),
-                            ("0x1.5200436b34f70p+15", "0x1.09c7ffc292647p+16")),
-    ("torus3", "length"): (("0x1.eca4ac4b6718ap+14", "0x1.00d3de7128799p+14"),
-                           ("0x1.fbbe5bb663396p+13", "0x1.07b39841c83a4p+13")),
-    ("torus3", "cluster"): (("0x1.55e2c9e7845a6p+16", "0x1.00ee6a84b282ep+17"),
-                            ("0x1.6168c79e81a84p+15", "0x1.0909498eaf439p+16")),
-    ("sphere_area1", "length"): (("0x1.c5aa9250e7db4p+14", "0x1.ddbe005d45974p+13"),
-                                 ("0x1.d517e4c639903p+13", "0x1.eec97a544359ap+12")),
-    ("sphere_area1", "cluster"): (("0x1.4619376ff4c99p+16", "0x1.005362fc6afd8p+17"),
-                                  ("0x1.51fa3f69d4cfcp+15", "0x1.09c0e8f4f1492p+16")),
+    ("torus2", "length"): (("0x1.87d3fb11ecd32p+14", "0x1.54e55268b4cd6p+13"),
+                           ("0x1.94d4b259095f8p+13", "0x1.609cae7a4b9f2p+12")),
+    ("torus2", "cluster"): (("0x1.473f204819dfdp+16", "0x1.01af1ca6e2cc8p+17"),
+                            ("0x1.50627dffd29c8p+15", "0x1.080b2aa42cb00p+16")),
+    ("torus3", "length"): (("0x1.ebdfde42dc197p+14", "0x1.ffffb3bfdd8b4p+13"),
+                           ("0x1.fc75cdef0b9f8p+13", "0x1.087482a2b74b2p+13")),
+    ("torus3", "cluster"): (("0x1.566ab88f050a5p+16", "0x1.01304c441b918p+17"),
+                            ("0x1.60e2f229c909cp+15", "0x1.08b890bad218cp+16")),
+    ("sphere_area1", "length"): (("0x1.c679b48a3e5c0p+14", "0x1.dfbfbf8808654p+13"),
+                                 ("0x1.d4bb2b22168d2p+13", "0x1.eddb0d62b53fbp+12")),
+    ("sphere_area1", "cluster"): (("0x1.473952d864220p+16", "0x1.01a83fc459d9fp+17"),
+                                  ("0x1.505c7701c21d8p+15", "0x1.08040f1aeac38p+16")),
 }
 
 # (estimate, std_error) of the 2e6-sample runs at seed 5 and radius 0.01
 PINNED_RUNS = {
-    ("torus2", "length"): ("0x1.87cc675a8b590p-2", "0x1.a637d2682129bp-14"),
-    ("torus2", "cluster"): ("0x1.740e991f4f95ep-1", "0x1.c87244967f492p-12"),
-    ("torus3", "length"): ("0x1.ebd4a19ee20a9p-2", "0x1.9c374c81a1c56p-14"),
-    ("torus3", "cluster"): ("0x1.55b69c730877ep-1", "0x1.5d97a323ac39ap-12"),
-    ("sphere_area1", "length"): ("0x1.c5b4182cfe57cp-2", "0x1.1df1ee85e280ep-13"),
-    ("sphere_area1", "cluster"): ("0x1.741a3f43ec3bap-1", "0x1.c874e0c6b18bap-12"),
+    ("torus2", "length"): ("0x1.87b8ec8e29fa1p-2", "0x1.a68ca1eebaa07p-14"),
+    ("torus2", "cluster"): ("0x1.73c4a124c14d8p-1", "0x1.c840beb5cdeffp-12"),
+    ("torus3", "length"): ("0x1.ebd397ab9674ep-2", "0x1.9c6ef80878bfdp-14"),
+    ("torus3", "cluster"): ("0x1.552900a724450p-1", "0x1.5d607296497dfp-12"),
+    ("sphere_area1", "length"): ("0x1.c5e437162f6c6p-2", "0x1.1debf8154227bp-13"),
+    ("sphere_area1", "cluster"): ("0x1.73d04812ceeb2p-1", "0x1.c8435a18660eap-12"),
 }
 
-SLICED = (_length_block, _cluster_block)
-WHOLE = (whole_block_length, whole_block_cluster)
+# the default geometry, then spaces whose largest radius reaches a quarter of
+# a small or large box, and the smallest torus at its smallest radius
+GEOMETRIES = [(Torus2(1.0), 0.01), (Torus3(1.0), 0.01), (SphereArea1(), 0.01),
+              (Torus2(0.37), 0.09), (Torus3(2.5), 0.6), (SphereArea1(), 0.2),
+              (Torus2(1e-100), 1e-105)]
 
 
-def _block(kernels, space, quantity, block, count, seed, radius=0.01):
-    length, cluster = kernels
+def _block(space, quantity, block, count, seed, radius=0.01):
     if quantity == "length":
-        return length(space, block, count, seed)
-    return cluster(space, block, count, seed, radius)
+        return _length_block(space, block, count, seed)
+    return _cluster_block(space, block, count, seed, radius)
+
+
+def _whole_block(space, quantity, block, count, seed, radius=0.01):
+    """The block evaluated as one slice."""
+    with mock.patch.object(continuum, "_STEP", BLOCK):
+        return _block(space, quantity, block, count, seed, radius)
+
+
+def _estimate(space, quantity, samples, seed, radius=0.01):
+    if quantity == "length":
+        return mc_characteristic_length(space, samples, seed)
+    return mc_mean_cluster(space, radius, samples, seed)
+
+
+def _geodesic(space, a, b):
+    """Distance between the rows of a and b; on the sphere from the chord, as
+    arccos loses half its digits between near points."""
+    if isinstance(space, FlatTorus):
+        return whole_block_distance(space, a, b)
+    half_chord = np.linalg.norm(a - b, axis=1) / (2 * space.radius)
+    return 2 * space.radius * np.arcsin(np.minimum(half_chord, 1.0))
+
+
+def _check_cluster_formula(space, radius, centers):
+    """On the points that whole_block_sphere_pair puts around `centers`, the
+    formula at the uniform it reduces to equals their geometric distance."""
+    count = len(centers)
+    a, b = whole_block_sphere_pair(space, generator(8), centers, radius)
+    # the same uniforms, in whole_block_sphere_pair's draw order
+    per_point = 2 if isinstance(space, FlatTorus) and space.dim == 3 else 1
+    u = generator(8).random((2 * per_point, count))
+    if per_point == 1:  # an azimuth each: their difference over 2 pi
+        w = np.mod(u[0] - u[1], 1.0)
+    else:  # cos theta, then phi, of each direction: w = (1 - cos gamma) / 2
+        cos_a, cos_b = 1 - 2 * u[0], 1 - 2 * u[2]
+        sin_a, sin_b = np.sqrt(1 - cos_a**2), np.sqrt(1 - cos_b**2)
+        cos_gamma = cos_a * cos_b + sin_a * sin_b * np.cos(2 * math.pi * (u[1] - u[3]))
+        w = (1 - cos_gamma) / 2
+    got = space._clusters(w, radius) * radius
+    assert np.abs(got - _geodesic(space, a, b)).max() <= 1e-12 * radius
 
 
 def test_torus_minimum_image_distance():
     t = Torus2(1.0)
-    d = t.distance(np.array([[0.0, 0.0]]), np.array([[0.9, 0.0]]))
+    d = whole_block_distance(t, np.array([[0.0, 0.0]]), np.array([[0.9, 0.0]]))
     assert d[0] == pytest.approx(0.1, abs=1e-15)
-    d = t.distance(np.array([[0.1, 0.95]]), np.array([[0.9, 0.05]]))
+    d = whole_block_distance(t, np.array([[0.1, 0.95]]), np.array([[0.9, 0.05]]))
     assert d[0] == pytest.approx(math.hypot(0.2, 0.1), abs=1e-12)
 
 
@@ -67,20 +112,59 @@ def test_sphere_geometry():
     assert 4 * math.pi * s.radius**2 == pytest.approx(1.0)
     north = np.array([[0.0, 0.0, s.radius]])
     south = -north
-    assert s.distance(north, south)[0] == pytest.approx(math.pi * s.radius)
-    pts = s.sample_points(generator(3), 1000)
+    assert whole_block_distance(s, north, south)[0] == pytest.approx(math.pi * s.radius)
+    pts = whole_block_points(s, generator(3), 1000)
     assert np.allclose(np.linalg.norm(pts, axis=1), s.radius)
-    a, b = s.sample_sphere_pair(generator(4), pts, 0.05)
+    a, b = whole_block_sphere_pair(s, generator(4), pts, 0.05)
     assert np.allclose(np.linalg.norm(a, axis=1), s.radius)
-    assert np.allclose(s.distance(pts, a), 0.05, atol=1e-12)
+    assert np.allclose(whole_block_distance(s, pts, a), 0.05, atol=1e-12)
 
 
 def test_torus_sphere_points_at_radius():
     t = Torus3(1.0)
-    centers = t.sample_points(generator(5), 500)
-    a, b = t.sample_sphere_pair(generator(6), centers, 0.02)
-    assert np.allclose(t.distance(centers, a), 0.02, atol=1e-12)
-    assert np.allclose(t.distance(centers, b), 0.02, atol=1e-12)
+    centers = whole_block_points(t, generator(5), 500)
+    a, b = whole_block_sphere_pair(t, generator(6), centers, 0.02)
+    assert np.allclose(whole_block_distance(t, centers, a), 0.02, atol=1e-12)
+    assert np.allclose(whole_block_distance(t, centers, b), 0.02, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [Torus2(1.0), Torus3(1.0), SphereArea1(), Torus2(0.37),
+                                   Torus3(2.5)])
+def test_length_formula_is_the_geometric_distance(space):
+    gen = generator(9)
+    a, b = whole_block_points(space, gen, 2000), whole_block_points(space, gen, 2000)
+    if isinstance(space, FlatTorus):  # b - a, the point that a moves to the origin
+        u = np.mod((b - a) / space.r, 1.0)
+    else:  # the height of b with a at the pole, as a uniform
+        u = ((1 - (a * b).sum(axis=1) / space.radius**2) / 2)[:, None]
+    got = space._lengths(u)
+    assert np.abs(got - _geodesic(space, a, b)).max() <= 1e-12 * space.scale
+
+
+@pytest.mark.parametrize("space, radius", GEOMETRIES[:-1])
+def test_cluster_formula_is_the_geometric_distance(space, radius):
+    centers = whole_block_points(space, generator(7), 2000)
+    if isinstance(space, FlatTorus):
+        # every other center within the radius of a face, so its points wrap
+        gen = generator(10)
+        near = gen.random((1000, space.dim)) * radius
+        centers[::2] = np.where(gen.random(near.shape) < 0.5, near, space.r - near)
+    _check_cluster_formula(space, radius, centers)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("space, radius", GEOMETRIES)
+def test_estimates_agree_with_geometric_kernels(space, radius, seed):
+    # the geometric kernels run on other seeds, so the two estimates are
+    # independent; 1e-5 times a side of 1e-100 rounds above 1e-105
+    radius = max(radius, space.min_radius())
+    for quantity in ("length", "cluster"):
+        new = _estimate(space, quantity, 100_000, seed, radius)
+        with mock.patch.object(continuum, "_length_block", whole_block_length), \
+                mock.patch.object(continuum, "_cluster_block", whole_block_cluster):
+            old = _estimate(space, quantity, 100_000, seed + 100, radius)
+        gap = abs(new.estimate - old.estimate)
+        assert gap <= 4 * math.hypot(new.std_error, old.std_error), quantity
 
 
 def test_estimates_deterministic():
@@ -126,6 +210,22 @@ def test_ratio_quick():
     assert lam == pytest.approx(0.480296 / math.log(1.5), abs=0.01)
 
 
+def test_ratio_undefined_unless_cluster_estimate_in_unit_interval():
+    # at 2 samples the cluster estimate often reaches 1
+    undefined = 0
+    for name in ("torus2", "torus3", "sphere_area1"):
+        space = SPACES[name]()
+        for seed in range(10):
+            nu = mc_mean_cluster(space, 0.01, 2, seed).estimate
+            if 0 < nu < 1:
+                assert continuum_ratio(space, 0.01, 2, seed) > 0
+            else:
+                with pytest.raises(UndefinedRatio, match="nu_at_least_one"):
+                    continuum_ratio(space, 0.01, 2, seed)
+                undefined += 1
+    assert undefined > 0
+
+
 def test_radius_and_sample_guards():
     with pytest.raises(RadiusTooLarge):
         mc_mean_cluster(Torus2(1.0), 0.3, 1000, seed=0)
@@ -150,32 +250,21 @@ def test_sliced_blocks_equal_whole_block_oracle(name, quantity, seed):
     space = SPACES[name]()
     for block in (0, 1, 30):
         for count in (2, 7, 4095, 4096, 4097, 33920, BLOCK):
-            assert (_block(SLICED, space, quantity, block, count, seed)
-                    == _block(WHOLE, space, quantity, block, count, seed)), (block, count)
+            assert (_block(space, quantity, block, count, seed)
+                    == _whole_block(space, quantity, block, count, seed)), (block, count)
 
 
-@pytest.mark.parametrize("space, radius", [
-    (Torus2(0.37), 0.09), (Torus3(2.5), 0.6), (SphereArea1(), 0.2), (Torus2(1e-100), 1e-105),
-])
+@pytest.mark.parametrize("space, radius", GEOMETRIES[3:])
 def test_sliced_blocks_equal_oracle_off_the_default_geometry(space, radius):
-    # near the largest radius many sphere points wrap across the box
     for quantity in ("length", "cluster"):
         for seed, count in ((0, 4097), (1, BLOCK)):
-            assert (_block(SLICED, space, quantity, 2, count, seed, radius)
-                    == _block(WHOLE, space, quantity, 2, count, seed, radius))
-
-
-@pytest.mark.parametrize("r", [1.0, 0.37, 2.5])
-def test_torus_wrap_equals_mod(r):
-    # x + r rounds to r just below 0, so the shift must be chosen before it
-    edges = [-r / 4, -1e-300, -1e-20, -np.nextafter(0.0, 1.0), 0.0, np.nextafter(r, 0.0), r,
-             np.nextafter(r, 2 * r), 5 * r / 4 - 1e-12]
-    x = np.concatenate([edges, np.random.default_rng(0).uniform(-r / 4, 5 * r / 4, 5000)])
-    assert np.array_equal(FlatTorus(2, r)._wrap(x), np.mod(x, r))
+            assert (_block(space, quantity, 2, count, seed, radius)
+                    == _whole_block(space, quantity, 2, count, seed, radius))
 
 
 def test_sphere_frame_ties_equal_oracle():
-    # centers whose smallest |component| is tied pin argmin's first-minimum rule
+    # centers whose smallest |component| is tied, where the geometric kernel's
+    # tangent frame takes argmin's first minimum
     s = SphereArea1()
     R = s.radius
     signs = [(i, j, k) for i in (-1, 1) for j in (-1, 1) for k in (-1, 1)]
@@ -184,16 +273,14 @@ def test_sphere_frame_ties_equal_oracle():
                        + [[0, R * i / math.sqrt(2), R * j / math.sqrt(2)] for i, j, _ in signs]
                        + [[R * i / math.sqrt(3), R * j / math.sqrt(3), R * k / math.sqrt(3)]
                           for i, j, k in signs])
-    got = s.sample_sphere_pair(generator(8), centers, 0.05)
-    want = whole_block_sphere_pair(s, generator(8), centers, 0.05)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    _check_cluster_formula(s, 0.05, centers)
 
 
 @pytest.mark.parametrize("name, quantity", SIX_KERNELS)
 def test_block_sums_pinned(name, quantity):
     space = SPACES[name]()
     for (block, count), want in zip(((0, BLOCK), (30, 33920)), PINNED_BLOCKS[name, quantity]):
-        got = _block(SLICED, space, quantity, block, count, seed=5)
+        got = _block(space, quantity, block, count, seed=5)
         assert tuple(x.hex() for x in got) == want
 
 

@@ -1,13 +1,16 @@
 """Laplacian spectrum, complexity, tree and forest counts."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from netfunc.errors import Disconnected
-from netfunc.generators import complete, cycle, path
-from netfunc.graph import from_edge_list
+from netfunc.generators import ModelSpec, build_model, complete, cycle, path
+from netfunc.graph import from_edge_list, is_connected
 from netfunc.metrics import characteristic_length
+from netfunc.report import compute_report
 from netfunc.spectral import (forest_complexity, laplacian_spectrum,
                               pseudoinverse_trace_bound, spanning_tree_count,
                               spectral_complexity)
@@ -33,6 +36,19 @@ def test_spectrum_invariants():
         assert all(v >= -1e-9 for v in spec.eigenvalues)
         assert sum(spec.eigenvalues) == pytest.approx(2 * g.m, abs=1e-8)
         assert all(abs(v) < 1e-9 for v in spec.eigenvalues[:spec.component_count])
+
+
+def test_report_computes_one_spectrum():
+    spec = ModelSpec("erdos_renyi", {"n": 40, "p": 0.15}, seed=2)
+    assert is_connected(build_model(spec))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        rep = compute_report(build_model(spec))
+    assert eigvalsh.call_count == 1
+    # each value as computed on a graph of its own, with nothing cached
+    fresh = {"complexity": spectral_complexity(build_model(spec)).value,
+             "log_complexity": spectral_complexity(build_model(spec)).log_value,
+             "trace_bound": pseudoinverse_trace_bound(build_model(spec))}
+    assert {name: rep.entries[name].value for name in fresh} == fresh
 
 
 def test_spectral_complexity_examples():
