@@ -8,10 +8,10 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 del os
 
-from .graph import (Graph, SimplexCounts, Subgraph, UNREACHABLE,
-                    all_pairs_distances, ball, connected_components, distance_levels,
-                    from_edge_list, induced_subgraph, is_connected, read_edge_list,
-                    simplex_counts, sphere, write_edge_list)
+from .graph import (Graph, Subgraph, UNREACHABLE, all_pairs_distances, ball,
+                    connected_components, distance_levels, from_edge_list,
+                    induced_subgraph, is_connected, read_edge_list, sphere,
+                    write_edge_list)
 from .generators import (ModelSpec, barabasi_albert, build_model, complete,
                          complete_bipartite, cycle, erdos_renyi, orbital, path,
                          star, watts_strogatz, wheel)
@@ -20,9 +20,10 @@ from .metrics import (characteristic_length, closeness_centrality,
                       local_length, local_mean_distance, local_profile, magnitude,
                       mean_centrality, mean_cluster, relative_characteristic_length,
                       wiener_index)
-from .topology import (CurvatureSummary, Polynomial, curvature_summary,
+from .topology import (CurvatureSummary, Polynomial, SimplexCounts, curvature_summary,
                        euler_characteristic, expected_dimension_polynomial,
-                       inductive_dimension, length_estimate, vertex_dimension)
+                       inductive_dimension, length_estimate, simplex_counts,
+                       vertex_dimension)
 from .spectral import (LaplacianSpectrum, forest_complexity, laplacian_spectrum,
                        pseudoinverse_trace_bound, spanning_tree_count,
                        spectral_complexity)

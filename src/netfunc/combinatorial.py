@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import NoEdges, SizeCapExceeded
-from .graph import adjacency_masks
+from .graph import _bfs_parents, adjacency_masks
 
 INDEPENDENCE_CAP = 30
 CHROMATIC_CAP = 20
@@ -183,21 +183,14 @@ def _partition_into_forests(n, edges, k):
         adj = forests[f]
         if u not in adj or v not in adj:
             return None
-        prev = {u: None}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                out = []
-                while prev[x] is not None:
-                    out.append((min(prev[x], x), max(prev[x], x)))
-                    x = prev[x]
-                return out
-            for y in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        return None
+        parent = _bfs_parents(adj, u)
+        if v not in parent:
+            return None
+        out = []
+        while parent[v] is not None:
+            out.append((min(parent[v], v), max(parent[v], v)))
+            v = parent[v]
+        return out
 
     def add(f, e):
         forests[f].setdefault(e[0], set()).add(e[1])

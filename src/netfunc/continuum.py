@@ -61,7 +61,10 @@ class _Space:
     for the samples of `count` uniforms."""
 
     def min_radius(self):
-        return _MIN_RADIUS_SCALE * self.scale
+        """The smallest accepted cluster radius: 1e-5·scale, less two ulps,
+        since the product can round above a radius written as 1e-5·scale."""
+        floor = _MIN_RADIUS_SCALE * self.scale
+        return math.nextafter(math.nextafter(floor, 0), 0)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ from .combinatorial import (ARBORICITY_CAP, CHROMATIC_CAP, INDEPENDENCE_CAP, arb
 from .errors import (InvalidParam, RecursionBudgetExceeded, SizeCapExceeded,
                      UnknownFunctional)
 from .generators import MODELS, ModelSpec, build_model
-from .graph import all_pairs_distances, distance_levels, from_edge_list, is_connected
+from .graph import (_bfs_parents, all_pairs_distances, distance_levels, from_edge_list,
+                    is_connected)
 from .metrics import characteristic_length, wiener_index
 from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
@@ -641,20 +642,14 @@ def _tree_wiener(n, edges):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    parent = [None] * n
-    parent[0] = 0
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if parent[y] is None:
-                parent[y] = x
-                order.append(y)
-    if len(order) < n:
+    parent = _bfs_parents(adj, 0)
+    if len(parent) < n:
         return None
+    del parent[0]  # the root: every other vertex cuts off the subtree below it
     size = [1] * n
-    for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
-    return 2 * sum(size[x] * (n - size[x]) for x in order[1:])
+    for x, p in reversed(parent.items()):
+        size[p] += size[x]
+    return 2 * sum(size[x] * (n - size[x]) for x in parent)
 
 
 def _min_spanning_tree_wiener(g, limit):

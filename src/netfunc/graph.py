@@ -1,28 +1,26 @@
-"""Immutable finite simple graphs and their metric primitives.
+"""Immutable finite simple graphs, their distance walks and edge-list I/O.
 
 Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
 (deterministic iteration) plus frozensets (O(1) membership), and on demand as
-Python-int bitmasks (`adjacency_masks`), on which the clique walks run:
-`simplex_counts` here and the dimension walk in `topology`.  Hop distances
-come from one bit-parallel walk that grows every vertex's ball a hop per
-round, read through two views: `distance_levels` (cached level counts) and
-`all_pairs_distances` (the full numpy matrix); `metrics` sums distances
-inside a vertex subset straight from the walk.  Graphs never mutate after
+Python-int bitmasks (`adjacency_masks`), on which `topology` walks the clique
+complex.  Hop distances come from one bit-parallel walk that grows every
+vertex's ball a hop per round, read through two views: `distance_levels`
+(cached level counts) and `all_pairs_distances` (the full numpy matrix);
+`metrics` sums distances inside a vertex subset straight from the walk.  One
+single-source BFS, `_bfs_parents`, serves the components here, the audit's
+tree Wiener index and arboricity's forest paths.  Graphs never mutate after
 construction, so every operation here is a pure function that can be called
 concurrently.
 """
 
-from collections import deque
 from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, NetfuncError,
-                     ParseError, VertexOutOfRange)
+from .errors import InvalidParam, LoopEdge, NetfuncError, ParseError, VertexOutOfRange
 
 UNREACHABLE = -1
-CLIQUE_BUDGET = 100_000_000  # default cap on the cliques one simplex_counts call visits
 
 
 class Graph:
@@ -30,18 +28,19 @@ class Graph:
 
     `adj[u]` lists the neighbors of u.  The lists must describe a simple
     undirected graph on 0..n-1; anything else raises VertexOutOfRange,
-    LoopEdge or InvalidParam (wrong length, non-integer ids, repeated or
-    one-way neighbors).
+    LoopEdge or InvalidParam (non-integer n, wrong length, non-integer ids,
+    repeated or one-way neighbors).
     """
 
     __slots__ = ("n", "adj", "adj_sets", "m", "_levels", "_masks", "_spectrum", "_hash")
 
     def __init__(self, n, adj):
-        self.n = n
         try:  # numpy integers become ints, so the bitmask shifts stay exact
+            self.n = index(n)
             self.adj = tuple(tuple(sorted(map(index, neighbors))) for neighbors in adj)
         except TypeError:
-            raise InvalidParam("adjacency lists must hold integer vertex ids") from None
+            raise InvalidParam("the vertex count and the adjacency lists' vertex ids "
+                               "must be integers") from None
         self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
         self._levels = None
@@ -198,24 +197,30 @@ def adjacency_masks(g):
     return g._masks
 
 
+def _bfs_parents(adj, source):
+    """BFS tree of the vertices reachable from `source`, as a dict from each
+    vertex to its parent (the source's is None) whose keys run in BFS order.
+    `adj[x]` lists the neighbors of x: a list indexed by vertex or a dict."""
+    parent = {source: None}
+    order = [source]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    return parent
+
+
 def connected_components(g):
     """Partition the vertex set by reachability; components sorted by least vertex."""
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
+        if not seen[s]:
+            comp = sorted(_bfs_parents(g.adj, s))
+            for v in comp:
+                seen[v] = True
+            comps.append(comp)
     return comps
 
 
@@ -239,64 +244,6 @@ def sphere(g, x):
 def ball(g, x):
     """Induced subgraph on {x} and its neighbors (the closed unit ball at x)."""
     return induced_subgraph(g, (x,) + g.adj[x])
-
-
-class SimplexCounts:
-    """counts[k] = number of complete subgraphs on k+1 vertices."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = tuple(counts)
-
-    def __getitem__(self, k):
-        return self.counts[k]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        other_counts = other.counts if isinstance(other, SimplexCounts) else tuple(other)
-        return self.counts == other_counts
-
-    def __repr__(self):
-        return f"SimplexCounts{self.counts}"
-
-
-def simplex_counts(g, budget=CLIQUE_BUDGET):
-    """Count complete subgraphs of every size.
-
-    Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
-    Comput. 14, 1985): a clique (v_0 < ... < v_k) is only grown by common
-    neighbors larger than v_k, so each clique is visited exactly once.  The
-    walk keeps (candidate bitmask, size) frames on an explicit stack.  A frame
-    stands for one clique per candidate bit, all counted at once; a candidate
-    v with common neighbors above it pushes the frame of the clique's
-    extensions through v.  Frames pushed together are popped largest v first,
-    so the frames waiting on the stack extend cliques that end at distinct
-    vertices: there are at most n of them, however deep the walk goes.
-    Raises CliqueBudgetExceeded past `budget` visited cliques.
-    """
-    masks = adjacency_masks(g)
-    counts = []
-    seen = 0
-    stack = [((1 << g.n) - 1, 0)] if g.n else []
-    while stack:
-        cand, size = stack.pop()
-        found = cand.bit_count()
-        seen += found
-        if seen > budget:
-            raise CliqueBudgetExceeded(f"more than {budget} cliques")
-        if size == len(counts):
-            counts.append(0)
-        counts[size] += found
-        while cand:
-            low = cand & -cand
-            cand ^= low  # what is left of cand lies above the vertex of low
-            grown = cand & masks[low.bit_length() - 1]
-            if grown:
-                stack.append((grown, size + 1))
-    return SimplexCounts(counts)
 
 
 # Edge-list text format: UTF-8, '#' comment lines, then "n <count>", then "u v" lines.

@@ -18,7 +18,7 @@ from . import combinatorial, metrics, spectral, topology
 from .errors import (CliqueBudgetExceeded, Disconnected, EstimatorUndefined, InvalidParam,
                      NoEdges, RecursionBudgetExceeded, SingularZ, SizeCapExceeded,
                      TooSmall, UndefinedRatio, UnknownFunctional)
-from .graph import CLIQUE_BUDGET, connected_components
+from .graph import connected_components
 
 _SKIPS = (SizeCapExceeded, CliqueBudgetExceeded, RecursionBudgetExceeded)
 _UNDEFINED = (Disconnected, NoEdges, UndefinedRatio, EstimatorUndefined,
@@ -32,7 +32,7 @@ class Caps:
     independence: int = combinatorial.INDEPENDENCE_CAP
     chromatic: int = combinatorial.CHROMATIC_CAP
     arboricity: int = combinatorial.ARBORICITY_CAP
-    clique_budget: int = CLIQUE_BUDGET
+    clique_budget: int = topology.CLIQUE_BUDGET
     dimension_budget: int = topology.DIMENSION_BUDGET
 
     @staticmethod

@@ -1,11 +1,11 @@
-"""Euler characteristic, inductive dimension, curvature and the mean-field
-length estimator built from first/second neighborhood sizes.
+"""The clique complex (clique counts, Euler characteristic, inductive
+dimension), curvature and the mean-field length estimator.
 
-The Euler characteristic sums the clique counts of `graph.simplex_counts`.
-The inductive dimension walks the same bitmask adjacency (`adjacency_masks`):
-a vertex subset is a Python int, the unit sphere of v inside subset S is
-masks[v] & S, and the dimension of every subset reached is memoized on its
-bitmask as one number, scale·dim(S), with scale = min(Δ, 64)! for the
+Both clique walks run on the bitmask adjacency of `graph.adjacency_masks`: a
+vertex subset is a Python int, and the sphere of v inside subset S is
+masks[v] & S.  `simplex_counts` grows cliques by ordered extension, and χ is
+their alternating sum.  The dimension of every subset reached is memoized on
+its bitmask as one number, scale·dim(S), with scale = min(Δ, 64)! for the
 maximum degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S)
 divides |S|!, and every subset below the root lies inside a sphere, so
 |S| <= Δ: whenever |S| <= 64 the scaled value is an int, and each subset
@@ -13,8 +13,8 @@ costs one add per child and one divmod by |S|.  Only the root and, when
 Δ > 64, subsets of more than 64 vertices fall back to a Fraction, and only
 when their value is not integral.  The cap keeps every int within
 log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.
-The walk keeps its frames on an explicit stack, so its depth is bounded by
-the budget, not by the interpreter's recursion limit.
+Both walks keep their frames on an explicit stack, so neither is bounded by
+the interpreter's recursion limit.
 """
 
 import math
@@ -23,14 +23,63 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .errors import EstimatorUndefined, RecursionBudgetExceeded
-from .graph import CLIQUE_BUDGET, adjacency_masks, distance_levels, simplex_counts
+from .errors import CliqueBudgetExceeded, EstimatorUndefined, RecursionBudgetExceeded
+from .graph import adjacency_masks, distance_levels
+
+# -- clique counts and the Euler characteristic --------------------------------
+
+CLIQUE_BUDGET = 100_000_000  # default cap on the cliques one simplex_counts call visits
+
+
+class SimplexCounts(tuple):
+    """counts[k] = number of complete subgraphs on k+1 vertices."""
+
+    __slots__ = ()
+
+    @property
+    def counts(self):
+        return tuple(self)
+
+
+def simplex_counts(g, budget=CLIQUE_BUDGET):
+    """Count complete subgraphs of every size.
+
+    Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
+    Comput. 14, 1985): a clique (v_0 < ... < v_k) is only grown by common
+    neighbors larger than v_k, so each clique is visited exactly once.  The
+    walk keeps (candidate bitmask, size) frames on an explicit stack.  A frame
+    stands for one clique per candidate bit, all counted at once; a candidate
+    v with common neighbors above it pushes the frame of the clique's
+    extensions through v.  Frames pushed together are popped largest v first,
+    so the frames waiting on the stack extend cliques that end at distinct
+    vertices: there are at most n of them, however deep the walk goes.
+    Raises CliqueBudgetExceeded past `budget` visited cliques.
+    """
+    masks = adjacency_masks(g)
+    counts = []
+    seen = 0
+    stack = [((1 << g.n) - 1, 0)] if g.n else []
+    while stack:
+        cand, size = stack.pop()
+        found = cand.bit_count()
+        seen += found
+        if seen > budget:
+            raise CliqueBudgetExceeded(f"more than {budget} cliques")
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += found
+        while cand:
+            low = cand & -cand
+            cand ^= low  # what is left of cand lies above the vertex of low
+            grown = cand & masks[low.bit_length() - 1]
+            if grown:
+                stack.append((grown, size + 1))
+    return SimplexCounts(counts)
 
 
 def euler_characteristic(g, budget=CLIQUE_BUDGET):
     """Alternating sum of the complete-subgraph counts."""
-    counts = simplex_counts(g, budget=budget)
-    return sum((-1) ** k * c for k, c in enumerate(counts.counts))
+    return sum((-1) ** k * c for k, c in enumerate(simplex_counts(g, budget=budget)))
 
 
 # -- inductive dimension ------------------------------------------------------

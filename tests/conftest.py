@@ -95,6 +95,26 @@ def is_connected_slow(g):
     return len(seen) == g.n
 
 
+def flood_fill_components(g):
+    """Components by a depth-first flood fill from each vertex not yet seen,
+    sorted by least vertex: the oracle for graph.connected_components."""
+    seen = set()
+    comps = []
+    for source in range(g.n):
+        if source in seen:
+            continue
+        seen.add(source)
+        comp, stack = [source], [source]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 def iter_connected_graphs(n):
     for g in iter_graphs(n):
         if is_connected_slow(g):

@@ -180,6 +180,8 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
       "--samples", "1000"), "radius"),
     (("continuum", "--space", "torus2", "--quantity", "cluster", "--radius", "1e-200",
       "--samples", "1000"), "radius"),
+    (("continuum", "--space", "torus2", "--side", "7", "--quantity", "cluster",
+      "--radius", repr(0.9e-5 * 7), "--samples", "1000"), "radius"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "0"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "-2"), "seed per n"),
     (("sweep", "--model", "er", "--p", "0.1", "--n-list", "5,-3", "--seeds", "1"), "n >= 0"),
@@ -203,7 +205,8 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
       "--seeds", "1"), "watts_strogatz takes no --b"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "bins-huge", "side-negative", "side-zero",
         "sphere-side", "radius-negative", "radius-zero", "length-radius", "side-inf",
-        "side-overflow", "radius-below-precision", "radius-underflow", "seeds-zero",
+        "side-overflow", "radius-below-precision", "radius-underflow",
+        "radius-below-floor", "seeds-zero",
         "seeds-negative", "n-list-negative", "orbital-no-generator", "bipartite-no-b",
         "sweep-ws-no-p", "er-takes-no-k-a", "complete-takes-no-p", "bipartite-takes-no-n",
         "ws-takes-no-generator", "ba-takes-no-k-zero", "sweep-er-takes-no-m",
@@ -274,6 +277,18 @@ def test_continuum_cli(capsys):
     for quantity in ("cluster", "ratio"):
         args = ("continuum", "--space", "torus3", "--samples", "5000", "--quantity", quantity)
         assert run(capsys, *args) == run(capsys, *args, "--radius", "0.01")
+
+
+@pytest.mark.parametrize("space, side, radius", [
+    ("torus2", "7", "7e-5"), ("torus3", "3", "3e-5"),
+    ("torus2", "1e-100", "1e-105"), ("torus2", "1e100", "1e95"),
+])
+def test_continuum_accepts_radius_at_the_floor(capsys, space, side, radius):
+    # 1e-5 * side can round above the radius written as 1e-5·side
+    code, stdout, err = run(capsys, "continuum", "--space", space, "--side", side,
+                            "--radius", radius, "--quantity", "cluster", "--samples", "1000")
+    assert (code, err) == (0, "")
+    assert abs(json.loads(stdout)["estimate"] - 0.7) < 0.2
 
 
 def test_continuum_ratio_undefined_exits_1(capsys):

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from netfunc import rng
 from netfunc.errors import CliqueBudgetExceeded, RecursionBudgetExceeded
 from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
-from netfunc.graph import adjacency_masks, from_edge_list, simplex_counts, sphere
+from netfunc.graph import adjacency_masks, from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
 from netfunc.topology import (DIMENSION_BUDGET, _DimensionMemo, euler_characteristic,
-                              inductive_dimension, vertex_dimension, vertex_dimensions)
+                              inductive_dimension, simplex_counts, vertex_dimension,
+                              vertex_dimensions)
 
 from conftest import (PairDimensionMemo, brute_inductive_dimension, brute_simplex_counts,
                       iter_graphs, pair_inductive_dimension, pair_vertex_dimensions,
@@ -168,7 +169,7 @@ def test_budgets_count_distinct_subsets_and_cliques(g):
     with pytest.raises(RecursionBudgetExceeded, match=f"more than {spent - 1} dimension"):
         inductive_dimension(g, budget=spent - 1)
     cliques = sum(simplex_counts(g).counts)
-    assert simplex_counts(g, budget=cliques) == brute_simplex_counts(g)
+    assert list(simplex_counts(g, budget=cliques)) == brute_simplex_counts(g)
     with pytest.raises(CliqueBudgetExceeded, match=f"more than {cliques - 1} cliques"):
         simplex_counts(g, budget=cliques - 1)
 

@@ -156,8 +156,7 @@ def test_cluster_formula_is_the_geometric_distance(space, radius):
 @pytest.mark.parametrize("space, radius", GEOMETRIES)
 def test_estimates_agree_with_geometric_kernels(space, radius, seed):
     # the geometric kernels run on other seeds, so the two estimates are
-    # independent; 1e-5 times a side of 1e-100 rounds above 1e-105
-    radius = max(radius, space.min_radius())
+    # independent
     for quantity in ("length", "cluster"):
         new = _estimate(space, quantity, 100_000, seed, radius)
         with mock.patch.object(continuum, "_length_block", whole_block_length), \

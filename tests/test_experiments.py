@@ -517,6 +517,12 @@ def test_growth_sweep_deterministic_and_complete():
             assert hasattr(rec, name)
 
 
+def test_growth_sweep_takes_numpy_vertex_counts():
+    swept = growth_sweep("erdos_renyi", {"p": 0.5}, np.arange(6, 8), 1)
+    assert swept == growth_sweep("erdos_renyi", {"p": 0.5}, [6, 7], 1)
+    assert all(type(r.n) is int for r in swept)
+
+
 def test_growth_sweep_worker_split_identical():
     seq = growth_sweep("erdos_renyi", {"p": 0.3}, [8, 10], 2, seed=4, workers=1)
     par = growth_sweep("erdos_renyi", {"p": 0.3}, [8, 10], 2, seed=4, workers=3)

@@ -5,12 +5,14 @@ import pytest
 
 from netfunc.errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
                             VertexOutOfRange)
-from netfunc.generators import complete, cycle, path, star, wheel
-from netfunc.graph import (UNREACHABLE, Graph, all_pairs_distances, ball,
+from netfunc.generators import complete, cycle, erdos_renyi, path, star, wheel
+from netfunc.graph import (UNREACHABLE, Graph, _bfs_parents, all_pairs_distances, ball,
                            connected_components, from_edge_list, induced_subgraph,
-                           read_edge_list, simplex_counts, sphere, write_edge_list)
+                           read_edge_list, sphere, write_edge_list)
+from netfunc.topology import simplex_counts
 
-from conftest import INF, brute_simplex_counts, floyd_warshall, graph_from_mask, iter_graphs
+from conftest import (INF, bfs_distances, brute_simplex_counts, flood_fill_components,
+                      floyd_warshall, graph_from_mask, iter_graphs)
 
 
 def test_from_edge_list_triangle():
@@ -45,6 +47,8 @@ def test_graph_rejects_invalid_adjacency():
         Graph(2, [[-1], []])
     with pytest.raises(InvalidParam):
         Graph(2, [[1.0], [0]])
+    with pytest.raises(InvalidParam, match="vertex count"):
+        Graph(3.0, [[], [], []])
     assert Graph(3, [[1, 2], [0], [0]]) == from_edge_list(3, [(0, 1), (0, 2)])
 
 
@@ -53,6 +57,16 @@ def test_numpy_vertex_ids_become_ints():
     g = from_edge_list(72, edges)
     assert all(type(v) is int for row in g.adj for v in row)
     assert simplex_counts(g) == (72, 3, 1)
+    g = Graph(np.int64(72), g.adj)
+    assert type(g.n) is int
+    assert simplex_counts(g) == (72, 3, 1)
+
+
+def test_simplex_counts_is_a_hashable_tuple():
+    counts = simplex_counts(complete(4))
+    assert (counts == None) is False  # noqa: E711  (compares, does not raise)
+    assert hash(counts) == hash((4, 6, 4, 1))
+    assert type(counts.counts) is tuple and counts.counts == (4, 6, 4, 1)
 
 
 def test_distances_complete_and_path():
@@ -146,6 +160,33 @@ def test_connected_components():
     two = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert connected_components(two) == [[0, 1, 2], [3, 4, 5]]
     assert connected_components(from_edge_list(3, [])) == [[0], [1], [2]]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_connected_components_match_flood_fill_exhaustively(n):
+    for g in iter_graphs(n):
+        assert connected_components(g) == flood_fill_components(g)
+
+
+@pytest.mark.parametrize("n", [10, 100, 500, 2000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_connected_components_match_flood_fill_on_sparse_draws(n, seed):
+    g = erdos_renyi(n, 1 / n, seed)  # mean degree 1: many components
+    comps = connected_components(g)
+    assert len(comps) > 1
+    assert comps == flood_fill_components(g)
+
+
+@pytest.mark.parametrize("n", [10, 100, 500])
+def test_bfs_parents_is_a_shortest_path_tree_in_bfs_order(n):
+    g = erdos_renyi(n, 3 / n, 4)
+    dist = bfs_distances(g)[0]
+    parent = _bfs_parents(g.adj, 0)
+    assert set(parent) == {v for v in range(n) if dist[v] != UNREACHABLE}
+    assert [dist[v] for v in parent] == sorted(dist[v] for v in parent)
+    assert parent[0] is None
+    for v, p in parent.items():
+        assert v == 0 or (g.has_edge(p, v) and dist[p] == dist[v] - 1)
 
 
 def test_edge_list_round_trip(tmp_path):
