@@ -51,7 +51,7 @@ from .errors import (InvalidParam, RecursionBudgetExceeded, SizeCapExceeded,
                      UnknownFunctional)
 from .generators import MODELS, ModelSpec, build_model
 from .graph import (_bfs_parents, all_pairs_distances, distance_levels, from_edge_list,
-                    is_connected)
+                    is_connected, neighbor_arrays)
 from .metrics import characteristic_length, wiener_index
 from .report import compute_report
 from .spectral import pseudoinverse_trace_bound
@@ -661,15 +661,46 @@ def _min_spanning_tree_wiener(g, limit):
     """
     n = g.n
     if math.comb(g.m, n - 1) <= limit:
-        trees, method = combinations(g.edges(), n - 1), "exhaustive"
-    else:
-        dist = all_pairs_distances(g)
-        trees, method = (_bfs_tree(g, dist, root) for root in range(n)), "sampled(bfs-trees)"
-    return min(w for w in (_tree_wiener(n, t) for t in trees) if w is not None), method
+        trees = combinations(g.edges(), n - 1)
+        return min(w for w in (_tree_wiener(n, t) for t in trees) if w is not None), "exhaustive"
+    return int(_bfs_tree_wieners(g).min()), "sampled(bfs-trees)"
 
 
-def _bfs_tree(g, dist, root):
-    """Each vertex joined to its least neighbor one hop closer to root."""
-    row = dist[root].tolist()
-    return [(min(w for w in g.adj[v] if row[w] == row[v] - 1), v)
-            for v in range(g.n) if v != root]
+_ROOT_CHUNK_ENTRIES = 2 ** 20  # entries of each per-chunk (root, directed edge) table
+
+
+def _bfs_tree_wieners(g):
+    """Wiener index of the BFS tree from each root of a connected graph on
+    n >= 2 vertices, in which every other vertex hangs from its least
+    neighbor one hop closer to the root.
+
+    Array passes over the distance matrix, a chunk of roots at a time so that
+    the tables hold about _ROOT_CHUNK_ENTRIES entries: a vertex's parent is
+    the least entry of its segment of the sorted neighbor array among those
+    one hop closer, the subtree sizes s_v add up level by level from the
+    deepest, and W = 2 sum_v s_v (n - s_v) (the root's s is n).
+    """
+    n = g.n
+    dist = all_pairs_distances(g)
+    degrees, neighbors = neighbor_arrays(g)
+    starts = np.cumsum(degrees) - degrees  # every segment is nonempty: g is connected
+    tails = np.repeat(np.arange(n), degrees)
+    chunk = max(1, _ROOT_CHUNK_ENTRIES // len(neighbors))
+    wieners = []
+    for first in range(0, n, chunk):
+        d = dist[first:first + chunk]
+        closer = d[:, neighbors] == d[:, tails] - 1
+        # n where no neighbor is closer, at the root, whose parent is never read
+        parent = np.minimum.reduceat(np.where(closer, neighbors, n), starts, axis=1)
+        # flat index i n + v stands for vertex v in the tree of the chunk's root i
+        above = (n * np.arange(len(d))[:, None] + parent).ravel()
+        depth = d.ravel()
+        order = np.argsort(depth)
+        ends = np.cumsum(np.bincount(depth))  # ends[k]: entries at depth <= k
+        size = np.ones(d.size, dtype=np.int64)
+        for k in range(len(ends) - 1, 0, -1):
+            level = order[ends[k - 1]:ends[k]]
+            np.add.at(size, above[level], size[level])
+        size = size.reshape(d.shape)
+        wieners.append(2 * (size * (n - size)).sum(axis=1))
+    return np.concatenate(wieners)

@@ -6,13 +6,16 @@ Python-int bitmasks (`adjacency_masks`), on which `topology` walks the clique
 complex.  Hop distances come from one bit-parallel walk that grows every
 vertex's ball a hop per round, read through two views: `distance_levels`
 (cached level counts) and `all_pairs_distances` (the full numpy matrix);
-`metrics` sums distances inside a vertex subset straight from the walk.  One
+`metrics` sums distances inside a vertex subset straight from the walk.
+`neighbor_arrays` lays the adjacency out as numpy arrays, from which
+`spectral` builds the Laplacian and the audit its BFS trees.  One
 single-source BFS, `_bfs_parents`, serves the components here, the audit's
 tree Wiener index and arboricity's forest paths.  Graphs never mutate after
 construction, so every operation here is a pure function that can be called
 concurrently.
 """
 
+from itertools import chain
 from operator import index
 from typing import NamedTuple
 
@@ -101,9 +104,14 @@ class Subgraph(NamedTuple):
 def from_edge_list(n, edges):
     """Build a graph on n vertices from (u, v) pairs.
 
-    Duplicate and reversed pairs collapse to a single edge.  Raises LoopEdge
-    on u == v and VertexOutOfRange on ids outside 0..n-1.
+    Duplicate and reversed pairs collapse to a single edge.  Raises
+    InvalidParam when n is not an integer, LoopEdge on u == v and
+    VertexOutOfRange on ids outside 0..n-1.
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidParam(f"the vertex count must be an integer, not {n!r}") from None
     if n < 0:
         raise VertexOutOfRange("negative vertex count")
     adj = [set() for _ in range(n)]
@@ -195,6 +203,15 @@ def adjacency_masks(g):
             masks.append(mask)
         g._masks = tuple(masks)
     return g._masks
+
+
+def neighbor_arrays(g):
+    """(degrees, neighbors) as int64 numpy arrays: the sorted neighbors of
+    each vertex in turn, so those of v start at the sum of the degrees
+    before v (the compressed sparse row layout)."""
+    degrees = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
+    neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
+    return degrees, neighbors
 
 
 def _bfs_parents(adj, source):

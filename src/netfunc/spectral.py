@@ -5,8 +5,20 @@ component count, never by thresholding.  The combinatorial determinants
 (tree count, rooted-forest count) are exact integers, independent of the
 floating spectrum: both matrices, the reduced Laplacian of a connected graph
 and L + I, are symmetric positive definite, and one kernel computes their
-determinants by p-adic lifting mod primes below 2^30, bounded by the product
+determinants by p-adic lifting mod primes below 2^23, bounded by the product
 of the diagonal.
+
+The eliminations mod p (FFLAS-FFPACK style: Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008) reduce late and let exact sums do the rest.  They work on
+panels of 128 pivots.  Within a panel, Gauss-Jordan in int64 reduces only
+the row and the column the next pivot reads; every other entry is a residue
+less at most 128 products of two residues, below 2^53, far inside int64.
+Across panels, one
+float64 matmul applies a panel's 128 pivots to the rest of the matrix, and
+subtracting the nearest multiple of p reduces the result to (-p, p): its
+sums have at most 128 terms of at most (p - 1)^2 < 2^46, so each is an
+integer below 2^53, which float64 holds exactly in any summation order, for
+any BLAS thread count.
 """
 
 import functools
@@ -16,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
 from .errors import ConvergenceFailure, Disconnected
-from .graph import connected_components
+from .graph import connected_components, neighbor_arrays
 
 
 @dataclass(frozen=True)
@@ -33,12 +44,10 @@ class LaplacianSpectrum:
 
 
 def laplacian_matrix(g):
-    """L = D - A as an integer numpy array."""
-    lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        lap[u, u] = g.degree(u)
-        for v in g.adj[u]:
-            lap[u, v] = -1
+    """L = D - A as an integer numpy array, from the adjacency arrays."""
+    degrees, neighbors = neighbor_arrays(g)
+    lap = np.diag(degrees)
+    lap[np.repeat(np.arange(g.n), degrees), neighbors] = -1
     return lap
 
 
@@ -84,12 +93,21 @@ def spectral_complexity(g):
 # lifting (Dixon, Numer. Math. 40, 1982; Abbott-Bronstein-Mulders, ISSAC 1999).
 # Correctness rests on the Hadamard-Fischer bound alone.
 
-_PRIME_TOP = 2 ** 30  # residues below 2^30: every product of two stays below 2^60
+_PRIME_TOP = 2 ** 23  # residues below 2^23: a product of two stays below 2^46
+_PANEL = 128  # pivots per panel: _PANEL products of two residues stay below 2^53
+
+
+def _check_exact(p, terms, bits):
+    """Refuse p when a residue plus `terms` products of two residues mod p can
+    reach 2^bits, the range in which the kernels' sums are exact."""
+    if p + terms * (p - 1) ** 2 >= 2 ** bits:
+        raise OverflowError(f"sums of {terms} products of residues mod {p} "
+                            f"are not exact below 2^{bits}")
 
 
 @functools.cache
 def _prime_below(m):
-    """The largest prime below m (trial division; m <= 2^30 needs odd divisors to 2^15)."""
+    """The largest prime below m (trial division by odd numbers to sqrt(m))."""
     m -= 1 + m % 2
     while any(m % q == 0 for q in range(3, math.isqrt(m) + 1, 2)):
         m -= 2
@@ -104,43 +122,102 @@ def _primes():
         yield p
 
 
-def _inverse_mod(a, p):
-    """(det a mod p, a^-1 mod p) by in-place Gauss-Jordan without pivoting.
+def _gauss_jordan_mod(a, p):
+    """(det a mod p, a^-1 mod p) by in-place Gauss-Jordan without pivoting,
+    for an int64 matrix of at most _PANEL rows.
 
-    A symmetric positive definite matrix has positive leading minors, so a
-    zero pivot means p divides one of them; that returns (0, None) and the
-    caller moves to another prime.
+    Step k reduces row k and column k, the only entries its pivot reads, and
+    subtracts a product of two residues from every other entry.  After n
+    steps an entry lies between -n (p - 1)^2 and p, inside int64 while
+    n (p - 1)^2 + p < 2^63.  A zero pivot returns (0, None).
     """
+    n = len(a)
+    _check_exact(p, n, 63)
     m = a % p
     det = 1
-    for k in range(len(m)):
-        pivot = int(m[k, k])
+    for k in range(n):
+        m[k] %= p
+        col = m[:, k] % p
+        pivot = int(col[k])
         if pivot == 0:
             return 0, None
         det = det * pivot % p
-        col = m[:, k].copy()
         m[:, k] = 0  # column k becomes -col / pivot, row k becomes row k / pivot
         m[k, k] = 1
         row = m[k] * pow(pivot, -1, p) % p
         m -= col[:, None] * row
-        m %= p
         m[k] = row
-    return det, m
+    return det, m % p
+
+
+def _reduce(m, p):
+    """m less the multiple of p nearest to it, in place, for a float64 array
+    of integers of magnitude below p + _PANEL (p - 1)^2, as the panel
+    products leave them.  Then m / p is below 2^31, so its two roundings
+    leave the quotient within 1/2 + 2^-21 of it, and the result is an exact
+    integer of magnitude at most p / 2 + p 2^-21 < p."""
+    q = m * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    m -= q
+    return m
+
+
+def _panels(n):
+    """The slices of _PANEL consecutive pivots that cover 0..n-1."""
+    return [slice(k, k + _PANEL) for k in range(0, n, _PANEL)]
+
+
+def _inverse_mod(a, p):
+    """(det a mod p, a^-1 mod p) by Gauss-Jordan without pivoting, a panel of
+    pivots at a time.
+
+    A symmetric positive definite matrix has positive leading minors, so a
+    zero pivot means p divides one of them; that returns (0, None) and the
+    caller moves to another prime.  Panel K inverts its pivot block by
+    `_gauss_jordan_mod`, then eliminates column block K from every other row
+    with one matmul.  Entries between panels are residues in (-p, p), so a
+    product sum has at most _PANEL terms of at most (p - 1)^2 each.
+    """
+    _check_exact(p, _PANEL, 53)
+    m = (a % p).astype(float)
+    det = 1
+    for panel in _panels(len(m)):
+        det_k, inv_k = _gauss_jordan_mod(m[panel, panel].astype(np.int64), p)
+        if det_k == 0:
+            return 0, None
+        det = det * det_k % p
+        col = m[:, panel].copy()  # block K becomes -col inv_k, rows K become inv_k rows K
+        m[:, panel] = 0
+        m[panel, panel] = np.eye(len(inv_k))
+        row = _reduce(inv_k @ m[panel], p)
+        m -= col @ row
+        m[panel] = row
+        _reduce(m, p)
+    return det, np.mod(m, p).astype(np.int64)
 
 
 def _det_mod(a, p):
-    """det a mod p by elimination without pivoting, 0 when a pivot vanishes
-    (as in _inverse_mod); a third of the inverse's work."""
-    m = a % p
+    """det a mod p by block elimination without pivoting, 0 when a pivot
+    vanishes (as in _inverse_mod); a third of the inverse's work.
+
+    Panel K inverts its pivot block and replaces the trailing block by its
+    Schur complement, D - C (inv_k B), one matmul of at most _PANEL terms
+    per entry.
+    """
+    _check_exact(p, _PANEL, 53)
+    m = (a % p).astype(float)
     det = 1
-    for k in range(len(m)):
-        pivot = int(m[k, k])
-        if pivot == 0:
+    for panel in _panels(len(m)):
+        det_k, inv_k = _gauss_jordan_mod(m[panel, panel].astype(np.int64), p)
+        if det_k == 0:
             return 0
-        det = det * pivot % p
-        factors = m[k + 1:, k] * pow(pivot, -1, p) % p
-        m[k + 1:, k + 1:] -= factors[:, None] * m[k, k + 1:]
-        m[k + 1:, k + 1:] %= p
+        det = det * det_k % p
+        rest = slice(panel.stop, None)
+        x = _reduce(inv_k @ m[panel, rest], p)
+        trailing = m[rest, rest]
+        trailing -= m[rest, panel] @ x
+        _reduce(trailing, p)
     return det
 
 
@@ -158,14 +235,14 @@ def _denominator(y, mod, num_bound):
 def _lifted_denominator(a, inverse, p, h):
     """A divisor d of det a: the lcm of the denominators of x = a^-1 b.
 
-    b is a fixed draw of n integers below 2^16 from a seeded stream; only
+    b holds n fixed integers below 2^16, (40503 i + 12345) mod 2^16; only
     the size of d, and so the cost of the cofactor, depends on it.  The
     inverse mod p lifts x p-adically to x mod p^k, with p^k > 2 N H, where
     N = n max(b) H bounds the numerators of det(a) x.  Rational
     reconstruction of d x, entry by entry, grows d to the lcm.
     """
     n = len(a)
-    b = rng.generator(0).integers(0, 2 ** 16, size=n)
+    b = (40503 * np.arange(n, dtype=np.int64) + 12345) % 2 ** 16
     num_bound = n * int(b.max()) * h
     # |r| stays below max(b) + the largest row sum of |a|, so inverse @ r fits int64
     if n * p * (int(b.max()) + int(np.abs(a).sum(axis=1).max())) >= 2 ** 63:

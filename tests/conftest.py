@@ -5,8 +5,10 @@ These deliberately re-derive quantities by the dumbest correct method
 implementations are checked against an independent route.  Replaced
 implementations (Bareiss elimination, the reduced-pair dimension memo, the
 whole-block geometric Monte-Carlo kernels, the row-bitmask extremal kernel
-and its full-array reduction, the extremal scan over every labeled H) stay
-here as the references their successors must match.
+and its full-array reduction, the extremal scan over every labeled H, the
+rank-one eliminations mod p, the Laplacian loop over adjacency lists, the
+audit's per-root BFS trees) stay here as the references their successors
+must match.
 """
 
 import heapq
@@ -276,6 +278,67 @@ def bareiss_determinant(matrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def rank_one_inverse_mod(a, p):
+    """(det a mod p, a^-1 mod p) by Gauss-Jordan without pivoting, one
+    rank-one update per pivot and the whole matrix reduced after each, in
+    int64 (so p < 2^31); (0, None) at a zero pivot."""
+    m = np.array(a, dtype=np.int64) % p
+    det = 1
+    for k in range(len(m)):
+        pivot = int(m[k, k])
+        if pivot == 0:
+            return 0, None
+        det = det * pivot % p
+        col = m[:, k].copy()
+        m[:, k] = 0
+        m[k, k] = 1
+        row = m[k] * pow(pivot, -1, p) % p
+        m -= col[:, None] * row
+        m %= p
+        m[k] = row
+    return det, m
+
+
+def rank_one_det_mod(a, p):
+    """det a mod p by elimination without pivoting, the trailing matrix reduced
+    after every pivot (p < 2^31); 0 at a zero pivot."""
+    m = np.array(a, dtype=np.int64) % p
+    det = 1
+    for k in range(len(m)):
+        pivot = int(m[k, k])
+        if pivot == 0:
+            return 0
+        det = det * pivot % p
+        factors = m[k + 1:, k] * pow(pivot, -1, p) % p
+        m[k + 1:, k + 1:] -= factors[:, None] * m[k, k + 1:]
+        m[k + 1:, k + 1:] %= p
+    return det
+
+
+def laplacian_by_loop(g):
+    """L = D - A, one entry at a time from the adjacency lists."""
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    for u in range(g.n):
+        lap[u, u] = g.degree(u)
+        for v in g.adj[u]:
+            lap[u, v] = -1
+    return lap
+
+
+def per_root_tree_wieners(g):
+    """Wiener index of the BFS tree from each root of a connected graph, each
+    vertex joined to its least neighbor one hop closer to the root: one tree
+    built and measured per root."""
+    dist = bfs_distances(g)
+    wieners = []
+    for root in range(g.n):
+        row = dist[root]
+        tree = [(min(w for w in g.adj[v] if row[w] == row[v] - 1), v)
+                for v in range(g.n) if v != root]
+        wieners.append(experiments._tree_wiener(g.n, tree))
+    return wieners
 
 
 def reduced_laplacian(g):

@@ -1,6 +1,7 @@
 """The exact determinant kernel behind tree_count and forest_complexity,
 differential against the Bareiss oracle and, where Bareiss is too slow, against
-slogdet and residues modulo primes the kernel never uses."""
+slogdet and residues modulo primes the kernel never uses; its panel
+eliminations mod p against the rank-one eliminations they replaced."""
 
 import itertools
 import math
@@ -13,9 +14,10 @@ from netfunc.generators import erdos_renyi, watts_strogatz
 from netfunc.graph import from_edge_list, is_connected
 from netfunc.spectral import forest_complexity, laplacian_matrix, spanning_tree_count
 
-from conftest import bareiss_determinant, iter_connected_graphs, iter_graphs
+from conftest import (bareiss_determinant, iter_connected_graphs, iter_graphs,
+                      rank_one_det_mod, rank_one_inverse_mod)
 
-# above the kernel's primes, which all lie below 2^30
+# above the kernel's primes, which all lie below 2^23
 CHECK_PRIMES = (2_147_483_647, 2_147_483_629)
 
 
@@ -81,8 +83,9 @@ def test_seeded_draws_match_bareiss(name):
 
 
 @pytest.mark.parametrize("build", [lambda s: erdos_renyi(300, 0.05, s),
-                                   lambda s: watts_strogatz(300, 6, 0.2, s)],
-                         ids=["er300", "ws300"])
+                                   lambda s: watts_strogatz(300, 6, 0.2, s),
+                                   lambda s: watts_strogatz(800, 6, 0.1, s)],
+                         ids=["er300", "ws300", "ws800"])
 def test_large_draws_match_slogdet_and_residues(build):
     g = connected_draw(build, 5)
     for value, matrix in ((forest_complexity(g), forest_matrix(g)),
@@ -92,6 +95,67 @@ def test_large_draws_match_slogdet_and_residues(build):
         assert math.log(value) == pytest.approx(logdet, rel=1e-9)
         for p in CHECK_PRIMES:
             assert value % p == det_mod(matrix, p)
+
+
+PANEL = spectral._PANEL
+KERNEL_SIZES = (1, 2, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3, 300)
+
+
+def panel_test_matrices(n):
+    """A forest matrix of a seeded draw and a dense integer matrix with
+    entries of both signs, both n x n."""
+    spd = forest_matrix(erdos_renyi(n, min(1.0, 8 / n), n))
+    dense = np.random.default_rng(n).integers(-60, 61, size=(n, n))
+    return spd, dense
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_panel_kernels_match_rank_one_oracles(n):
+    primes = list(itertools.islice(spectral._primes(), 3))
+    for a in panel_test_matrices(n):
+        for p in primes:
+            det, inverse = spectral._inverse_mod(a, p)
+            want_det, want_inverse = rank_one_inverse_mod(a, p)
+            assert det == want_det != 0
+            assert inverse.dtype == np.int64
+            assert np.array_equal(inverse, want_inverse)
+            assert spectral._det_mod(a, p) == rank_one_det_mod(a, p) == det
+
+
+def with_vanishing_minor(a, j, p):
+    """a with a[j, j] raised so that p divides its leading (j + 1)-minor: that
+    minor is affine in a[j, j] with slope the j-minor.  Raising the diagonal
+    keeps a symmetric positive definite."""
+    minor = rank_one_det_mod(a[:j + 1, :j + 1], p)
+    slope = rank_one_det_mod(a[:j, :j], p) if j else 1
+    b = a.copy()
+    b[j, j] += -minor * pow(slope, -1, p) % p
+    return b
+
+
+@pytest.mark.parametrize("j", [0, 1, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 2])
+def test_panel_kernels_stop_where_p_divides_a_leading_minor(j):
+    p = next(spectral._primes())
+    a = with_vanishing_minor(panel_test_matrices(2 * PANEL + 3)[0], j, p)
+    assert rank_one_det_mod(a[:j + 1, :j + 1], p) == 0
+    assert spectral._inverse_mod(a, p) == rank_one_inverse_mod(a, p) == (0, None)
+    assert spectral._det_mod(a, p) == rank_one_det_mod(a, p) == 0
+    # the determinant moves on to the next prime and stays exact
+    value = spectral._spd_determinant(a)
+    sign, logdet = np.linalg.slogdet(a.astype(float))
+    assert sign == 1 and math.log(value) == pytest.approx(logdet, rel=1e-9)
+    assert [value % q for q in CHECK_PRIMES] == [det_mod(a, q) for q in CHECK_PRIMES]
+
+
+def test_kernels_refuse_primes_whose_sums_are_not_exact():
+    a = np.eye(3, dtype=np.int64)
+    too_big = spectral._prime_below(2 ** 24)
+    with pytest.raises(OverflowError):
+        spectral._inverse_mod(a, too_big)
+    with pytest.raises(OverflowError):
+        spectral._det_mod(a, too_big)
+    with pytest.raises(OverflowError):
+        spectral._gauss_jordan_mod(a, spectral._prime_below(2 ** 31))
 
 
 def test_kernel_moves_past_a_prime_that_divides_a_minor():

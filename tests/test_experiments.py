@@ -8,7 +8,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 from conftest import (bareiss_determinant, exact_curvature_action, full_scan_extremal,
-                      reduced_laplacian, row_mask_extremal, row_mask_scan)
+                      per_root_tree_wieners, reduced_laplacian, row_mask_extremal,
+                      row_mask_scan)
 
 from netfunc import experiments, rng
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
@@ -17,7 +18,7 @@ from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _t
                                  bound_audit, evaluate_sweep_record, extremal_search,
                                  growth_sweep, ratio_dimension_sweep)
 from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
-                                star, wheel)
+                                star, watts_strogatz, wheel)
 from netfunc.graph import all_pairs_distances, from_edge_list, induced_subgraph, is_connected
 from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_cluster,
                              wiener_index)
@@ -653,3 +654,44 @@ def test_exhaustive_audit_matches_brute_force_tree_minimum(n):
         brute = min(wiener_index(t) for t in trees if is_connected(t))
         check = next(c for c in bound_audit(g) if c.name == "wiener_spanning_trees")
         assert (check.rhs, check.note) == (brute, "exhaustive"), sorted(g.edges())
+
+
+def sampled_audit_graphs():
+    """Seeded connected ER and WS draws up to 300 vertices, cycles, complete
+    graphs, paths and stars."""
+    draws = [erdos_renyi(n, p, seed) for n, p in ((12, 0.4), (60, 0.1), (150, 0.04), (300, 0.03))
+             for seed in range(3)]
+    draws += [watts_strogatz(n, k, 0.1, seed) for n, k in ((20, 4), (100, 6), (300, 4))
+              for seed in range(2)]
+    shapes = [f(n) for f in (cycle, complete, path, star) for n in (2, 3, 7, 30)
+              if f is not cycle or n >= 3]
+    return [g for g in draws if is_connected(g)] + shapes
+
+
+def test_bfs_tree_wieners_match_per_root_trees():
+    graphs = sampled_audit_graphs()
+    assert len(graphs) > 25
+    for g in graphs:
+        wieners = per_root_tree_wieners(g)
+        assert experiments._bfs_tree_wieners(g).tolist() == wieners, g
+        assert experiments._min_spanning_tree_wiener(g, 0) == (min(wieners), "sampled(bfs-trees)")
+
+
+@pytest.mark.parametrize("entries", [1, 50, 4000])
+def test_bfs_tree_wieners_do_not_depend_on_the_root_chunk(entries, monkeypatch):
+    g = next(g for seed in range(20) if is_connected(g := erdos_renyi(90, 0.06, seed)))
+    want = per_root_tree_wieners(g)
+    monkeypatch.setattr(experiments, "_ROOT_CHUNK_ENTRIES", entries)
+    assert experiments._bfs_tree_wieners(g).tolist() == want
+
+
+def test_bfs_tree_takes_the_least_closer_neighbor():
+    # from root 0, vertex 3 has two neighbors one hop closer, 1 and 2; hung
+    # from 1 (the least) it joins 1's leaves 4 and 5, hung from 2 it does not
+    g = from_edge_list(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (1, 5)])
+    least = wiener_index(from_edge_list(6, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5)]))
+    other = wiener_index(from_edge_list(6, [(0, 1), (0, 2), (2, 3), (1, 4), (1, 5)]))
+    assert (least, other) == (56, 64)
+    wieners = experiments._bfs_tree_wieners(g).tolist()
+    assert wieners[0] == least
+    assert wieners == per_root_tree_wieners(g)

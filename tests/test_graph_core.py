@@ -52,6 +52,18 @@ def test_graph_rejects_invalid_adjacency():
     assert Graph(3, [[1, 2], [0], [0]]) == from_edge_list(3, [(0, 1), (0, 2)])
 
 
+@pytest.mark.parametrize("count", [3.0, "3", None])
+def test_from_edge_list_refuses_a_non_integer_vertex_count(count):
+    with pytest.raises(InvalidParam, match="vertex count"):
+        from_edge_list(count, [])
+
+
+def test_from_edge_list_takes_a_numpy_vertex_count():
+    g = from_edge_list(np.int64(3), [(0, 1)])
+    assert type(g.n) is int
+    assert g == from_edge_list(3, [(0, 1)])
+
+
 def test_numpy_vertex_ids_become_ints():
     edges = [(np.int64(u), np.int64(v)) for u, v in [(0, 70), (70, 71), (0, 71)]]
     g = from_edge_list(72, edges)

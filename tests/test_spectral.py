@@ -7,16 +7,33 @@ import numpy as np
 import pytest
 
 from netfunc.errors import Disconnected
-from netfunc.generators import ModelSpec, build_model, complete, cycle, path
+from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
+                                watts_strogatz)
 from netfunc.graph import from_edge_list, is_connected
 from netfunc.metrics import characteristic_length
 from netfunc.report import compute_report
-from netfunc.spectral import (forest_complexity, laplacian_spectrum,
+from netfunc.spectral import (forest_complexity, laplacian_matrix, laplacian_spectrum,
                               pseudoinverse_trace_bound, spanning_tree_count,
                               spectral_complexity)
 
 from conftest import (bareiss_determinant, brute_rooted_forest_count,
-                      iter_connected_graphs, iter_graphs, iter_labeled_trees)
+                      iter_connected_graphs, iter_graphs, iter_labeled_trees,
+                      laplacian_by_loop)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_laplacian_matrix_matches_loop_exhaustive(n):
+    for g in iter_graphs(n):
+        lap = laplacian_matrix(g)
+        assert lap.dtype == np.int64
+        assert np.array_equal(lap, laplacian_by_loop(g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_laplacian_matrix_matches_loop_on_draws(seed):
+    for g in (erdos_renyi(150, 0.03, seed), erdos_renyi(60, 0.5, seed),
+              watts_strogatz(300, 6, 0.1, seed), from_edge_list(40, [(0, 39)])):
+        assert np.array_equal(laplacian_matrix(g), laplacian_by_loop(g))
 
 
 def test_spectrum_examples():
