@@ -82,8 +82,8 @@ class Histogram:
     hi: float
 
     def bin_edges(self):
-        width = (self.hi - self.lo) / len(self.counts) if self.counts else 0.0
-        return [self.lo + i * width for i in range(len(self.counts) + 1)]
+        """The edges np.histogram bins with: len(counts) + 1 of them, from lo to hi."""
+        return np.linspace(self.lo, self.hi, len(self.counts) + 1).tolist()
 
 
 @dataclass

@@ -12,9 +12,12 @@ vertex's ball a hop per round, read through two views: `distance_levels`
 single-source BFS, `_bfs_parents`, serves the components here, the audit's
 tree Wiener index and arboricity's forest paths.  Graphs never mutate after
 construction, so every operation here is a pure function that can be called
-concurrently.
+concurrently, and `per_graph` keeps a value computed from the graph alone on
+it: the level counts, the bitmasks, the Laplacian spectrum and the component
+partition, which every connectivity guard in the package reads.
 """
 
+import functools
 from itertools import chain
 from operator import index
 from typing import NamedTuple
@@ -35,7 +38,7 @@ class Graph:
     repeated or one-way neighbors).
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_levels", "_masks", "_spectrum", "_hash")
+    __slots__ = ("n", "adj", "adj_sets", "m", "_cache")
 
     def __init__(self, n, adj):
         try:  # numpy integers become ints, so the bitmask shifts stay exact
@@ -46,10 +49,7 @@ class Graph:
                                "must be integers") from None
         self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
-        self._levels = None
-        self._masks = None
-        self._spectrum = None  # spectral.laplacian_spectrum's cache
-        self._hash = None
+        self._cache = {}  # per_graph's values, by function name
         self._validate()
 
     def _validate(self):
@@ -86,12 +86,24 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def per_graph(compute):
+    """Decorate compute(g) to run once per graph: the graph keeps the value,
+    which every caller shares and so must be immutable, under the function's
+    name, so graphs still pickle."""
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @functools.wraps(compute)
+    def cached(g):
+        if key not in g._cache:
+            g._cache[key] = compute(g)
+        return g._cache[key]
+    return cached
 
 
 class Subgraph(NamedTuple):
@@ -159,18 +171,17 @@ def _ball_walk(g):
         active = still
 
 
+@per_graph
 def distance_levels(g):
     """levels[x][k] = number of vertices at hop distance k from x; cached.
 
     levels[x][0] == 1 and sum(levels[x]) is the size of x's component.
     """
-    if g._levels is None:
-        levels = [[1] for _ in range(g.n)]
-        for grew, spheres in _ball_walk(g):
-            for v, s in zip(grew, spheres):
-                levels[v].append(s.bit_count())
-        g._levels = tuple(tuple(row) for row in levels)
-    return g._levels
+    levels = [[1] for _ in range(g.n)]
+    for grew, spheres in _ball_walk(g):
+        for v, s in zip(grew, spheres):
+            levels[v].append(s.bit_count())
+    return tuple(tuple(row) for row in levels)
 
 
 def all_pairs_distances(g):
@@ -192,17 +203,16 @@ def all_pairs_distances(g):
     return dist
 
 
+@per_graph
 def adjacency_masks(g):
     """masks[v] has bit u set iff u is a neighbor of v; cached on the graph."""
-    if g._masks is None:
-        masks = []
-        for neighbors in g.adj:
-            mask = 0
-            for u in neighbors:
-                mask |= 1 << u
-            masks.append(mask)
-        g._masks = tuple(masks)
-    return g._masks
+    masks = []
+    for neighbors in g.adj:
+        mask = 0
+        for u in neighbors:
+            mask |= 1 << u
+        masks.append(mask)
+    return tuple(masks)
 
 
 def neighbor_arrays(g):
@@ -228,38 +238,59 @@ def _bfs_parents(adj, source):
     return parent
 
 
+@per_graph
 def connected_components(g):
-    """Partition the vertex set by reachability; components sorted by least vertex."""
+    """Partition of the vertex set by reachability, cached: a tuple of sorted
+    vertex tuples, ordered by least vertex."""
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
         if not seen[s]:
-            comp = sorted(_bfs_parents(g.adj, s))
+            comp = tuple(sorted(_bfs_parents(g.adj, s)))
             for v in comp:
                 seen[v] = True
             comps.append(comp)
-    return comps
+    return tuple(comps)
 
 
 def is_connected(g):
-    return g.n <= 1 or len(connected_components(g)) == 1
+    """True when g has at most one component, so on 0 and 1 vertices too."""
+    return len(connected_components(g)) <= 1
+
+
+def vertex_set(g, vertices):
+    """The ids in `vertices`, sorted, as a tuple; raises InvalidParam on a
+    non-integer or repeated id and VertexOutOfRange on one outside 0..n-1."""
+    try:
+        verts = sorted(map(index, vertices))
+    except TypeError:
+        raise InvalidParam("vertex ids must be integers") from None
+    if verts and (verts[0] < 0 or verts[-1] >= g.n):
+        bad = verts[0] if verts[0] < 0 else verts[-1]
+        raise VertexOutOfRange(f"vertex {bad} outside 0..{g.n - 1}")
+    for u, v in zip(verts, verts[1:]):
+        if u == v:
+            raise InvalidParam(f"vertex {u} repeated")
+    return tuple(verts)
 
 
 def induced_subgraph(g, vertices):
     """Relabeled subgraph on `vertices`, keeping only edges inside the set."""
-    verts = sorted(vertices)
+    verts = vertex_set(g, vertices)
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[w] for w in g.adj[v] if w in index] for v in verts]
-    return Subgraph(Graph(len(verts), adj), tuple(verts))
+    return Subgraph(Graph(len(verts), adj), verts)
 
 
 def sphere(g, x):
     """Induced subgraph on the neighbors of x (the unit sphere at x)."""
+    (x,) = vertex_set(g, (x,))
     return induced_subgraph(g, g.adj[x])
 
 
 def ball(g, x):
     """Induced subgraph on {x} and its neighbors (the closed unit ball at x)."""
+    (x,) = vertex_set(g, (x,))
     return induced_subgraph(g, (x,) + g.adj[x])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
 from .graph import (_ball_walk, all_pairs_distances, connected_components,
-                    distance_levels, is_connected)
+                    distance_levels, is_connected, vertex_set)
 
 
 def characteristic_length(g):
@@ -27,8 +27,6 @@ def characteristic_length(g):
     comps = connected_components(g)
     if not comps:
         return Fraction(0)
-    if len(comps) == 1:
-        return _component_length(g, comps[0])
     return sum(_component_length(g, comp) for comp in comps) / len(comps)
 
 
@@ -47,10 +45,9 @@ def _distance_total(counts):
 
 def _reaching_total(g, x):
     """Total distance from x; raises Disconnected unless x reaches every vertex."""
-    counts = distance_levels(g)[x]
-    if sum(counts) != g.n:
+    if not is_connected(g):
         raise Disconnected("vertex cannot reach the whole graph")
-    return _distance_total(counts)
+    return _distance_total(distance_levels(g)[x])
 
 
 def local_mean_distance(g, x):
@@ -61,8 +58,11 @@ def local_mean_distance(g, x):
 
 
 def relative_characteristic_length(g, subset):
-    """Mean distance over ordered pairs inside `subset`, measured in g."""
-    verts = sorted(subset)
+    """Mean distance over ordered pairs inside `subset`, measured in g.
+
+    Raises VertexOutOfRange on an id outside 0..n-1 and InvalidParam on a
+    non-integer or repeated one (graph.vertex_set)."""
+    verts = vertex_set(g, subset)
     k = len(verts)
     if k < 2:
         raise TooSmall("need at least two vertices in the subset")
@@ -151,7 +151,7 @@ def closeness_centrality(g, x):
 
 def mean_centrality(g):
     """Vertex average of closeness centrality."""
-    if g.n < 2 or sum(distance_levels(g)[0]) != g.n:
+    if g.n < 2 or not is_connected(g):
         raise Disconnected("mean centrality needs a connected graph on >= 2 vertices")
     return sum(closeness_centrality(g, x) for x in range(g.n)) / g.n
 

@@ -1,9 +1,10 @@
 """Laplacian functionals: spectrum, complexity, forest and tree counts.
 
-Eigenvalues come from LAPACK (symmetric solver) with the rank pinned by the
-component count, never by thresholding.  The combinatorial determinants
-(tree count, rooted-forest count) are exact integers, independent of the
-floating spectrum: both matrices, the reduced Laplacian of a connected graph
+Eigenvalues come from LAPACK (symmetric solver), once per graph
+(`graph.per_graph`), with the rank pinned by the cached component count,
+never by thresholding.  The combinatorial determinants (tree count,
+rooted-forest count) are exact integers, independent of the floating
+spectrum: both matrices, the reduced Laplacian of a connected graph
 and L + I, are symmetric positive definite, and one kernel computes their
 determinants by p-adic lifting mod primes below 2^23, bounded by the product
 of the diagonal.
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, Disconnected
-from .graph import connected_components, neighbor_arrays
+from .graph import connected_components, is_connected, neighbor_arrays, per_graph
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,10 @@ def laplacian_matrix(g):
     return lap
 
 
+@per_graph
 def laplacian_spectrum(g):
     """Eigenvalues of D - A, sorted ascending, with the component count;
     computed once per graph and cached on it."""
-    if g._spectrum is None:
-        g._spectrum = _spectrum(g)
-    return g._spectrum
-
-
-def _spectrum(g):
     if g.n == 0:
         return LaplacianSpectrum((), 0)
     try:
@@ -302,7 +298,7 @@ def spanning_tree_count(g):
     """Number of spanning trees: the (0,0) minor of the Laplacian, exactly."""
     if g.n == 0:
         raise Disconnected("empty graph has no spanning tree")
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise Disconnected("spanning trees need a connected graph")
     lap = laplacian_matrix(g)
     return _spd_determinant(lap[1:, 1:])
@@ -312,8 +308,7 @@ def pseudoinverse_trace_bound(g):
     """Lower length bound 2 tr(L+) / (n - 1) from the pseudo-inverse trace."""
     if g.n < 2:
         raise Disconnected("bound needs a connected graph on >= 2 vertices")
-    spec = laplacian_spectrum(g)
-    if spec.component_count != 1:
+    if not is_connected(g):
         raise Disconnected("bound needs a connected graph")
-    trace = sum(1.0 / v for v in spec.nonzero())
+    trace = sum(1.0 / v for v in laplacian_spectrum(g).nonzero())
     return 2.0 * trace / (g.n - 1)

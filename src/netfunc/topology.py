@@ -222,11 +222,6 @@ class Polynomial:
             acc = acc * p + c
         return acc
 
-    def to_json_list(self):
-        """Coefficients as {num, den} decimal-string pairs, degree ascending."""
-        return [{"num": str(c.numerator), "den": str(c.denominator)}
-                for c in self.coefficients]
-
 
 def _trim(coeffs):
     end = len(coeffs)

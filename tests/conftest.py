@@ -113,8 +113,8 @@ def flood_fill_components(g):
                     seen.add(y)
                     comp.append(y)
                     stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def iter_connected_graphs(n):

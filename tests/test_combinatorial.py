@@ -6,8 +6,8 @@ from math import ceil
 import pytest
 
 from netfunc.errors import NoEdges, SizeCapExceeded
-from netfunc.combinatorial import (arboricity, chromatic_number, independence_number,
-                                   scale_measure)
+from netfunc.combinatorial import (_certify_partition, arboricity, chromatic_number,
+                                   independence_number, scale_measure)
 from netfunc.generators import (complete, complete_bipartite, cycle, erdos_renyi,
                                 path, star)
 from netfunc.graph import from_edge_list, induced_subgraph
@@ -76,6 +76,19 @@ def test_arboricity_examples():
     assert arboricity(path(8)).value == 1
     assert arboricity(star(6)).value == 1
     assert arboricity(from_edge_list(4, [])).value == 0
+
+
+def test_witness_check_refuses_cycles_repeats_and_gaps():
+    edges = list(complete(4).edges())
+    _certify_partition(4, edges, (((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3))))
+    with pytest.raises(AssertionError, match="cycle"):  # the triangle 1 2 3
+        _certify_partition(4, edges, (((0, 1), (0, 2)), ((1, 2), (1, 3), (2, 3)), ((0, 3),)))
+    with pytest.raises(AssertionError, match="cycle"):  # an edge twice in one forest
+        _certify_partition(3, [(0, 1)], (((0, 1), (0, 1)),))
+    with pytest.raises(AssertionError, match="cover"):  # an edge in two forests
+        _certify_partition(3, [(0, 1), (1, 2)], (((0, 1), (1, 2)), ((0, 1),)))
+    with pytest.raises(AssertionError, match="cover"):  # an edge in none
+        _certify_partition(4, edges, (((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3))))
 
 
 def test_arboricity_density_lower_bound():

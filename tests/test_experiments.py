@@ -14,9 +14,9 @@ from conftest import (bareiss_determinant, exact_curvature_action, full_scan_ext
 from netfunc import experiments, rng
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                             RecursionBudgetExceeded, UndefinedRatio, UnknownFunctional)
-from netfunc.experiments import (SWEEP_FIELDS, RatioDimensionPoint, _pearson, _tree_wiener,
-                                 bound_audit, evaluate_sweep_record, extremal_search,
-                                 growth_sweep, ratio_dimension_sweep)
+from netfunc.experiments import (SWEEP_FIELDS, Histogram, RatioDimensionPoint, _pearson,
+                                 _tree_wiener, bound_audit, evaluate_sweep_record,
+                                 extremal_search, growth_sweep, ratio_dimension_sweep)
 from netfunc.generators import (ModelSpec, build_model, complete, cycle, erdos_renyi, path,
                                 star, watts_strogatz, wheel)
 from netfunc.graph import all_pairs_distances, from_edge_list, induced_subgraph, is_connected
@@ -52,6 +52,20 @@ def test_extremal_order_three_distribution():
     res = rep.results["char_length"]
     assert res.min_value == 1 and res.max_value == Fraction(4, 3)
     assert res.histogram.counts == (1, 3)  # one triangle, three labeled paths
+
+
+def test_histogram_edges_are_the_ones_np_histogram_bins_with():
+    gen = random.Random(11)
+    for _ in range(500):
+        lo = gen.uniform(-1e3, 1e3)
+        hi = lo + gen.choice((gen.uniform(1e-9, 1.0), gen.uniform(1.0, 1e4)))
+        bins = gen.randint(1, 200)
+        edges = np.histogram([], bins=bins, range=(lo, hi))[1]
+        assert Histogram((0,) * bins, lo, hi).bin_edges() == edges.tolist()
+    for res in extremal_search(6).results.values():
+        hist = res.histogram
+        edges = np.histogram([], bins=len(hist.counts), range=(hist.lo, hist.hi))[1]
+        assert hist.bin_edges() == edges.tolist()
 
 
 def test_extremal_witnesses_reproduce_values():

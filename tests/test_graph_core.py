@@ -1,14 +1,21 @@
 """Graph construction, metric primitives and clique counting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from netfunc import graph
 from netfunc.errors import (CliqueBudgetExceeded, InvalidParam, LoopEdge, ParseError,
                             VertexOutOfRange)
 from netfunc.generators import complete, cycle, erdos_renyi, path, star, wheel
+from netfunc.experiments import bound_audit
 from netfunc.graph import (UNREACHABLE, Graph, _bfs_parents, all_pairs_distances, ball,
-                           connected_components, from_edge_list, induced_subgraph,
-                           read_edge_list, sphere, write_edge_list)
+                           connected_components, distance_levels, from_edge_list,
+                           induced_subgraph, is_connected, read_edge_list, sphere,
+                           vertex_set, write_edge_list)
+from netfunc.report import compute_report
+from netfunc.spectral import laplacian_spectrum
 from netfunc.topology import simplex_counts
 
 from conftest import (INF, bfs_distances, brute_simplex_counts, flood_fill_components,
@@ -145,6 +152,32 @@ def test_induced_subgraph():
     assert induced_subgraph(cycle(6), set()).graph.n == 0
 
 
+@pytest.mark.parametrize("vertices, error", [
+    ([0, -1], VertexOutOfRange), ([0, 4], VertexOutOfRange), ([0, 9], VertexOutOfRange),
+    ([0, 0, 1], InvalidParam), ([1, 1], InvalidParam), ([0, 1.0], InvalidParam),
+    (["0"], InvalidParam), ([None], InvalidParam)])
+def test_vertex_sets_refuse_bad_ids(vertices, error):
+    with pytest.raises(error):
+        vertex_set(path(4), vertices)
+    with pytest.raises(error):
+        induced_subgraph(path(4), vertices)
+
+
+def test_vertex_set_sorts_and_takes_numpy_ids():
+    assert vertex_set(path(4), np.array([3, 0, 2])) == (0, 2, 3)
+    assert induced_subgraph(path(4), np.array([3, 2])).vertices == (2, 3)
+    assert vertex_set(path(4), ()) == ()
+
+
+@pytest.mark.parametrize("x, error", [(-1, VertexOutOfRange), (4, VertexOutOfRange),
+                                      (1.0, InvalidParam), (None, InvalidParam)])
+def test_sphere_and_ball_refuse_bad_ids(x, error):
+    with pytest.raises(error):
+        sphere(path(4), x)
+    with pytest.raises(error):
+        ball(path(4), x)
+
+
 def test_simplex_counts_examples(octahedron):
     assert simplex_counts(complete(4)) == (4, 6, 4, 1)
     assert simplex_counts(cycle(5)) == (5, 5)
@@ -168,10 +201,45 @@ def test_simplex_budget():
 
 
 def test_connected_components():
-    assert connected_components(complete(5)) == [list(range(5))]
+    assert connected_components(complete(5)) == (tuple(range(5)),)
     two = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert connected_components(two) == [[0, 1, 2], [3, 4, 5]]
-    assert connected_components(from_edge_list(3, [])) == [[0], [1], [2]]
+    assert connected_components(two) == ((0, 1, 2), (3, 4, 5))
+    assert connected_components(from_edge_list(3, [])) == ((0,), (1,), (2,))
+    assert connected_components(two) is connected_components(two)  # cached
+    assert connected_components(from_edge_list(0, [])) == ()
+    assert is_connected(from_edge_list(0, []))
+    assert is_connected(from_edge_list(1, []))
+    assert not is_connected(from_edge_list(2, []))
+    assert is_connected(from_edge_list(2, [(0, 1)]))
+
+
+def test_graph_pickles_with_its_cached_values():
+    g = cycle(6)
+    levels, comps, spec = distance_levels(g), connected_components(g), laplacian_spectrum(g)
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and hash(h) == hash(g)
+    assert (distance_levels(h), connected_components(h), laplacian_spectrum(h)) == \
+        (levels, comps, spec)
+
+
+@pytest.mark.parametrize("p, seed, components", [(0.05, 2, 1), (0.02, 0, 3)])
+def test_one_partition_serves_every_connectivity_guard(monkeypatch, p, seed, components):
+    # ER(200, 0.05) seed 2 is connected, ER(200, 0.02) seed 0 has three
+    # components: the report and the audit each run one BFS per component
+    calls = []
+    bfs = graph._bfs_parents
+
+    def counting(adj, source):
+        calls.append(adj)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(graph, "_bfs_parents", counting)
+    for run in (compute_report, bound_audit):
+        g = erdos_renyi(200, p, seed)
+        calls.clear()
+        run(g)
+        assert len(connected_components(g)) == components
+        assert sum(adj is g.adj for adj in calls) == components
 
 
 @pytest.mark.parametrize("n", range(7))

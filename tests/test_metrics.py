@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from netfunc.errors import Disconnected, TooSmall, UndefinedRatio
+from netfunc.errors import (Disconnected, InvalidParam, TooSmall, UndefinedRatio,
+                            VertexOutOfRange)
 from netfunc.generators import (complete, complete_bipartite, cycle, erdos_renyi,
                                 path, star, wheel)
 from netfunc.graph import from_edge_list, induced_subgraph
@@ -24,6 +25,8 @@ def test_characteristic_length_closed_forms():
     assert characteristic_length(cycle(4)) == Fraction(4, 3)
     assert characteristic_length(path(6)) == Fraction(7, 3)
     assert characteristic_length(complete_bipartite(2, 3)) == Fraction(7, 5)
+    assert all(type(characteristic_length(g)) is Fraction
+               for g in (complete(7), path(1), from_edge_list(3, [(0, 1)])))
 
 
 def test_characteristic_length_disconnected_component_mean():
@@ -51,6 +54,14 @@ def test_relative_characteristic_length():
         relative_characteristic_length(complete(4), {1})
     with pytest.raises(Disconnected):
         relative_characteristic_length(from_edge_list(4, [(0, 1), (2, 3)]), {0, 2})
+
+
+@pytest.mark.parametrize("subset, error", [
+    ([1, 1], InvalidParam), ([0, 0, 3], InvalidParam), ([0, 1.0], InvalidParam),
+    ([0, 7], VertexOutOfRange), ([0, -1], VertexOutOfRange)])
+def test_relative_characteristic_length_refuses_bad_ids(subset, error):
+    with pytest.raises(error):
+        relative_characteristic_length(path(4), subset)
 
 
 def test_relative_length_never_exceeds_induced_length():
