@@ -41,6 +41,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidParam, RadiusTooLarge, UndefinedRatio
+from .generators import _well_typed
 
 BLOCK = 1 << 16
 _STEP = 1 << 12  # samples per slice: a slice's temporaries stay in cache
@@ -185,7 +186,7 @@ def _finish(total, total_sq, samples, transform=lambda mean: mean):
 def mc_characteristic_length(space, samples, seed, workers=1):
     """Mean distance between two independent uniform points, with its
     standard error."""
-    if samples < 2:
+    if not _well_typed("samples", samples) or samples < 2:
         raise InvalidParam("need at least 2 samples")
     total, total_sq = _run_blocks(_length_block, space, samples, seed, workers)
     return _finish(total, total_sq, samples)
@@ -194,7 +195,7 @@ def mc_characteristic_length(space, samples, seed, workers=1):
 def mc_mean_cluster(space, radius, samples, seed, workers=1):
     """Estimate of 2 - E[d(a, b)] / radius for two uniform points a, b on the
     metric sphere of the given radius around a uniform center."""
-    if samples < 2:
+    if not _well_typed("samples", samples) or samples < 2:
         raise InvalidParam("need at least 2 samples")
     if not radius > 0:
         raise InvalidParam(f"radius must be > 0, got {radius}")

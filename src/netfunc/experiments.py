@@ -49,7 +49,7 @@ from .combinatorial import (ARBORICITY_CAP, CHROMATIC_CAP, INDEPENDENCE_CAP, arb
                             chromatic_number, independence_number)
 from .errors import (InvalidParam, RecursionBudgetExceeded, SizeCapExceeded,
                      UnknownFunctional)
-from .generators import MODELS, ModelSpec, build_model
+from .generators import MODELS, ModelSpec, _well_typed, build_model
 from .graph import (_bfs_parents, all_pairs_distances, distance_levels, from_edge_list,
                     is_connected, neighbor_arrays)
 from .metrics import characteristic_length, wiener_index
@@ -429,9 +429,9 @@ def extremal_search(n, functionals=EXTREMAL_FUNCTIONALS, workers=1, bins=64):
         raise UnknownFunctional(", ".join(sorted(unknown)))
     if not functionals:
         raise InvalidParam("an extremal scan needs at least one functional")
-    if not 1 <= n <= MAX_EXTREMAL_N:
+    if not _well_typed("n", n) or not 1 <= n <= MAX_EXTREMAL_N:
         raise InvalidParam(f"extremal scan supports 1 <= n <= {MAX_EXTREMAL_N}")
-    if not 1 <= bins <= MAX_BINS:
+    if not _well_typed("bins", bins) or not 1 <= bins <= MAX_BINS:
         raise InvalidParam(f"extremal histograms need 1 <= bins <= {MAX_BINS}")
     reps, sizes = _orbits(n - 1)
     step = -(-CHUNK_SIZE >> (n - 1))  # whole representatives, 2^(n-1) cells each
@@ -497,7 +497,7 @@ def evaluate_sweep_record(spec):
 
 def growth_sweep(kind, params, n_list, seeds_per_n, seed=0, workers=1):
     """SweepRecords for each (n, replicate) of a model family."""
-    if seeds_per_n < 1:
+    if not _well_typed("seeds_per_n", seeds_per_n) or seeds_per_n < 1:
         raise InvalidParam(f"a sweep needs at least one seed per n, got {seeds_per_n}")
     if min(n_list, default=0) < 0:  # a negative n would reach derive_seed's path first
         raise InvalidParam(f"a sweep needs vertex counts n >= 0, got {min(n_list)}")
@@ -527,6 +527,9 @@ def ratio_dimension_sweep(n, p_grid, samples_per_p, seed):
     """Per-p means of the cluster-length ratio and the inductive dimension over
     the reports of G(n, p) draws seeded derive_seed(seed, ip, s), plus the
     Pearson correlation of the paired means."""
+    if not _well_typed("samples_per_p", samples_per_p) or samples_per_p < 1:
+        raise InvalidParam(f"a ratio-dimension sweep needs at least one sample per p, "
+                           f"got {samples_per_p}")
     points = []
     for ip, p in enumerate(p_grid):
         dims, ratios = [], []

@@ -4,6 +4,13 @@ Everything derived from hop distances is computed as an exact Fraction, so
 identities and bounds downstream are equality checks rather than tolerance
 checks.  Only the similarity magnitude and the cluster-length ratio are
 floating point.
+
+Each local quantity is computed once per graph, by one function, and kept on
+the graph by `graph.per_graph`: `_cluster_coefficients` holds C(x) and
+`_distance_totals` the total distance from each vertex.  Every other function
+reads these tables.  μ (`characteristic_length`) and ν (`mean_cluster`) are
+cached too, so the cluster-length ratio reads them.  The public per-vertex
+functions check the vertex id with `graph.vertex_set` before reading a table.
 """
 
 import math
@@ -15,11 +22,36 @@ import numpy as np
 
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
 from .graph import (_ball_walk, all_pairs_distances, connected_components,
-                    distance_levels, is_connected, vertex_set)
+                    distance_levels, is_connected, per_graph, vertex_set)
 
 
+@per_graph
+def _distance_totals(g):
+    """totals[x] = sum of the hop distances from x to the vertices it reaches; cached."""
+    return tuple(sum(k * c for k, c in enumerate(counts)) for counts in distance_levels(g))
+
+
+@per_graph
+def _cluster_coefficients(g):
+    """C(x) for every vertex x: the fraction of realized edges among the
+    neighbor pairs of x, 0 at degree <= 1; cached."""
+    adj_sets = g.adj_sets
+    values = []
+    for neighbors in g.adj:
+        d = len(neighbors)
+        e = 0
+        for i, u in enumerate(neighbors):
+            au = adj_sets[u]
+            for v in neighbors[i + 1:]:
+                if v in au:
+                    e += 1
+        values.append(Fraction(2 * e, d * (d - 1)) if d > 1 else Fraction(0))
+    return tuple(values)
+
+
+@per_graph
 def characteristic_length(g):
-    """Mean hop distance over ordered pairs of distinct vertices.
+    """Mean hop distance over ordered pairs of distinct vertices; cached.
 
     A disconnected graph gets the unweighted mean of its per-component values;
     single-vertex components contribute 0.
@@ -27,34 +59,19 @@ def characteristic_length(g):
     comps = connected_components(g)
     if not comps:
         return Fraction(0)
-    return sum(_component_length(g, comp) for comp in comps) / len(comps)
-
-
-def _component_length(g, comp):
-    k = len(comp)
-    if k < 2:
-        return Fraction(0)
-    levels = distance_levels(g)
-    return Fraction(sum(_distance_total(levels[x]) for x in comp), k * (k - 1))
-
-
-def _distance_total(counts):
-    """Total distance from a vertex, given its level counts."""
-    return sum(k * c for k, c in enumerate(counts))
-
-
-def _reaching_total(g, x):
-    """Total distance from x; raises Disconnected unless x reaches every vertex."""
-    if not is_connected(g):
-        raise Disconnected("vertex cannot reach the whole graph")
-    return _distance_total(distance_levels(g)[x])
+    totals = _distance_totals(g)
+    return sum((Fraction(sum(totals[x] for x in comp), len(comp) * (len(comp) - 1))
+                for comp in comps if len(comp) > 1), Fraction(0)) / len(comps)
 
 
 def local_mean_distance(g, x):
     """Mean distance from x to every other vertex (connected graphs, n >= 2)."""
+    (x,) = vertex_set(g, (x,))
     if g.n < 2:
         raise TooSmall("need at least two vertices")
-    return Fraction(_reaching_total(g, x), g.n - 1)
+    if not is_connected(g):
+        raise Disconnected("vertex cannot reach the whole graph")
+    return Fraction(_distance_totals(g)[x], g.n - 1)
 
 
 def relative_characteristic_length(g, subset):
@@ -95,24 +112,14 @@ def local_length(g, x):
 
 def local_cluster(g, x):
     """Fraction of realized edges among the neighbor pairs of x (0 if degree <= 1)."""
-    neighbors = g.adj[x]
-    d = len(neighbors)
-    if d <= 1:
-        return Fraction(0)
-    e = 0
-    for i, u in enumerate(neighbors):
-        au = g.adj_sets[u]
-        for v in neighbors[i + 1:]:
-            if v in au:
-                e += 1
-    return Fraction(2 * e, d * (d - 1))
+    (x,) = vertex_set(g, (x,))
+    return _cluster_coefficients(g)[x]
 
 
+@per_graph
 def mean_cluster(g):
-    """Vertex average of the local cluster coefficient."""
-    if g.n == 0:
-        return Fraction(0)
-    return sum(local_cluster(g, x) for x in range(g.n)) / g.n
+    """Vertex average of the local cluster coefficient; cached."""
+    return sum(_cluster_coefficients(g)) / g.n if g.n else Fraction(0)
 
 
 def cluster_length_ratio(g):
@@ -129,31 +136,27 @@ def wiener_index(g):
     """Total distance over ordered pairs (n(n-1) times the mean length)."""
     if not is_connected(g):
         raise Disconnected("wiener index needs a connected graph")
-    return sum(_distance_total(counts) for counts in distance_levels(g))
+    return sum(_distance_totals(g))
 
 
 def distance_variance(g):
     """Spread max_x d(x) - min_x d(x) of the per-vertex total distances."""
     if not is_connected(g):
         raise Disconnected("distance variance needs a connected graph")
-    if g.n == 0:
-        return 0
-    totals = [_distance_total(counts) for counts in distance_levels(g)]
-    return max(totals) - min(totals)
+    totals = _distance_totals(g)
+    return max(totals) - min(totals) if totals else 0
 
 
 def closeness_centrality(g, x):
-    """Reciprocal of the total distance from x."""
-    if g.n < 2:
-        raise TooSmall("need at least two vertices")
-    return Fraction(1, _reaching_total(g, x))
+    """Reciprocal of the total distance from x, (n - 1) times its mean distance."""
+    return 1 / ((g.n - 1) * local_mean_distance(g, x))
 
 
 def mean_centrality(g):
     """Vertex average of closeness centrality."""
     if g.n < 2 or not is_connected(g):
         raise Disconnected("mean centrality needs a connected graph on >= 2 vertices")
-    return sum(closeness_centrality(g, x) for x in range(g.n)) / g.n
+    return sum(Fraction(1, t) for t in _distance_totals(g)) / g.n
 
 
 def magnitude(g):
@@ -193,21 +196,21 @@ class VertexProfile:
 
 def local_profile(g):
     """One VertexProfile per vertex; distance fields are None on disconnected graphs."""
-    from .topology import vertex_curvature, vertex_dimensions
+    from .topology import curvature_summary, vertex_dimensions
 
     connected = is_connected(g) and g.n >= 2
+    clusters = _cluster_coefficients(g)
+    totals = _distance_totals(g)
+    curvatures = curvature_summary(g).curvatures
     dimensions = vertex_dimensions(g)
-    records = []
-    for x in range(g.n):
-        records.append(VertexProfile(
-            vertex=x,
-            degree=g.degree(x),
-            cluster=local_cluster(g, x),
-            length=local_length(g, x),
-            low_degree=g.degree(x) <= 1,
-            mean_distance=local_mean_distance(g, x) if connected else None,
-            centrality=closeness_centrality(g, x) if connected else None,
-            curvature=vertex_curvature(g, x),
-            dimension=dimensions[x],
-        ))
-    return tuple(records)
+    return tuple(VertexProfile(
+        vertex=x,
+        degree=g.degree(x),
+        cluster=clusters[x],
+        length=2 - clusters[x],
+        low_degree=g.degree(x) <= 1,
+        mean_distance=Fraction(totals[x], g.n - 1) if connected else None,
+        centrality=Fraction(1, totals[x]) if connected else None,
+        curvature=curvatures[x],
+        dimension=dimensions[x],
+    ) for x in range(g.n))

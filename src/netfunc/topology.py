@@ -15,6 +15,12 @@ when their value is not integral.  The cap keeps every int within
 log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.
 Both walks keep their frames on an explicit stack, so neither is bounded by
 the interpreter's recursion limit.
+
+`curvature_summary` is cached per graph (`graph.per_graph`) and is the one
+place that reads d2(x), the number of vertices at distance 2, from the level
+counts.  `second_sphere_size`, `vertex_curvature` and `length_estimate` read
+its tables and means.  The per-vertex functions check the vertex id with
+`graph.vertex_set` first.
 """
 
 import math
@@ -23,8 +29,10 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
-from .errors import CliqueBudgetExceeded, EstimatorUndefined, RecursionBudgetExceeded
-from .graph import adjacency_masks, distance_levels
+from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
+                     RecursionBudgetExceeded)
+from .generators import _well_typed
+from .graph import adjacency_masks, distance_levels, per_graph, vertex_set
 
 # -- clique counts and the Euler characteristic --------------------------------
 
@@ -100,6 +108,7 @@ def inductive_dimension(g, budget=DIMENSION_BUDGET):
 
 def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
     """1 + dimension of the unit sphere at x."""
+    (x,) = vertex_set(g, (x,))
     return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
 
 
@@ -236,8 +245,8 @@ def expected_dimension_polynomial(n):
     Built from the recursion d_{m+1} = 1 + sum_k C(m,k) p^k (1-p)^(m-k) d_k
     with d_0 = -1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not _well_typed("n", n) or n < 0:
+        raise InvalidParam(f"n must be a nonnegative integer, got {n!r}")
     one = Polynomial.of(1)
     p = Polynomial.of(0, 1)
     q = Polynomial.of(1, -1)  # 1 - p
@@ -258,9 +267,10 @@ def expected_dimension_polynomial(n):
 
 # -- curvature ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureSummary:
-    """Degree/second-neighborhood averages and the curvature action."""
+    """Degree/second-neighborhood averages and the curvature action; frozen,
+    since `curvature_summary` keeps one on the graph for every caller."""
 
     mean_degree: float                 # average sphere-1 size
     mean_second: float                 # average sphere-2 size
@@ -268,39 +278,41 @@ class CurvatureSummary:
     action: Optional[float]            # mean of s(x) over admissible vertices
     curvatures: tuple                  # per-vertex s(x) = log(d2(x)/d1(x)), None if inadmissible
     excluded: int                      # vertices skipped (degree 0 or no distance-2 vertices)
+    second_spheres: tuple              # per-vertex d2(x), the vertices at distance 2
 
 
 def second_sphere_size(g, x):
     """Number of vertices at hop distance exactly 2 from x."""
-    counts = distance_levels(g)[x]
-    return counts[2] if len(counts) > 2 else 0
+    (x,) = vertex_set(g, (x,))
+    return curvature_summary(g).second_spheres[x]
 
 
 def vertex_curvature(g, x):
     """s(x) = log(d2(x)/d1(x)); None when either sphere is empty."""
-    d1 = g.degree(x)
-    d2 = second_sphere_size(g, x)
-    if d1 == 0 or d2 == 0:
-        return None
-    return math.log(d2 / d1)
+    (x,) = vertex_set(g, (x,))
+    return curvature_summary(g).curvatures[x]
 
 
+@per_graph
 def curvature_summary(g):
-    """Averages of degree, second-sphere size, edge density and curvature.
+    """Averages of degree, second-sphere size, edge density and curvature; cached.
 
     Vertices with an empty sphere of radius 1 or 2 carry no curvature; they
     are excluded from the action and counted in `excluded`.
     """
     n = g.n
-    curvatures = tuple(vertex_curvature(g, x) for x in range(n))
+    seconds = tuple(counts[2] if len(counts) > 2 else 0 for counts in distance_levels(g))
+    curvatures = tuple(math.log(d2 / len(neighbors)) if neighbors and d2 else None
+                       for neighbors, d2 in zip(g.adj, seconds))
     admissible = [s for s in curvatures if s is not None]
     return CurvatureSummary(
         mean_degree=2 * g.m / n if n else 0.0,
-        mean_second=sum(second_sphere_size(g, x) for x in range(n)) / n if n else 0.0,
+        mean_second=sum(seconds) / n if n else 0.0,
         edge_density=Fraction(2 * g.m, n * (n - 1)) if n >= 2 else Fraction(0),
         action=sum(admissible) / len(admissible) if admissible else None,
         curvatures=curvatures,
         excluded=n - len(admissible),
+        second_spheres=seconds,
     )
 
 
@@ -310,8 +322,8 @@ def length_estimate(g):
     n = g.n
     if n == 0:
         raise EstimatorUndefined("empty")
-    d1 = 2 * g.m / n
-    d2 = sum(second_sphere_size(g, x) for x in range(n)) / n
+    summary = curvature_summary(g)
+    d1, d2 = summary.mean_degree, summary.mean_second
     if d1 == 0:
         raise EstimatorUndefined("zero_degree")
     if d2 == 0:

@@ -123,6 +123,32 @@ def iter_connected_graphs(n):
             yield g
 
 
+def iter_graph_classes(n, seed=0):
+    """(graph, orbit size) for each isomorphism class of graphs on n vertices,
+    n <= 7: the least-mask representative of experiments._orbits(n) under a
+    seeded random relabelling, since the bitmask walks and the vertex-order
+    sums depend on labels and the least-mask labelling is one special order.
+    The orbit sizes add up to the labeled count, 2^C(n, 2)."""
+    reps, sizes = experiments._orbits(n)
+    pairs = all_pairs(n)
+    gen = generator(seed, n)
+    for mask, size in zip(reps.tolist(), sizes.tolist()):
+        perm = gen.permutation(n).tolist()
+        edges = [(perm[u], perm[v]) for i, (u, v) in enumerate(pairs) if mask >> i & 1]
+        yield from_edge_list(n, edges), size
+
+
+def iter_connected_graph_classes(n, seed=0):
+    """iter_graph_classes(n, seed) restricted to the connected classes."""
+    for g, size in iter_graph_classes(n, seed):
+        if is_connected_slow(g):
+            yield g, size
+
+
+# connected labeled graphs on n vertices (OEIS A001187)
+CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256}
+
+
 def brute_simplex_counts(g):
     """Clique counts by testing every vertex subset."""
     counts = []

@@ -18,7 +18,8 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
                              wiener_index)
 from netfunc.topology import curvature_summary, length_estimate, second_sphere_size
 
-from conftest import INF, bfs_distances, floyd_warshall, iter_graphs, relabelled_graphs
+from conftest import (INF, bfs_distances, floyd_warshall, iter_graph_classes, iter_graphs,
+                      relabelled_graphs)
 
 
 def test_levels_small_cases():
@@ -39,16 +40,28 @@ def test_levels_match_floyd_warshall_exhaustive(n):
             assert levels[x] == tuple(finite.count(k) for k in range(max(finite) + 1))
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_local_length_matches_ball_distances_exhaustive(n):
+def assert_local_length_is_ball_length(g):
     # the definition: mean distance between the neighbors of x inside its ball
+    for x in range(g.n):
+        if g.degree(x) >= 2:
+            sub = ball(g, x)
+            sphere_ids = [i for i, v in enumerate(sub.vertices) if v != x]
+            assert local_length(g, x) == relative_characteristic_length(sub.graph, sphere_ids)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_local_length_matches_ball_distances_exhaustive(n):
     for g in iter_graphs(n):
-        for x in range(n):
-            if g.degree(x) >= 2:
-                sub = ball(g, x)
-                sphere_ids = [i for i, v in enumerate(sub.vertices) if v != x]
-                assert local_length(g, x) == relative_characteristic_length(sub.graph,
-                                                                            sphere_ids)
+        assert_local_length_is_ball_length(g)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_local_length_matches_ball_distances_over_classes(n):
+    sizes = 0
+    for g, size in iter_graph_classes(n):
+        assert_local_length_is_ball_length(g)
+        sizes += size
+    assert sizes == 2 ** (n * (n - 1) // 2)
 
 
 # -- the per-source formulas the level layer replaced, on the BFS oracle --------

@@ -7,11 +7,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from conftest import (bareiss_determinant, exact_curvature_action, full_scan_extremal,
+from conftest import (CONNECTED_LABELED, bareiss_determinant, exact_curvature_action,
+                      full_scan_extremal, iter_connected_graph_classes,
                       per_root_tree_wieners, reduced_laplacian, row_mask_extremal,
                       row_mask_scan)
 
 from netfunc import experiments, rng
+from netfunc.continuum import Torus2, mc_characteristic_length, mc_mean_cluster
 from netfunc.errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                             RecursionBudgetExceeded, UndefinedRatio, UnknownFunctional)
 from netfunc.experiments import (SWEEP_FIELDS, Histogram, RatioDimensionPoint, _pearson,
@@ -24,16 +26,15 @@ from netfunc.metrics import (characteristic_length, cluster_length_ratio, mean_c
                              wiener_index)
 from netfunc.report import FUNCTIONALS, Caps, compute_report
 from netfunc.spectral import laplacian_matrix, spectral_complexity
-from netfunc.topology import (curvature_summary, euler_characteristic, inductive_dimension,
+from netfunc.topology import (curvature_summary, euler_characteristic,
+                              expected_dimension_polynomial, inductive_dimension,
                               length_estimate)
-
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_connected_counts_match_known_sequence(n):
     rep = extremal_search(n, functionals=("char_length",))
-    assert rep.connected_count == CONNECTED_COUNTS[n]
+    assert rep.connected_count == CONNECTED_LABELED[n]
 
 
 def test_extremal_small_order_values():
@@ -403,6 +404,26 @@ def test_growth_sweep_missing_parameter_fails_before_fan_out(monkeypatch):
         growth_sweep("watts_strogatz", {"k": 4}, [10], 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ratio_dimension_sweep(8, [0.5], 0, seed=0),
+    lambda: ratio_dimension_sweep(8, [0.5], 2.0, seed=0),
+    lambda: extremal_search(2.5),
+    lambda: extremal_search(True),
+    lambda: extremal_search(4, bins=2.5),
+    lambda: growth_sweep("erdos_renyi", {"p": 0.5}, [5], 1.5),
+    lambda: growth_sweep("erdos_renyi", {"p": 0.5}, [5], True),
+    lambda: mc_characteristic_length(Torus2(), 100000.0, 0),
+    lambda: mc_mean_cluster(Torus2(), 0.01, 100000.0, 0),
+    lambda: expected_dimension_polynomial(-1),
+    lambda: expected_dimension_polynomial(3.0),
+], ids=["no-samples", "float-samples", "float-n", "bool-n", "float-bins", "float-seeds",
+        "bool-seeds", "float-length-samples", "float-cluster-samples", "negative-order",
+        "float-order"])
+def test_drivers_refuse_bad_counts(call):
+    with pytest.raises(InvalidParam):
+        call()
+
+
 def test_growth_sweep_rejects_a_kind_without_n():
     with pytest.raises(InvalidParam, match="complete_bipartite takes no --n"):
         growth_sweep("complete_bipartite", {"a": 2, "b": 3}, [5, 9], 1)
@@ -612,13 +633,17 @@ def test_bound_audit_disconnected_skips():
     assert all(c.holds is None for c in checks)
 
 
-def test_bound_audit_exhaustive_order_six():
-    # zero violations on every connected graph with 6 vertices (spanning-tree
-    # comparisons sampled here; exhausted for <= 5 in the acceptance suite)
-    from conftest import iter_connected_graphs
-    for g in iter_connected_graphs(6):
+@pytest.mark.parametrize("n", [6, 7])
+def test_bound_audit_over_classes(n):
+    # zero violations on every connected graph with 6 or 7 vertices, one per
+    # isomorphism class (spanning-tree comparisons sampled here; exhausted for
+    # <= 5 in the acceptance suite)
+    sizes = 0
+    for g, size in iter_connected_graph_classes(n):
         for c in bound_audit(g, tree_enumeration_limit=0):
             assert c.holds is not False, (sorted(g.edges()), c.name)
+        sizes += size
+    assert sizes == CONNECTED_LABELED[n]
 
 
 def test_bound_audit_random_er():

@@ -1,22 +1,29 @@
 """Distance functionals: lengths, clustering, centrality, magnitude."""
 
+import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from netfunc import metrics, topology
 from netfunc.errors import (Disconnected, InvalidParam, TooSmall, UndefinedRatio,
                             VertexOutOfRange)
+from netfunc.experiments import SWEEP_FUNCTIONALS
 from netfunc.generators import (complete, complete_bipartite, cycle, erdos_renyi,
-                                path, star, wheel)
-from netfunc.graph import from_edge_list, induced_subgraph
+                                path, star, watts_strogatz, wheel)
+from netfunc.graph import from_edge_list, induced_subgraph, per_graph
 from netfunc.metrics import (characteristic_length, closeness_centrality,
                              cluster_length_ratio, distance_variance, local_cluster,
                              local_length, local_mean_distance, local_profile,
                              magnitude, mean_centrality, mean_cluster,
                              relative_characteristic_length, wiener_index)
+from netfunc.report import compute_report
+from netfunc.topology import second_sphere_size, vertex_curvature, vertex_dimension
 
-from conftest import iter_connected_graphs
+from conftest import CONNECTED_LABELED, iter_connected_graph_classes, iter_connected_graphs
 
 
 def test_characteristic_length_closed_forms():
@@ -184,32 +191,42 @@ def test_magnitude_singular_z_is_undefined(monkeypatch):
     assert entry.status == "undefined"
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_length_bounds_exhaustive(n):
+def check_length_bounds(n, weighted_graphs):
     """1 <= mu <= (n+1)/3, density lower bound, diameter and independence
-    upper bounds, all as exact comparisons on every connected graph."""
-    from math import factorial
-
+    upper bounds, all as exact comparisons on every connected graph, given
+    as (graph, how many labeled graphs it stands for)."""
     from netfunc.combinatorial import independence_number
     from netfunc.graph import all_pairs_distances
 
     top = Fraction(n + 1, 3)
-    min_achievers = max_achievers = 0
-    for g in iter_connected_graphs(n):
+    graphs = min_achievers = max_achievers = 0
+    for g, weight in weighted_graphs:
+        graphs += weight
         mu = characteristic_length(g)
         assert 1 <= mu <= top
         assert mu >= 2 - Fraction(2 * g.m, n * (n - 1))
         assert mu <= all_pairs_distances(g).max()
         assert mu <= independence_number(g)
         if mu == 1:
-            min_achievers += 1
+            min_achievers += weight
             assert g.m == n * (n - 1) // 2  # complete
         if mu == top:
-            max_achievers += 1
+            max_achievers += weight
             degrees = sorted(g.degree(x) for x in range(n))
             assert g.m == n - 1 and degrees[-1] <= 2  # a path
+    assert graphs == CONNECTED_LABELED[n]
     assert min_achievers == 1
-    assert max_achievers == (1 if n == 2 else factorial(n) // 2)
+    assert max_achievers == (1 if n == 2 else math.factorial(n) // 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_length_bounds_exhaustive(n):
+    check_length_bounds(n, ((g, 1) for g in iter_connected_graphs(n)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_length_bounds_over_classes(n):
+    check_length_bounds(n, iter_connected_graph_classes(n))
 
 
 def test_local_profile():
@@ -228,3 +245,56 @@ def test_local_profile():
     rec = local_profile(from_edge_list(4, [(0, 1), (2, 3)]))[0]
     assert rec.mean_distance is None and rec.centrality is None
     assert rec.length == 2 and rec.low_degree
+
+
+PER_VERTEX = [local_cluster, local_length, local_mean_distance, closeness_centrality,
+              second_sphere_size, vertex_curvature, vertex_dimension]
+
+
+@pytest.mark.parametrize("fn", PER_VERTEX, ids=lambda fn: fn.__name__)
+def test_per_vertex_functions_check_the_id(fn):
+    g = wheel(6)
+    for bad in (-1, g.n):
+        with pytest.raises(VertexOutOfRange):
+            fn(g, bad)
+    for bad in (1.0, "0"):
+        with pytest.raises(InvalidParam):
+            fn(g, bad)
+    assert fn(g, np.int64(1)) == fn(g, 1)
+
+
+def test_per_vertex_id_is_checked_before_the_size():
+    g = from_edge_list(1, [])
+    with pytest.raises(TooSmall, match="need at least two vertices"):
+        local_mean_distance(g, 0)
+    with pytest.raises(VertexOutOfRange):
+        local_mean_distance(g, 1)
+
+
+# the cached per-graph values of metrics and topology, by module and name
+CACHED = [(metrics, "_cluster_coefficients"), (metrics, "_distance_totals"),
+          (metrics, "characteristic_length"), (metrics, "mean_cluster"),
+          (topology, "curvature_summary")]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts, by name, how often each cached value in CACHED is computed."""
+    counts = Counter()
+    for module, name in CACHED:
+        compute = getattr(module, name).__wrapped__
+
+        @functools.wraps(compute)  # the same name, so the same cache key
+        def counted(g, compute=compute, name=name):
+            counts[name] += 1
+            return compute(g)
+        monkeypatch.setattr(module, name, per_graph(counted))
+    return counts
+
+
+def test_each_local_table_is_built_once_per_graph(builds):
+    compute_report(watts_strogatz(500, 6, 0.1, seed=1), SWEEP_FUNCTIONALS)
+    assert builds == {name: 1 for _, name in CACHED}
+    builds.clear()
+    compute_report(watts_strogatz(60, 6, 0.1, seed=1), include_profile=True)
+    assert builds == {name: 1 for _, name in CACHED}
