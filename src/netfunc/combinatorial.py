@@ -227,7 +227,7 @@ def _partition_into_forests(n, edges, k):
 
 def scale_measure(g):
     """Total degree-product edge weight divided by the largest single weight."""
-    weights = [g.degree(u) * g.degree(v) for u, v in g.edges()]
+    weights = [len(g.adj[u]) * len(g.adj[v]) for u, v in g.edges()]
     if not weights:
         raise NoEdges("scale measure needs at least one edge")
     return Fraction(sum(weights), max(weights))

@@ -2,8 +2,8 @@
 
 Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
 (deterministic iteration) plus frozensets (O(1) membership), and on demand as
-Python-int bitmasks (`adjacency_masks`), on which `topology` walks the clique
-complex.  Hop distances come from one bit-parallel walk that grows every
+Python-int bitmasks (`adjacency_masks`), on which `topology` runs its subset
+recursion.  Hop distances come from one bit-parallel walk that grows every
 vertex's ball a hop per round, read through two views: `distance_levels`
 (cached level counts) and `all_pairs_distances` (the full numpy matrix);
 `metrics` sums distances inside a vertex subset straight from the walk.
@@ -70,9 +70,11 @@ class Graph:
                     raise InvalidParam(f"{v} is a neighbor of {u} but not {u} of {v}")
 
     def degree(self, x):
+        (x,) = vertex_set(self, (x,))
         return len(self.adj[x])
 
     def has_edge(self, u, v):
+        (u,), (v,) = vertex_set(self, (u,)), vertex_set(self, (v,))
         return v in self.adj_sets[u]
 
     def edges(self):

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import Disconnected, SingularZ, TooSmall, UndefinedRatio
 from .graph import (_ball_walk, all_pairs_distances, connected_components,
                     distance_levels, is_connected, per_graph, vertex_set)
+from .topology import DIMENSION_BUDGET, curvature_summary, vertex_dimensions
 
 
 @per_graph
@@ -194,21 +195,20 @@ class VertexProfile:
     dimension: Fraction                    # 1 + dimension of the unit sphere
 
 
-def local_profile(g):
-    """One VertexProfile per vertex; distance fields are None on disconnected graphs."""
-    from .topology import curvature_summary, vertex_dimensions
-
+def local_profile(g, dimension_budget=DIMENSION_BUDGET):
+    """One VertexProfile per vertex; distance fields are None on disconnected graphs.
+    Each vertex's dimension is charged to `dimension_budget` (`vertex_dimensions`)."""
     connected = is_connected(g) and g.n >= 2
     clusters = _cluster_coefficients(g)
     totals = _distance_totals(g)
     curvatures = curvature_summary(g).curvatures
-    dimensions = vertex_dimensions(g)
+    dimensions = vertex_dimensions(g, dimension_budget)
     return tuple(VertexProfile(
         vertex=x,
-        degree=g.degree(x),
+        degree=len(g.adj[x]),
         cluster=clusters[x],
         length=2 - clusters[x],
-        low_degree=g.degree(x) <= 1,
+        low_degree=len(g.adj[x]) <= 1,
         mean_distance=Fraction(totals[x], g.n - 1) if connected else None,
         centrality=Fraction(1, totals[x]) if connected else None,
         curvature=curvatures[x],

@@ -197,7 +197,7 @@ def compute_report(g, names=None, caps=None, include_profile=False):
             entry = ReportEntry(kind, "undefined", reason=_reason(exc))
         entry.seconds = time.perf_counter() - started
         entries[name] = entry
-    profile = metrics.local_profile(g) if include_profile else None
+    profile = metrics.local_profile(g, caps.dimension_budget) if include_profile else None
     return FunctionalReport(n=g.n, m=g.m, components=len(connected_components(g)),
                             entries=entries, profile=profile)
 

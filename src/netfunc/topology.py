@@ -1,20 +1,32 @@
 """The clique complex (clique counts, Euler characteristic, inductive
 dimension), curvature and the mean-field length estimator.
 
-Both clique walks run on the bitmask adjacency of `graph.adjacency_masks`: a
-vertex subset is a Python int, and the sphere of v inside subset S is
-masks[v] & S.  `simplex_counts` grows cliques by ordered extension, and χ is
-their alternating sum.  The dimension of every subset reached is memoized on
-its bitmask as one number, scale·dim(S), with scale = min(Δ, 64)! for the
-maximum degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S)
-divides |S|!, and every subset below the root lies inside a sphere, so
-|S| <= Δ: whenever |S| <= 64 the scaled value is an int, and each subset
-costs one add per child and one divmod by |S|.  Only the root and, when
-Δ > 64, subsets of more than 64 vertices fall back to a Fraction, and only
-when their value is not integral.  The cap keeps every int within
-log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.
-Both walks keep their frames on an explicit stack, so neither is bounded by
-the interpreter's recursion limit.
+The clique complex is one memoized subset recursion, `_memoized`, on the
+bitmask adjacency of `graph.adjacency_masks`: a vertex subset is a Python
+int, value(S) = close(S, Σ_{v∈S} value(masks[v] & S)) is kept per bitmask,
+frames live on an explicit stack (so the interpreter's recursion limit does
+not bound it), and a budget caps the distinct subsets one call evaluates.
+
+The dimension runs it on the adjacency masks, where masks[v] & S is the sphere
+of v in S, and stores scale·dim(S) with scale = min(Δ, 64)! for the maximum
+degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S) divides
+|S|!, and every subset below the root lies inside a sphere, so |S| <= Δ:
+whenever |S| <= 64 the scaled value is an int, and each subset costs one add
+per child and one divmod by |S|.  Only the root and, when Δ > 64, subsets of
+more than 64 vertices fall back to a Fraction, and only when their value is
+not integral.  The cap keeps every int within log2(64!) + log2(n) bits (about
+300), where scale = Δ! would grow with Δ.
+
+The clique counts run it on the lower masks masks[v] & ((1 << v) − 1), where
+masks[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
+over a clique of N(v) ∩ S_{<v}, so the clique polynomial F_S(t) = Σ_j c_j t^j
+(c_j the cliques of j vertices) obeys F_S = 1 + t·Σ_{v∈S} F_{N(v)∩S_{<v}},
+with F_∅ = 1 and each single vertex seeded as 1 + t.  F is packed into one int
+at t = 2^B, B = Δ + n.bit_length() + 1, so a child costs one add.  B is
+enough: a subset below the root lies in a lower neighbourhood, of at most Δ
+vertices, so c_j <= C(Δ, j) <= 2^Δ; a root coefficient sums at most n of
+those, so is at most n·2^Δ < 2^B; a partial sum of children is digitwise at
+most the full one, so no digit carries.  F's base-2^B digits are the counts.
 
 `curvature_summary` is cached per graph (`graph.per_graph`) and is the one
 place that reads d2(x), the number of vertices at distance 2, from the level
@@ -34,9 +46,48 @@ from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
 from .generators import _well_typed
 from .graph import adjacency_masks, distance_levels, per_graph, vertex_set
 
+# -- the subset recursion -----------------------------------------------------
+
+def _memoized(subset, masks, values, close, budget, exceeded, unit):
+    """value(subset), where value(S) = close(S, Σ_{v∈S} value(masks[v] & S)).
+
+    `values` holds the caller's seeds (the empty set among them) and every
+    subset evaluated so far; evaluating more than `budget` subsets not yet in
+    it raises `exceeded`."""
+    known = values.get
+    # A frame is [subset, its vertices not yet visited, the sum of its
+    # children's values so far].
+    stack = [] if subset in values else [[subset, subset, 0]]
+    spent = len(stack)
+    while stack:
+        if spent > budget:
+            raise exceeded(f"more than {budget} {unit} subproblems")
+        frame = stack[-1]
+        s, rest, acc = frame
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            child = masks[low.bit_length() - 1] & s
+            value = known(child)
+            if value is None:
+                break
+            acc += value
+        else:
+            value = values[s] = close(s, acc)
+            stack.pop()
+            if stack:
+                stack[-1][2] += value
+            continue
+        frame[1] = rest
+        frame[2] = acc
+        spent += 1
+        stack.append([child, child, 0])
+    return values[subset]
+
+
 # -- clique counts and the Euler characteristic --------------------------------
 
-CLIQUE_BUDGET = 100_000_000  # default cap on the cliques one simplex_counts call visits
+CLIQUE_BUDGET = 4_000_000  # distinct subsets one simplex_counts call may evaluate
 
 
 class SimplexCounts(tuple):
@@ -50,39 +101,17 @@ class SimplexCounts(tuple):
 
 
 def simplex_counts(g, budget=CLIQUE_BUDGET):
-    """Count complete subgraphs of every size.
-
-    Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
-    Comput. 14, 1985): a clique (v_0 < ... < v_k) is only grown by common
-    neighbors larger than v_k, so each clique is visited exactly once.  The
-    walk keeps (candidate bitmask, size) frames on an explicit stack.  A frame
-    stands for one clique per candidate bit, all counted at once; a candidate
-    v with common neighbors above it pushes the frame of the clique's
-    extensions through v.  Frames pushed together are popped largest v first,
-    so the frames waiting on the stack extend cliques that end at distinct
-    vertices: there are at most n of them, however deep the walk goes.
-    Raises CliqueBudgetExceeded past `budget` visited cliques.
-    """
+    """Count complete subgraphs of every size: the digits of the packed clique
+    polynomial (see the module docstring).  Raises CliqueBudgetExceeded past
+    `budget` distinct subsets of two or more vertices."""
     masks = adjacency_masks(g)
-    counts = []
-    seen = 0
-    stack = [((1 << g.n) - 1, 0)] if g.n else []
-    while stack:
-        cand, size = stack.pop()
-        found = cand.bit_count()
-        seen += found
-        if seen > budget:
-            raise CliqueBudgetExceeded(f"more than {budget} cliques")
-        if size == len(counts):
-            counts.append(0)
-        counts[size] += found
-        while cand:
-            low = cand & -cand
-            cand ^= low  # what is left of cand lies above the vertex of low
-            grown = cand & masks[low.bit_length() - 1]
-            if grown:
-                stack.append((grown, size + 1))
-    return SimplexCounts(counts)
+    width = max(map(int.bit_count, masks), default=0) + g.n.bit_length() + 1
+    lower = [mask & ((1 << v) - 1) for v, mask in enumerate(masks)]
+    values = dict.fromkeys((1 << v for v in range(g.n)), 1 + (1 << width)) | {0: 1}
+    packed = _memoized((1 << g.n) - 1, lower, values, lambda s, acc: 1 + (acc << width),
+                       budget, CliqueBudgetExceeded, "clique")
+    digit = (1 << width) - 1
+    return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
 
 
 def euler_characteristic(g, budget=CLIQUE_BUDGET):
@@ -112,14 +141,14 @@ def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
     return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
 
 
-def vertex_dimensions(g):
-    """vertex_dimension(g, x) for every vertex x, from one shared memo.
+def vertex_dimensions(g, budget=DIMENSION_BUDGET):
+    """vertex_dimension(g, x, budget) for every vertex x, from one shared memo.
 
     The budget is charged per vertex, on the subsets that vertex's call adds
     to the memo: never more than its separate call would evaluate, so every
     vertex that fits alone still fits, and one that does not still raises.
     """
-    memo = _DimensionMemo(g, DIMENSION_BUDGET)
+    memo = _DimensionMemo(g, budget)
     return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
 
 
@@ -142,46 +171,14 @@ class _DimensionMemo:
 
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
-        masks, values, scale = self.masks, self.values, self.scale
-        known = values.get
-        self.spent = 0
-        # A frame is [subset, its vertices not yet visited, the sum of its
-        # children's values so far].
-        stack = []
-        if subset not in values:
-            self._spend()
-            stack.append([subset, subset, 0])
-        while stack:
-            frame = stack[-1]
-            s, rest, acc = frame
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                child = masks[low.bit_length() - 1] & s
-                value = known(child)
-                if value is None:
-                    break
-                acc += value
-            else:
-                # every child is known: scale·dim = scale + acc / |s|
-                size = s.bit_count()
-                q, r = divmod(acc, size)
-                value = values[s] = scale + (Fraction(acc, size) if r else q)
-                stack.pop()
-                if stack:
-                    stack[-1][2] += value
-                continue
-            frame[1] = rest
-            frame[2] = acc
-            self._spend()
-            stack.append([child, child, 0])
-        return Fraction(values[subset]) / scale
+        value = _memoized(subset, self.masks, self.values, self._close, self.budget,
+                          RecursionBudgetExceeded, "dimension")
+        return Fraction(value) / self.scale
 
-    def _spend(self):
-        self.spent += 1
-        if self.spent > self.budget:
-            raise RecursionBudgetExceeded(
-                f"more than {self.budget} dimension subproblems")
+    def _close(self, s, acc):  # scale·dim(S) = scale + acc / |S|
+        size = s.bit_count()
+        q, r = divmod(acc, size)
+        return self.scale + (Fraction(acc, size) if r else q)
 
 
 # -- expected dimension on G(n, p) --------------------------------------------

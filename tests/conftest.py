@@ -33,7 +33,7 @@ INF = float("inf")
 
 def floyd_warshall(g):
     n = g.n
-    dist = [[0 if i == j else (1 if g.has_edge(i, j) else INF) for j in range(n)]
+    dist = [[0 if i == j else (1 if j in g.adj_sets[i] else INF) for j in range(n)]
             for i in range(n)]
     for k in range(n):
         for i in range(n):
@@ -155,12 +155,53 @@ def brute_simplex_counts(g):
     for size in range(1, g.n + 1):
         c = 0
         for subset in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(v in g.adj_sets[u] for u, v in combinations(subset, 2)):
                 c += 1
         if c == 0:
             break
         counts.append(c)
     return counts
+
+
+def walk_simplex_counts(g):
+    """Clique counts by walking every clique once: the reference for the
+    packed subset recursion of `topology.simplex_counts`.
+
+    Cliques are enumerated by ordered extension (Chiba-Nishizeki, SIAM J.
+    Comput. 14, 1985): a clique (v_0 < ... < v_k) is only grown by common
+    neighbors larger than v_k.  The walk keeps (candidate bitmask, size)
+    frames on an explicit stack; a frame stands for one clique per candidate
+    bit, all counted at once, and a candidate v with common neighbors above
+    it pushes the frame of the clique's extensions through v.
+    """
+    masks = adjacency_masks(g)
+    counts = []
+    stack = [((1 << g.n) - 1, 0)] if g.n else []
+    while stack:
+        cand, size = stack.pop()
+        if size == len(counts):
+            counts.append(0)
+        counts[size] += cand.bit_count()
+        while cand:
+            low = cand & -cand
+            cand ^= low  # what is left of cand lies above the vertex of low
+            grown = cand & masks[low.bit_length() - 1]
+            if grown:
+                stack.append((grown, size + 1))
+    return tuple(counts)
+
+
+def clique_subproblems(g):
+    """Distinct vertex subsets of two or more vertices that the clique-count
+    recursion evaluates: the children of S are N(v) ∩ S_{<v} for v in S."""
+    seen = set()
+    todo = [frozenset(range(g.n))]
+    while todo:
+        subset = todo.pop()
+        if len(subset) > 1 and subset not in seen:
+            seen.add(subset)
+            todo.extend(frozenset(u for u in g.adj_sets[v] & subset if u < v) for v in subset)
+    return len(seen)
 
 
 def brute_inductive_dimension(g):
@@ -232,7 +273,7 @@ def brute_independence_number(g):
     best = 0
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(v not in g.adj_sets[u] for u, v in combinations(subset, 2)):
                 return size
     return best
 
@@ -347,7 +388,7 @@ def laplacian_by_loop(g):
     """L = D - A, one entry at a time from the adjacency lists."""
     lap = np.zeros((g.n, g.n), dtype=np.int64)
     for u in range(g.n):
-        lap[u, u] = g.degree(u)
+        lap[u, u] = len(g.adj[u])
         for v in g.adj[u]:
             lap[u, v] = -1
     return lap
@@ -369,7 +410,7 @@ def per_root_tree_wieners(g):
 
 def reduced_laplacian(g):
     """The Laplacian of g with row and column 0 deleted, as integer lists."""
-    return [[len(g.adj_sets[i]) if i == j else -int(g.has_edge(i, j)) for j in range(1, g.n)]
+    return [[len(g.adj_sets[i]) if i == j else -int(j in g.adj_sets[i]) for j in range(1, g.n)]
             for i in range(1, g.n)]
 
 

@@ -1,10 +1,10 @@
-"""The bitmask clique walks: inductive dimension and clique counts against the
-recursive oracles, their budgets, relabelling invariance, large cliques, and
-the discrete Gauss-Bonnet theorem as an independent check of the Euler
-characteristic."""
+"""The bitmask subset recursion: inductive dimension and clique counts against
+the recursive oracles and the clique walk, their budgets, relabelling
+invariance, large cliques, and the discrete Gauss-Bonnet theorem as an
+independent check of the Euler characteristic."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,9 @@ from netfunc.topology import (DIMENSION_BUDGET, _DimensionMemo, euler_characteri
                               vertex_dimensions)
 
 from conftest import (PairDimensionMemo, brute_inductive_dimension, brute_simplex_counts,
-                      iter_graphs, pair_inductive_dimension, pair_vertex_dimensions,
-                      relabelled_graphs)
+                      clique_subproblems, iter_graph_classes, iter_graphs,
+                      pair_inductive_dimension, pair_vertex_dimensions, relabelled_graphs,
+                      walk_simplex_counts)
 
 
 def alternating_sum(counts):
@@ -34,13 +35,26 @@ def test_adjacency_masks():
     assert adjacency_masks(g) is adjacency_masks(g)
 
 
-@pytest.mark.parametrize("n", range(7))
+def assert_clique_layer_matches_oracles(g):
+    assert inductive_dimension(g) == brute_inductive_dimension(g) == \
+        pair_inductive_dimension(g)
+    assert vertex_dimensions(g) == pair_vertex_dimensions(g)
+    counts = brute_simplex_counts(g)
+    assert list(simplex_counts(g)) == counts
+    assert euler_characteristic(g) == alternating_sum(counts)
+
+
+@pytest.mark.parametrize("n", range(8))
 def test_dimension_and_euler_match_oracles_exhaustive(n):
-    for g in iter_graphs(n):
-        assert inductive_dimension(g) == brute_inductive_dimension(g) == \
-            pair_inductive_dimension(g)
-        assert vertex_dimensions(g) == pair_vertex_dimensions(g)
-        assert euler_characteristic(g) == alternating_sum(brute_simplex_counts(g))
+    # every labelling up to n = 5, one seeded labelling per isomorphism class up to 7
+    if n <= 5:
+        for g in iter_graphs(n):
+            assert_clique_layer_matches_oracles(g)
+    sizes = 0
+    for g, size in iter_graph_classes(n):
+        assert_clique_layer_matches_oracles(g)
+        sizes += size
+    assert sizes == 2 ** (n * (n - 1) // 2)
 
 
 def test_dimension_and_euler_match_on_dense_sweep_draws():
@@ -55,6 +69,36 @@ def test_dimension_and_euler_match_on_dense_sweep_draws():
             h.add_nodes_from(range(g.n))
             chi = sum((-1) ** (len(c) - 1) for c in nx.enumerate_all_cliques(h))
             assert euler_characteristic(g) == chi
+
+
+# -- the clique counts against the clique walk and closed forms -------------------
+
+def test_simplex_counts_match_the_clique_walk_on_dense_draws():
+    # the dense sweep draws above, and one larger draw
+    graphs = [build_model(ModelSpec("erdos_renyi", {"p": 0.5, "n": n},
+                                    seed=rng.derive_seed(7, n, s)))
+              for n in (40, 60, 80) for s in range(4)]
+    for g in graphs + [erdos_renyi(120, 0.5, 1)]:
+        assert simplex_counts(g) == walk_simplex_counts(g)
+
+
+def test_simplex_counts_of_complete_graphs():
+    for n in range(1, 61):
+        assert simplex_counts(complete(n)) == tuple(comb(n, k + 1) for k in range(n))
+    # 100 disjoint copies of K8: the root's digits (up to 7000) pass 2^(Δ+1) = 256,
+    # so they need the n.bit_length() bits of the packing width
+    edges = [(8 * c + u, 8 * c + v) for c in range(100) for u in range(8) for v in range(u)]
+    assert simplex_counts(from_edge_list(800, edges)) == tuple(100 * comb(8, k + 1)
+                                                              for k in range(8))
+
+
+def test_simplex_counts_of_a_dense_draw_past_the_walk():
+    # ER(40, 0.9), seed 3: the clique walk printed these counts in about a minute
+    counts = simplex_counts(erdos_renyi(40, 0.9, 3))
+    assert counts == (40, 713, 7548, 53346, 268164, 997020, 2813462, 6133101, 10453254,
+                      14039445, 14922165, 12563147, 8356065, 4361027, 1764749, 543585,
+                      124028, 20138, 2185, 141, 4)
+    assert alternating_sum(counts) == 1
 
 
 def test_vertex_dimensions_share_one_memo():
@@ -168,18 +212,19 @@ def test_budgets_count_distinct_subsets_and_cliques(g):
     assert inductive_dimension(g, budget=spent) == brute_inductive_dimension(g)
     with pytest.raises(RecursionBudgetExceeded, match=f"more than {spent - 1} dimension"):
         inductive_dimension(g, budget=spent - 1)
-    cliques = sum(simplex_counts(g).counts)
-    assert list(simplex_counts(g, budget=cliques)) == brute_simplex_counts(g)
-    with pytest.raises(CliqueBudgetExceeded, match=f"more than {cliques - 1} cliques"):
-        simplex_counts(g, budget=cliques - 1)
+    spent = clique_subproblems(g)
+    assert list(simplex_counts(g, budget=spent)) == brute_simplex_counts(g)
+    with pytest.raises(CliqueBudgetExceeded, match=f"more than {spent - 1} clique subproblems"):
+        simplex_counts(g, budget=spent - 1)
 
 
 def test_large_clique_is_skipped_with_budget_reasons():
+    # K1100's clique recursion evaluates only the 1099 prefixes {0..k}, k >= 1
     caps = Caps(clique_budget=10**5, dimension_budget=10**4)
     report = compute_report(complete(1100), ["dimension", "euler_char"], caps=caps)
     dim, chi = report.entries["dimension"], report.entries["euler_char"]
     assert dim.status == "skipped" and "more than 10000 dimension subproblems" in dim.reason
-    assert chi.status == "skipped" and "more than 100000 cliques" in chi.reason
+    assert chi.status == "ok" and chi.value == 1
 
 
 def test_shared_memo_charges_the_budget_per_vertex():
@@ -187,6 +232,19 @@ def test_shared_memo_charges_the_budget_per_vertex():
     # the default budget; sharing the memo must not lift that limit
     with pytest.raises(RecursionBudgetExceeded, match="more than 1000000 dimension"):
         local_profile(complete(30))
+
+
+def test_profile_charges_the_report_dimension_budget():
+    # the sphere of a vertex of K8 is K7, with 127 nonempty subsets; K8 has 255
+    with pytest.raises(RecursionBudgetExceeded, match="more than 5 dimension subproblems"):
+        compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=5),
+                       include_profile=True)
+    report = compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=127),
+                            include_profile=True)
+    assert report.entries["dimension"].status == "skipped"
+    assert [r.dimension for r in report.profile] == [7] * 8
+    with pytest.raises(RecursionBudgetExceeded, match="more than 126 dimension subproblems"):
+        local_profile(complete(8), dimension_budget=126)
 
 
 # -- relabelling ------------------------------------------------------------------

@@ -536,7 +536,7 @@ def test_sweep_budget_skips_carry_the_report_reason(monkeypatch):
     # the hand-wired guard flagged these as bare type names
     assert rec.flags["dimension"] == \
         "RecursionBudgetExceeded: more than 2 dimension subproblems"
-    assert rec.flags["euler_char"] == "CliqueBudgetExceeded: more than 5 cliques"
+    assert rec.flags["euler_char"] == "CliqueBudgetExceeded: more than 5 clique subproblems"
     assert rec.char_length == 1.0
     with pytest.raises(RecursionBudgetExceeded, match="more than 2 dimension subproblems"):
         ratio_dimension_sweep(8, [0.9], 2, seed=0)

@@ -18,8 +18,9 @@ from netfunc.report import compute_report
 from netfunc.spectral import laplacian_spectrum
 from netfunc.topology import simplex_counts
 
-from conftest import (INF, bfs_distances, brute_simplex_counts, flood_fill_components,
-                      floyd_warshall, graph_from_mask, iter_graphs)
+from conftest import (INF, bfs_distances, brute_simplex_counts, clique_subproblems,
+                      flood_fill_components, floyd_warshall, graph_from_mask, iter_graphs,
+                      walk_simplex_counts)
 
 
 def test_from_edge_list_triangle():
@@ -178,6 +179,23 @@ def test_sphere_and_ball_refuse_bad_ids(x, error):
         ball(path(4), x)
 
 
+@pytest.mark.parametrize("g", [path(4), star(4)], ids=["path4", "star4"])
+def test_degree_and_has_edge_refuse_bad_ids(g):
+    for bad in (-1, g.n):
+        with pytest.raises(VertexOutOfRange):
+            g.degree(bad)
+        with pytest.raises(VertexOutOfRange):
+            g.has_edge(bad, 0)
+        with pytest.raises(VertexOutOfRange):
+            g.has_edge(0, bad)
+    with pytest.raises(InvalidParam):
+        g.degree(1.0)
+    with pytest.raises(InvalidParam):
+        g.has_edge(0, "1")
+    assert g.degree(np.int64(1)) == g.degree(1) == len(g.adj[1])
+    assert g.has_edge(np.int64(1), 0) and not g.has_edge(0, 0)
+
+
 def test_simplex_counts_examples(octahedron):
     assert simplex_counts(complete(4)) == (4, 6, 4, 1)
     assert simplex_counts(cycle(5)) == (5, 5)
@@ -196,8 +214,15 @@ def test_simplex_counts_match_brute_force(mask):
 
 
 def test_simplex_budget():
-    with pytest.raises(CliqueBudgetExceeded):
-        simplex_counts(complete(10), budget=100)
+    # K10 needs only its 9 prefixes {0..k}, k >= 1; this draw needs more than 100 subsets
+    g = erdos_renyi(30, 0.5, 2)
+    spent = clique_subproblems(g)
+    assert spent > 100
+    assert simplex_counts(g, budget=spent) == walk_simplex_counts(g)
+    with pytest.raises(CliqueBudgetExceeded, match=f"more than {spent - 1} clique subproblems"):
+        simplex_counts(g, budget=spent - 1)
+    with pytest.raises(CliqueBudgetExceeded, match="more than 100 clique subproblems"):
+        simplex_counts(g, budget=100)
 
 
 def test_connected_components():
