@@ -10,11 +10,9 @@ import csv
 import io
 import json
 import os
+import re
 import sys
-from fractions import Fraction
 
-from . import continuum as continuum_mod
-from . import experiments, report
 from .errors import InvalidParam, NetfuncError, ParseError, UnknownFunctional
 from .generators import MODEL_ALIASES, MODELS, ModelSpec, build_model, parse_generator
 from .graph import open_text, read_edge_list, write_edge_list
@@ -67,6 +65,7 @@ def _write(args, doc, to_csv=None, skipped=False):
 
 
 def _caps(args):
+    from . import report
     n = args.max_exact_n
     return report.Caps() if n is None else report.Caps.with_max_exact_n(n)
 
@@ -114,6 +113,8 @@ def _names(text, every, flag):
 
 
 def _render(value):
+    from fractions import Fraction
+    from . import report
     if isinstance(value, Fraction):
         return report.render_value(value, "rational")
     return value if value is None or isinstance(value, (int, float, str)) else str(value)
@@ -129,10 +130,10 @@ def _rows_csv(rows):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_analyze(args):
-    names = _names(args.functionals, report.FUNCTIONALS, "--functionals")
+    from .report import FUNCTIONALS, compute_report
+    names = _names(args.functionals, FUNCTIONALS, "--functionals")
     graph = read_edge_list(args.input)
-    rep = report.compute_report(graph, names=names, caps=_caps(args),
-                                include_profile=args.profile)
+    rep = compute_report(graph, names=names, caps=_caps(args), include_profile=args.profile)
     skipped = any(e.status == "skipped" for e in rep.entries.values())
     return _write(args, rep.to_json_dict(), rep.to_csv, skipped)
 
@@ -152,6 +153,7 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
+    from . import experiments
     spec = _model_spec(args, n=0)  # validates the flags; n comes from the list
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
@@ -160,20 +162,16 @@ def cmd_sweep(args):
     params = {k: v for k, v in spec.params.items() if k != "n"}
     records = experiments.growth_sweep(spec.kind, params, n_list, args.seeds,
                                        seed=args.seed, workers=args.workers)
-    rows = [_record_dict(r) for r in records]
+    rows = [{**{name: getattr(r, name) for name in experiments.SWEEP_FIELDS},
+             **{f"{name}_flag": r.flags.get(name) for name in experiments.SWEEP_FUNCTIONALS}}
+            for r in records]
     return _write(args, rows, lambda: _rows_csv(rows))
 
 
-def _record_dict(rec):
-    out = {name: getattr(rec, name) for name in experiments.SWEEP_FIELDS}
-    out.update((f"{name}_flag", rec.flags.get(name)) for name in experiments.SWEEP_FUNCTIONALS)
-    return out
-
-
 def cmd_extremal(args):
-    wants = _names(args.functional, experiments.EXTREMAL_FUNCTIONALS, "--functional")
-    rep = experiments.extremal_search(args.n, functionals=wants,
-                                      workers=args.workers, bins=args.bins)
+    from .experiments import EXTREMAL_FUNCTIONALS, extremal_search
+    wants = _names(args.functional, EXTREMAL_FUNCTIONALS, "--functional")
+    rep = extremal_search(args.n, functionals=wants, workers=args.workers, bins=args.bins)
     return _write(args, _extremal_dict(rep), lambda: _extremal_csv(rep))
 
 
@@ -216,7 +214,8 @@ def _extremal_csv(rep):
 
 
 def cmd_continuum(args):
-    space_cls = continuum_mod.SPACES[args.space]  # argparse choices reject other names
+    from .continuum import SPACES, continuum_ratio, mc_characteristic_length, mc_mean_cluster
+    space_cls = SPACES[args.space]  # argparse choices reject other names
     if args.space != "sphere_area1":
         space = space_cls(1.0 if args.side is None else args.side)
     elif args.side is None:
@@ -227,20 +226,18 @@ def cmd_continuum(args):
     if args.quantity == "length":
         if args.radius is not None:
             raise InvalidParam("--quantity length takes no --radius")
-        est = continuum_mod.mc_characteristic_length(space, args.samples, args.seed,
-                                                     workers=args.workers)
+        est = mc_characteristic_length(space, args.samples, args.seed, workers=args.workers)
     elif args.quantity == "cluster":
-        est = continuum_mod.mc_mean_cluster(space, radius, args.samples,
-                                            args.seed, workers=args.workers)
+        est = mc_mean_cluster(space, radius, args.samples, args.seed, workers=args.workers)
     else:
-        value = continuum_mod.continuum_ratio(space, radius, args.samples,
-                                               args.seed, workers=args.workers)
+        value = continuum_ratio(space, radius, args.samples, args.seed, workers=args.workers)
         return _write(args, {"estimate": value, "samples": args.samples})
     return _write(args, {"estimate": est.estimate, "std_error": est.std_error,
                          "samples": est.samples})
 
 
 def cmd_audit(args):
+    from . import experiments
     graph = read_edge_list(args.input)
     caps = _caps(args)
     checks = experiments.bound_audit(graph, independence_cap=caps.independence,
@@ -251,11 +248,29 @@ def cmd_audit(args):
     return _write(args, rows, lambda: _rows_csv(rows), any(c.holds is None for c in checks))
 
 
+class _Names:
+    """The names in a netfunc module's table, read only when iterated, not at parser build."""
+
+    def __init__(self, module, table, order=list):
+        self.module, self.table, self.order = module, table, order
+
+    def __iter__(self):
+        module = __import__(f"{__package__}.{self.module}", fromlist=[self.table])
+        return iter(self.order(getattr(module, self.table)))
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Lists the names of each "{module.TABLE}" in a help string when help is printed."""
+
+    def _get_help_string(self, action):
+        return re.sub(r"\{(\w+)\.(\w+)\}", lambda m: ", ".join(_Names(*m.groups())), action.help)
+
+
 class _Parser(argparse.ArgumentParser):
     """Full flag names only; a usage error is an InvalidParam, so it exits 1."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
+        super().__init__(allow_abbrev=False, formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message):
         raise InvalidParam(message)
@@ -268,7 +283,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="evaluate functionals on an edge-list file")
     p.add_argument("input")
     p.add_argument("--functionals", default="all",
-                   help="comma list (default all): " + ", ".join(report.FUNCTIONALS))
+                   help="comma list (default all): {report.FUNCTIONALS}")
     p.add_argument("--profile", action="store_true", help="include per-vertex records")
     _shared_flags(p, fmt=True, strict=True)
     p.set_defaults(run=cmd_analyze)
@@ -289,13 +304,14 @@ def build_parser():
     p = sub.add_parser("extremal", help="scan all connected graphs on n <= 8 vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--functional", default="all",
-                   help="comma list of " + ", ".join(experiments.EXTREMAL_FUNCTIONALS))
+                   help="comma list of {experiments.EXTREMAL_FUNCTIONALS}")
     p.add_argument("--bins", type=int, default=64)
     _shared_flags(p, fmt=True)
     p.set_defaults(run=cmd_extremal)
 
     p = sub.add_parser("continuum", help="Monte-Carlo estimates on model spaces")
-    p.add_argument("--space", required=True, choices=sorted(continuum_mod.SPACES))
+    # choices set after add_argument, which would read them to check the metavar
+    p.add_argument("--space", required=True).choices = _Names("continuum", "SPACES", sorted)
     p.add_argument("--side", type=float, help="torus side length (default 1)")
     p.add_argument("--radius", type=float,
                    help="sphere radius for cluster and ratio (default 0.01)")

@@ -145,6 +145,16 @@ def iter_connected_graph_classes(n, seed=0):
             yield g, size
 
 
+def iter_small_graphs(n, connected=False):
+    """Every labeled graph on n <= 5 vertices, or every connected one; from
+    n = 6, where the labeled graphs number 2^15 and more, one graph per
+    isomorphism class (iter_graph_classes) instead."""
+    if n <= 5:
+        return iter_connected_graphs(n) if connected else iter_graphs(n)
+    classes = iter_connected_graph_classes(n) if connected else iter_graph_classes(n)
+    return (g for g, _ in classes)
+
+
 # connected labeled graphs on n vertices (OEIS A001187)
 CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256}
 
@@ -593,6 +603,51 @@ def iter_labeled_trees(n):
         return
     for seq in product(range(n), repeat=n - 2):
         yield from_edge_list(n, pruefer_to_edges(seq, n))
+
+
+# trees on n vertices up to isomorphism (OEIS A000055)
+FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+
+
+def tree_code(n, edges):
+    """A canonical form of the tree on 0..n-1 with these edges: the least AHU
+    code (the sorted codes of the subtrees, nested) rooted at a centre, where
+    the centres, one or two, are what stays after peeling leaves layer by layer."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degree = [len(x) for x in adj]
+    layer, left = [v for v in range(n) if degree[v] <= 1], n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for leaf in layer:
+            for u in adj[leaf]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(u, v) for u in adj[v] if u != parent)) + ")"
+    return min(code(c, -1) for c in layer)
+
+
+def iter_free_trees(n):
+    """One tree per isomorphism class on n >= 1 vertices.  Removing a leaf
+    from a tree on k + 1 vertices leaves a tree on k, so attaching a leaf to
+    every vertex of every class on k vertices reaches every class on k + 1;
+    the first edge list of each canonical form (tree_code) is kept."""
+    classes = [[]]
+    for k in range(1, n):
+        grown = {}
+        for edges in classes:
+            for v in range(k):
+                grown.setdefault(tree_code(k + 1, edges + [(v, k)]), edges + [(v, k)])
+        classes = list(grown.values())
+    for edges in classes:
+        yield from_edge_list(n, edges)
 
 
 def whole_block_points(space, gen, count):

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,37 @@ def test_analyze_huge_vertex_count_is_a_parse_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("parse error: line 1: vertex count 2000000000")
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_vertex_count_is_refused_before_allocating(tmp_path):
+    # 10^11 vertices need terabytes; the header alone must be refused at once,
+    # not after allocating up to the 2 GB address-space limit set as a safety net
+    huge = tmp_path / "huge.edges"
+    huge.write_text("n 99999999999\n")
+    limit = 2 * 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "netfunc.cli", "analyze", str(huge)],
+                            preexec_fn=cap_address_space, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 5
+    while not (done := os.wait4(proc.pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            pytest.fail("the child still ran after 5 s")
+        time.sleep(0.02)
+    _, status, usage = done
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.returncode == 2, err
+    assert err.startswith("parse error: line 1: vertex count 99999999999 does not fit")
+    assert usage.ru_maxrss < 300 * 1024  # KiB
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,3 +533,76 @@ def test_cli_import_leaves_the_process_pool_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def run_fresh(body):
+    """Run `body` in a new interpreter without OPENBLAS_NUM_THREADS set; return
+    the netfunc modules and numpy that it loaded, and the variable's value."""
+    env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = (f"import json, os, sys\n{body}\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('netfunc'))\n"
+            "print(json.dumps([loaded, os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, blas = json.loads(proc.stdout.splitlines()[-1])
+    return set(modules), blas
+
+
+def test_import_netfunc_loads_no_submodule():
+    assert run_fresh("import netfunc") == ({"netfunc"}, "1")
+
+
+PARSER_MODULES = {"netfunc", "netfunc.cli", "netfunc.errors", "netfunc.graph", "netfunc.rng",
+                  "netfunc.generators", "numpy"}
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    (CONTINUUM[:-1] + ("2",), {"netfunc.continuum"}, None),
+    (("analyze", K4), {"netfunc.report"},
+     {"netfunc.experiments", "netfunc.continuum"}),
+    (("audit", K4), {"netfunc.experiments"}, {"netfunc.continuum"}),
+    (SWEEP, {"netfunc.experiments"}, {"netfunc.continuum"}),
+    (EXTREMAL, {"netfunc.experiments"}, {"netfunc.continuum"}),
+    (GENERATE, set(), None),
+], ids=["continuum", "analyze", "audit", "sweep", "extremal", "generate"])
+def test_each_subcommand_loads_only_its_own_modules(tmp_path, argv, loaded, unloaded):
+    """A run imports the parser's modules and those of its own handler; None
+    for `unloaded` pins the set exactly."""
+    write_edge_list(complete(4), tmp_path / "k4.edges")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--output", str(tmp_path / "out")]
+    modules, _ = run_fresh(f"from netfunc.cli import main\nassert main({argv!r}) == 0")
+    assert PARSER_MODULES | loaded <= modules
+    if unloaded is None:
+        assert modules == PARSER_MODULES | loaded
+    else:
+        assert not modules & unloaded
+
+
+# the package's public names: 72 functions and classes, and 11 submodules
+PUBLIC = """Caps CurvatureSummary FlatTorus FunctionalReport Graph LaplacianSpectrum ModelSpec
+Polynomial SimplexCounts SphereArea1 Subgraph Torus2 Torus3 UNREACHABLE all_pairs_distances
+arboricity ball barabasi_albert bound_audit build_model characteristic_length chromatic_number
+closeness_centrality cluster_length_ratio combinatorial complete complete_bipartite
+compute_report connected_components continuum continuum_ratio curvature_summary cycle
+distance_levels distance_variance erdos_renyi errors euler_characteristic
+expected_dimension_polynomial experiments extremal_search forest_complexity from_edge_list
+generators graph growth_sweep independence_number induced_subgraph inductive_dimension
+is_connected laplacian_spectrum length_estimate local_cluster local_length local_mean_distance
+local_profile magnitude mc_characteristic_length mc_mean_cluster mean_centrality mean_cluster
+metrics orbital path pseudoinverse_trace_bound ratio_dimension_sweep read_edge_list
+relative_characteristic_length report rng scale_measure simplex_counts spanning_tree_count
+spectral spectral_complexity sphere star topology vertex_dimension watts_strogatz wheel
+wiener_index write_edge_list""".split()
+
+
+def test_star_import_binds_every_public_name():
+    assert netfunc.__all__ == PUBLIC and len(PUBLIC) == 83
+    body = ("from netfunc import *\nimport netfunc, types\n"
+            "assert all(n in globals() for n in netfunc.__all__)\n"
+            "assert sum(isinstance(globals()[n], types.ModuleType) "
+            "for n in netfunc.__all__) == 11\n"
+            "assert netfunc.__version__ == '0.1.0'")
+    modules, _ = run_fresh(body)
+    assert "netfunc.cli" not in modules and len(modules) == 13  # netfunc, 11 submodules, numpy

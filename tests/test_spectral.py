@@ -18,12 +18,12 @@ from netfunc.spectral import (forest_complexity, laplacian_matrix, laplacian_spe
 
 from conftest import (bareiss_determinant, brute_rooted_forest_count,
                       iter_connected_graphs, iter_graphs, iter_labeled_trees,
-                      laplacian_by_loop)
+                      iter_small_graphs, laplacian_by_loop)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_laplacian_matrix_matches_loop_exhaustive(n):
-    for g in iter_graphs(n):
+    for g in iter_small_graphs(n):  # one per isomorphism class at n = 6
         lap = laplacian_matrix(g)
         assert lap.dtype == np.int64
         assert np.array_equal(lap, laplacian_by_loop(g))
@@ -111,7 +111,8 @@ def test_spanning_tree_count_examples():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_kirchhoff_cross_check_exhaustive(n):
     # complexity / n equals the exact spanning-tree count on every connected graph
-    for g in iter_connected_graphs(n):
+    # (at n = 6, on one per isomorphism class)
+    for g in iter_small_graphs(n, connected=True):
         trees = spanning_tree_count(g)
         logxi = spectral_complexity(g).log_value
         assert math.exp(logxi) / n == pytest.approx(trees, rel=1e-6)

@@ -7,14 +7,14 @@ import pytest
 
 from netfunc.errors import EstimatorUndefined, RecursionBudgetExceeded
 from netfunc.generators import complete, cycle, erdos_renyi, path, star, wheel
-from netfunc.graph import from_edge_list
+from netfunc.graph import connected_components, from_edge_list
 from netfunc.report import encode_value
 from netfunc.rng import derive_seed, generator
 from netfunc.topology import (Polynomial, curvature_summary, euler_characteristic,
                               expected_dimension_polynomial, inductive_dimension,
                               length_estimate, vertex_dimension)
 
-from conftest import graph_from_mask, iter_labeled_trees
+from conftest import FREE_TREES, graph_from_mask, iter_free_trees, iter_labeled_trees, tree_code
 
 
 def test_euler_characteristic_examples(octahedron):
@@ -23,11 +23,30 @@ def test_euler_characteristic_examples(octahedron):
     assert euler_characteristic(octahedron) == 2
 
 
-def test_euler_characteristic_trees_and_cycles():
-    # every labeled tree on up to 8 vertices is contractible
+def test_free_trees_are_one_per_class():
+    # the canonical form splits the labeled trees into A000055's classes
+    for n in range(1, 8):
+        codes = {tree_code(n, list(t.edges())) for t in iter_labeled_trees(n)}
+        assert len(codes) == FREE_TREES[n]
     for n in range(1, 9):
+        trees = list(iter_free_trees(n))
+        assert len(trees) == FREE_TREES[n]
+        assert len({tree_code(n, list(t.edges())) for t in trees}) == FREE_TREES[n]
+        assert all(t.m == n - 1 and len(connected_components(t)) == 1 for t in trees)
+
+
+def test_euler_characteristic_trees_and_cycles():
+    # every tree is contractible: each labeled tree on up to 5 vertices, then
+    # one tree per isomorphism class on 6 to 8, also under a seeded relabelling
+    for n in range(1, 6):
         for tree in iter_labeled_trees(n):
             assert euler_characteristic(tree) == 1
+    gen = generator(26)
+    for n in range(6, 9):
+        for tree in iter_free_trees(n):
+            perm = gen.permutation(n).tolist()
+            relabeled = from_edge_list(n, [(perm[u], perm[v]) for u, v in tree.edges()])
+            assert euler_characteristic(tree) == euler_characteristic(relabeled) == 1
     for n in range(4, 13):
         assert euler_characteristic(cycle(n)) == 0
 
