@@ -4,9 +4,11 @@ Every generator is a deterministic function of its parameters and seed.
 Random models consume Philox substreams in a documented, fixed order, so a
 given (spec, seed) always reproduces the same graph.  `MODELS` names each
 model kind's builder and parameters; `ModelSpec` and `build_model` read it.
+`build_model` refuses, before building, a model too large for physical memory.
 """
 
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidParam
-from .graph import Graph, from_edge_list
+from .graph import _VERTEX_BYTES, Graph, _physical_memory, from_edge_list
 
 MODEL_ALIASES = {"er": "erdos_renyi", "ws": "watts_strogatz", "ba": "barabasi_albert",
                  "bipartite": "complete_bipartite"}
@@ -66,10 +68,38 @@ class ModelSpec:
 
 
 def build_model(spec):
-    """Build the graph a ModelSpec names; raises InvalidParam on bad input."""
+    """Build the graph a ModelSpec names; raises InvalidParam on bad input and,
+    before building, on a graph whose least footprint outweighs physical memory."""
     builder, names, seeded = MODELS[spec.kind]
     args = [spec.params[name] for name in names]
+    vertices, edges = _least_size(spec.kind, spec.params)
+    need = vertices * _VERTEX_BYTES + edges * _EDGE_BYTES
+    if need > _physical_memory():
+        raise InvalidParam(f"{spec.describe()} does not fit in memory: "
+                           f"it needs at least {need} bytes")
     return builder(*args, spec.seed) if seeded else builder(*args)
+
+
+# An edge holds at least its (u, v) tuple and that tuple's list slot (64 bytes on
+# 64-bit CPython); complete(1500), complete_bipartite(800, 800),
+# barabasi_albert(20000, 40, seed) and watts_strogatz(20000, 40, 0.1, seed)
+# peaked at 470, 280, 340 and 330 bytes per edge.
+_EDGE_BYTES = sys.getsizeof((0, 0)) + 8
+
+
+def _least_size(kind, params):
+    """(vertices, edges), neither more than the graph's; edges are counted for
+    the models whose edges outgrow their vertices by more than a constant."""
+    if kind == "complete_bipartite":
+        return params["a"] + params["b"], params["a"] * params["b"]
+    n = params["n"]
+    if kind == "complete":
+        return n, n * (n - 1) // 2
+    if kind == "barabasi_albert":
+        return n, params["m"] * (n - params["m"])
+    if kind == "watts_strogatz":
+        return n, n * params["k"] // 2
+    return n, 0
 
 
 def complete(n):

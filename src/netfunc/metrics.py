@@ -6,7 +6,8 @@ checks.  Only the similarity magnitude and the cluster-length ratio are
 floating point.
 
 Each local quantity is computed once per graph, by one function, and kept on
-the graph by `graph.per_graph`: `_cluster_coefficients` holds C(x) and
+the graph by `graph.per_graph`: `_neighbor_edges` holds the edge count among
+each vertex's neighbors, `_cluster_coefficients` C(x) from it, and
 `_distance_totals` the total distance from each vertex.  Every other function
 reads these tables.  μ (`characteristic_length`) and ν (`mean_cluster`) are
 cached too, so the cluster-length ratio reads them.  The public per-vertex
@@ -14,6 +15,7 @@ functions check the vertex id with `graph.vertex_set` before reading a table.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,21 +35,27 @@ def _distance_totals(g):
 
 
 @per_graph
-def _cluster_coefficients(g):
-    """C(x) for every vertex x: the fraction of realized edges among the
-    neighbor pairs of x, 0 at degree <= 1; cached."""
+def _neighbor_edges(g):
+    """edges[x] = the number of edges among the neighbors of x; cached."""
     adj_sets = g.adj_sets
-    values = []
+    edges = []
     for neighbors in g.adj:
-        d = len(neighbors)
         e = 0
         for i, u in enumerate(neighbors):
             au = adj_sets[u]
             for v in neighbors[i + 1:]:
                 if v in au:
                     e += 1
-        values.append(Fraction(2 * e, d * (d - 1)) if d > 1 else Fraction(0))
-    return tuple(values)
+        edges.append(e)
+    return tuple(edges)
+
+
+@per_graph
+def _cluster_coefficients(g):
+    """C(x) for every vertex x: the fraction of realized edges among the
+    neighbor pairs of x, 0 at degree <= 1; cached."""
+    return tuple(Fraction(2 * e, d * (d - 1)) if d > 1 else Fraction(0)
+                 for e, d in zip(_neighbor_edges(g), map(len, g.adj)))
 
 
 @per_graph
@@ -119,8 +127,14 @@ def local_cluster(g, x):
 
 @per_graph
 def mean_cluster(g):
-    """Vertex average of the local cluster coefficient; cached."""
-    return sum(_cluster_coefficients(g)) / g.n if g.n else Fraction(0)
+    """Vertex average of the local cluster coefficient; cached.  The neighbor
+    edge counts are summed per degree first, so one Fraction per degree."""
+    by_degree = Counter()
+    for e, neighbors in zip(_neighbor_edges(g), g.adj):
+        by_degree[len(neighbors)] += e
+    total = sum((Fraction(2 * e, d * (d - 1)) for d, e in by_degree.items() if d > 1),
+                Fraction(0))
+    return total / g.n if g.n else total
 
 
 def cluster_length_ratio(g):

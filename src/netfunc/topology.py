@@ -7,6 +7,14 @@ int, value(S) = close(S, Σ_{v∈S} value(masks[v] & S)) is kept per bitmask,
 frames live on an explicit stack (so the interpreter's recursion limit does
 not bound it), and a budget caps the distinct subsets one call evaluates.
 
+The recursion stops at four vertices.  There the degree multiset fixes the
+graph up to isomorphism, so `_SMALL_GRAPHS` keys each of the 18 graphs on 1-4
+vertices by its degree code Σ_{v∈T} 8^deg_T(v) and holds its dimension and
+clique counts.  A child of at most four vertices that misses the memo takes
+its value from there, without a frame; it counts as one evaluated subset and
+its own subsets are never evaluated.  Five vertices would not do: P5 and
+K3 + K2 share the degrees 2, 2, 2, 1, 1 but not the dimension.
+
 The dimension runs it on the adjacency masks, where masks[v] & S is the sphere
 of v in S, and stores scale·dim(S) with scale = min(Δ, 64)! for the maximum
 degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S) divides
@@ -48,12 +56,13 @@ from .graph import adjacency_masks, distance_levels, per_graph, vertex_set
 
 # -- the subset recursion -----------------------------------------------------
 
-def _memoized(subset, masks, values, close, budget, exceeded, unit):
+def _memoized(subset, masks, values, close, budget, exceeded, unit, full, leaves):
     """value(subset), where value(S) = close(S, Σ_{v∈S} value(masks[v] & S)).
 
     `values` holds the caller's seeds (the empty set among them) and every
-    subset evaluated so far; evaluating more than `budget` subsets not yet in
-    it raises `exceeded`."""
+    subset evaluated so far; a child of at most four vertices is valued from
+    `leaves` by its degree code in the masks `full`.  Evaluating more than
+    `budget` subsets not yet in `values` raises `exceeded`."""
     known = values.get
     # A frame is [subset, its vertices not yet visited, the sum of its
     # children's values so far].
@@ -70,7 +79,12 @@ def _memoized(subset, masks, values, close, budget, exceeded, unit):
             child = masks[low.bit_length() - 1] & s
             value = known(child)
             if value is None:
-                break
+                if child.bit_count() > _TABLE_SIZE:
+                    break
+                spent += 1
+                if spent > budget:
+                    raise exceeded(f"more than {budget} {unit} subproblems")
+                value = values[child] = leaves[_degree_code(child, full)]
             acc += value
         else:
             value = values[s] = close(s, acc)
@@ -83,6 +97,32 @@ def _memoized(subset, masks, values, close, budget, exceeded, unit):
         spent += 1
         stack.append([child, child, 0])
     return values[subset]
+
+
+_TABLE_SIZE = 4  # the most vertices a table-valued subset has
+# degree code -> (dimension, clique counts (c_1, ..., c_k)) of each graph on 1-4
+# vertices; in order: K1; 2K1, K2; 3K1, K2+K1, P3, K3; 4K1, K2+2K1, 2K2, P3+K1,
+# P4, K(1,3), K3+K1, C4, paw, diamond, K4
+_SMALL_GRAPHS = {
+    1: (Fraction(0), (1,)), 2: (Fraction(0), (2,)), 16: (Fraction(1), (2, 1)),
+    3: (Fraction(0), (3,)), 17: (Fraction(2, 3), (3, 1)), 80: (Fraction(1), (3, 2)),
+    192: (Fraction(2), (3, 3, 1)), 4: (Fraction(0), (4,)), 18: (Fraction(1, 2), (4, 1)),
+    32: (Fraction(1), (4, 2)), 81: (Fraction(3, 4), (4, 2)), 144: (Fraction(1), (4, 3)),
+    536: (Fraction(1), (4, 3)), 193: (Fraction(3, 2), (4, 3, 1)), 256: (Fraction(1), (4, 4)),
+    648: (Fraction(5, 3), (4, 4, 1)), 1152: (Fraction(2), (4, 5, 2)),
+    2048: (Fraction(3), (4, 6, 4, 1)),
+}
+
+
+def _degree_code(subset, masks):
+    """Σ_{v∈subset} 8^deg(v), degrees taken in the subgraph induced on `subset`."""
+    code = 0
+    rest = subset
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        code += 1 << 3 * (masks[low.bit_length() - 1] & subset).bit_count()
+    return code
 
 
 # -- clique counts and the Euler characteristic --------------------------------
@@ -108,8 +148,10 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
     width = max(map(int.bit_count, masks), default=0) + g.n.bit_length() + 1
     lower = [mask & ((1 << v) - 1) for v, mask in enumerate(masks)]
     values = dict.fromkeys((1 << v for v in range(g.n)), 1 + (1 << width)) | {0: 1}
+    leaves = {code: 1 + sum(c << k * width for k, c in enumerate(counts, 1))
+              for code, (_, counts) in _SMALL_GRAPHS.items()}
     packed = _memoized((1 << g.n) - 1, lower, values, lambda s, acc: 1 + (acc << width),
-                       budget, CliqueBudgetExceeded, "clique")
+                       budget, CliqueBudgetExceeded, "clique", masks, leaves)
     digit = (1 << width) - 1
     return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
 
@@ -167,12 +209,15 @@ class _DimensionMemo:
         degree = max(map(int.bit_count, self.masks), default=0)
         self.scale = factorial(min(degree, _SCALE_CAP))
         self.values = {0: -self.scale}  # the empty graph
+        # a child lies in a sphere, so has at most Δ vertices; those entries scale to ints
+        self.leaves = {code: int(self.scale * dim) for code, (dim, counts) in _SMALL_GRAPHS.items()
+                       if counts[0] <= degree}
         self.budget = budget
 
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
         value = _memoized(subset, self.masks, self.values, self._close, self.budget,
-                          RecursionBudgetExceeded, "dimension")
+                          RecursionBudgetExceeded, "dimension", self.masks, self.leaves)
         return Fraction(value) / self.scale
 
     def _close(self, s, acc):  # scale·dim(S) = scale + acc / |S|

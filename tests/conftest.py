@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from netfunc import experiments
+from netfunc import cli, experiments
 from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
 from netfunc.experiments import ExtremalResult, Histogram
+from netfunc.generators import ModelSpec, build_model
 from netfunc.graph import UNREACHABLE, adjacency_masks, from_edge_list
-from netfunc.rng import generator
+from netfunc.rng import derive_seed, generator
 
 INF = float("inf")
 
@@ -155,6 +156,20 @@ def iter_small_graphs(n, connected=False):
     return (g for g, _ in classes)
 
 
+# The flags of the benchmark's two sweeps; tests/golden/sweep_NAME.json holds
+# each one's output at --seed 1
+SWEEPS = {"sparse": "--model ws --k 6 --p 0.1 --n-list 250,500,1000,2000 --seeds 3",
+          "dense": "--model er --p 0.5 --n-list 40,60,80 --seeds 4"}
+
+
+def sweep_draws(name):
+    """The graphs of the SWEEPS entry `name` at --seed 1, in the sweep's order."""
+    args = cli.build_parser().parse_args(["sweep", *SWEEPS[name].split()])
+    spec = cli._model_spec(args, n=0)
+    return [build_model(ModelSpec(spec.kind, {**spec.params, "n": n}, seed=derive_seed(1, n, s)))
+            for n in map(int, args.n_list.split(",")) for s in range(args.seeds)]
+
+
 # connected labeled graphs on n vertices (OEIS A001187)
 CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256}
 
@@ -203,14 +218,19 @@ def walk_simplex_counts(g):
 
 def clique_subproblems(g):
     """Distinct vertex subsets of two or more vertices that the clique-count
-    recursion evaluates: the children of S are N(v) ∩ S_{<v} for v in S."""
+    recursion evaluates: the children of S are N(v) ∩ S_{<v} for v in S, and
+    below the root a subset of at most four vertices is read from the table,
+    so its own children are not evaluated."""
+    root = frozenset(range(g.n))
     seen = set()
-    todo = [frozenset(range(g.n))]
+    todo = [root]
     while todo:
         subset = todo.pop()
         if len(subset) > 1 and subset not in seen:
             seen.add(subset)
-            todo.extend(frozenset(u for u in g.adj_sets[v] & subset if u < v) for v in subset)
+            if subset is root or len(subset) > 4:
+                todo.extend(frozenset(u for u in g.adj_sets[v] & subset if u < v)
+                            for v in subset)
     return len(seen)
 
 

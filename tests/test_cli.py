@@ -19,6 +19,8 @@ from netfunc.generators import complete
 from netfunc.graph import write_edge_list
 from netfunc.report import REPORT_SCHEMA
 
+from conftest import SWEEPS, sweep_draws
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -87,11 +89,21 @@ def test_analyze_huge_vertex_count_is_a_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_huge_vertex_count_is_refused_before_allocating(tmp_path):
-    # 10^11 vertices need terabytes; the header alone must be refused at once,
-    # not after allocating up to the 2 GB address-space limit set as a safety net
-    huge = tmp_path / "huge.edges"
-    huge.write_text("n 99999999999\n")
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_output_is_byte_identical_to_the_golden_file(tmp_path, name):
+    # a speed-up must leave every byte of the benchmark sweeps' output as it was;
+    # the draws that other tests check are the ones these records describe
+    golden = Path(__file__).parent / "golden" / f"sweep_{name}.json"
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", *SWEEPS[name].split(), "--seed", "1", "--output", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+    records = json.loads(golden.read_text())
+    assert [(g.n, g.m) for g in sweep_draws(name)] == [(r["n"], r["m"]) for r in records]
+
+
+def run_capped(*argv):
+    """Run the CLI in a child under a 2 GB address-space limit, a safety net
+    against allocating; return (exit code, stderr, rusage), or fail past 5 s."""
     limit = 2 * 2**30
 
     def cap_address_space():
@@ -99,7 +111,7 @@ def test_huge_vertex_count_is_refused_before_allocating(tmp_path):
 
     env = {**os.environ, "PYTHONPATH": str(Path(netfunc.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.Popen([sys.executable, "-m", "netfunc.cli", "analyze", str(huge)],
+    proc = subprocess.Popen([sys.executable, "-m", "netfunc.cli", *argv],
                             preexec_fn=cap_address_space, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 5
@@ -113,8 +125,33 @@ def test_huge_vertex_count_is_refused_before_allocating(tmp_path):
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.returncode == 2, err
+    return proc.returncode, err, usage
+
+
+def test_huge_vertex_count_is_refused_before_allocating(tmp_path):
+    # 10^11 vertices need terabytes; the header alone must be refused at once,
+    # not after allocating up to the address-space limit
+    huge = tmp_path / "huge.edges"
+    huge.write_text("n 99999999999\n")
+    code, err, usage = run_capped("analyze", str(huge))
+    assert code == 2, err
     assert err.startswith("parse error: line 1: vertex count 99999999999 does not fit")
+    assert usage.ru_maxrss < 300 * 1024  # KiB
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "er", "--n", "100000000000", "--p", "0.0"),
+    ("generate", "--model", "complete", "--n", "100000"),
+    ("sweep", "--model", "er", "--p", "0.0", "--n-list", "100000000000"),
+    ("generate", "--model", "ws", "--n", "100000", "--k", "99998", "--p", "0.0"),
+], ids=["generate-er", "generate-complete", "sweep-er", "generate-ws"])
+def test_huge_model_is_refused_before_building(argv):
+    # 10^11 vertices, or the 5·10^9 edges of K_100000 or of a ring lattice as
+    # dense, are refused before the builders allocate their lists
+    code, err, usage = run_capped(*argv)
+    assert code == 1, err
+    assert err.startswith("error: --model ") and "does not fit in memory" in err
+    assert "Traceback" not in err
     assert usage.ru_maxrss < 300 * 1024  # KiB
 
 

@@ -4,6 +4,7 @@ invariance, large cliques, and the discrete Gauss-Bonnet theorem as an
 independent check of the Euler characteristic."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -15,14 +16,14 @@ from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
 from netfunc.graph import adjacency_masks, from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
-from netfunc.topology import (DIMENSION_BUDGET, _DimensionMemo, euler_characteristic,
-                              inductive_dimension, simplex_counts, vertex_dimension,
-                              vertex_dimensions)
+from netfunc.topology import (_SMALL_GRAPHS, DIMENSION_BUDGET, _degree_code, _DimensionMemo,
+                              euler_characteristic, inductive_dimension, simplex_counts,
+                              vertex_dimension, vertex_dimensions)
 
 from conftest import (PairDimensionMemo, brute_inductive_dimension, brute_simplex_counts,
                       clique_subproblems, iter_graph_classes, iter_graphs,
                       pair_inductive_dimension, pair_vertex_dimensions, relabelled_graphs,
-                      walk_simplex_counts)
+                      sweep_draws, walk_simplex_counts)
 
 
 def alternating_sum(counts):
@@ -40,7 +41,7 @@ def assert_clique_layer_matches_oracles(g):
         pair_inductive_dimension(g)
     assert vertex_dimensions(g) == pair_vertex_dimensions(g)
     counts = brute_simplex_counts(g)
-    assert list(simplex_counts(g)) == counts
+    assert list(simplex_counts(g)) == counts == list(walk_simplex_counts(g))
     assert euler_characteristic(g) == alternating_sum(counts)
 
 
@@ -57,6 +58,32 @@ def test_dimension_and_euler_match_oracles_exhaustive(n):
     assert sizes == 2 ** (n * (n - 1) // 2)
 
 
+def test_small_graph_table_values_every_graph_on_at_most_four_vertices():
+    # on at most four vertices the degree multiset fixes the isomorphism class:
+    # one code per class, one table entry per code, and each entry exact
+    classes = {}
+    for n in range(1, 5):
+        for g in iter_graphs(n):
+            canonical = min(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges())
+                            for p in permutations(range(n)))
+            code = _degree_code((1 << n) - 1, adjacency_masks(g))
+            classes.setdefault(code, set()).add((n, tuple(canonical)))
+            dimension, counts = _SMALL_GRAPHS[code]
+            assert dimension == brute_inductive_dimension(g)
+            assert list(counts) == brute_simplex_counts(g)
+    assert all(len(found) == 1 for found in classes.values())
+    assert sorted(classes) == sorted(_SMALL_GRAPHS)
+    assert len(classes) == 1 + 2 + 4 + 11
+
+
+def test_clique_layer_matches_oracles_on_sparse_sweep_draws():
+    # the graphs of the ws sweep at k = 6, p = 0.1 over n = 250..2000 with 3 seeds
+    for g in sweep_draws("sparse"):
+        assert inductive_dimension(g) == brute_inductive_dimension(g) == \
+            pair_inductive_dimension(g)
+        assert simplex_counts(g) == walk_simplex_counts(g)
+
+
 def test_dimension_and_euler_match_on_dense_sweep_draws():
     # the graphs of an er sweep at p = 0.5 over n = 40, 60, 80 with 4 seeds each
     nx = pytest.importorskip("networkx")
@@ -64,7 +91,8 @@ def test_dimension_and_euler_match_on_dense_sweep_draws():
         for s in range(4):
             g = build_model(ModelSpec("erdos_renyi", {"p": 0.5, "n": n},
                                       seed=rng.derive_seed(7, n, s)))
-            assert inductive_dimension(g) == brute_inductive_dimension(g)
+            assert inductive_dimension(g) == brute_inductive_dimension(g) == \
+                pair_inductive_dimension(g)
             h = nx.Graph(list(g.edges()))
             h.add_nodes_from(range(g.n))
             chi = sum((-1) ** (len(c) - 1) for c in nx.enumerate_all_cliques(h))
@@ -74,10 +102,11 @@ def test_dimension_and_euler_match_on_dense_sweep_draws():
 # -- the clique counts against the clique walk and closed forms -------------------
 
 def test_simplex_counts_match_the_clique_walk_on_dense_draws():
-    # the dense sweep draws above, and one larger draw
+    # the dense sweep draws above, those at the sweep's --seed 1, and one larger draw
     graphs = [build_model(ModelSpec("erdos_renyi", {"p": 0.5, "n": n},
                                     seed=rng.derive_seed(7, n, s)))
               for n in (40, 60, 80) for s in range(4)]
+    graphs += sweep_draws("dense")
     for g in graphs + [erdos_renyi(120, 0.5, 1)]:
         assert simplex_counts(g) == walk_simplex_counts(g)
 
@@ -173,6 +202,7 @@ def test_non_integral_sphere_past_the_scale_cap():
         1 + (Fraction(2, 67) + 2) / 68
     assert vertex_dimensions(g) == pair_vertex_dimensions(g)
     assert_memo_matches_pairs(g, memo)
+    assert simplex_counts(g) == walk_simplex_counts(g) == (68, 68, 1)
 
 
 @pytest.mark.parametrize("g,budget", [(complete(200), 5000), (hub_graph(), DIMENSION_BUDGET)],
@@ -193,21 +223,27 @@ def test_memo_ints_stay_within_the_capped_scale(g, budget):
 # -- budgets --------------------------------------------------------------------
 
 def dimension_subproblems(g):
-    """Distinct nonempty vertex subsets the dimension recursion evaluates."""
+    """Distinct nonempty vertex subsets the dimension recursion evaluates: the
+    root, and below it every sphere, though one of at most four vertices is
+    read from the table and not split into its own spheres."""
+    root = frozenset(range(g.n))
     seen = set()
-    todo = [frozenset(range(g.n))]
+    todo = [root]
     while todo:
         subset = todo.pop()
         if subset and subset not in seen:
             seen.add(subset)
-            todo.extend(g.adj_sets[v] & subset for v in subset)
+            if subset is root or len(subset) > 4:
+                todo.extend(g.adj_sets[v] & subset for v in subset)
     return len(seen)
 
 
 @pytest.mark.parametrize("g", [complete(6), erdos_renyi(14, 0.5, 3), erdos_renyi(20, 0.3, 4),
-                               from_edge_list(3, [])],
-                         ids=["K6", "er14", "er20", "empty3"])
+                               from_edge_list(3, []), complete(5)],
+                         ids=["K6", "er14", "er20", "empty3", "K5"])
 def test_budgets_count_distinct_subsets_and_cliques(g):
+    # below the root of K5 every subset is table-valued, so one of those passes
+    # the budget one less than the count
     spent = dimension_subproblems(g)
     assert inductive_dimension(g, budget=spent) == brute_inductive_dimension(g)
     with pytest.raises(RecursionBudgetExceeded, match=f"more than {spent - 1} dimension"):
@@ -235,16 +271,21 @@ def test_shared_memo_charges_the_budget_per_vertex():
 
 
 def test_profile_charges_the_report_dimension_budget():
-    # the sphere of a vertex of K8 is K7, with 127 nonempty subsets; K8 has 255
+    # the sphere of a vertex of K8 is K7, which evaluates itself and its subsets
+    # of 6, 5 and 4 vertices, 1 + 7 + 21 + 35 = 64; K8 evaluates 1 + 8 + 28 + 56 + 70 = 163
     with pytest.raises(RecursionBudgetExceeded, match="more than 5 dimension subproblems"):
         compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=5),
                        include_profile=True)
-    report = compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=127),
+    report = compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=64),
                             include_profile=True)
     assert report.entries["dimension"].status == "skipped"
     assert [r.dimension for r in report.profile] == [7] * 8
-    with pytest.raises(RecursionBudgetExceeded, match="more than 126 dimension subproblems"):
-        local_profile(complete(8), dimension_budget=126)
+    with pytest.raises(RecursionBudgetExceeded, match="more than 63 dimension subproblems"):
+        local_profile(complete(8), dimension_budget=63)
+    report = compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=163))
+    assert report.entries["dimension"].value == 7
+    report = compute_report(complete(8), ["dimension"], caps=Caps(dimension_budget=162))
+    assert "more than 162 dimension subproblems" in report.entries["dimension"].reason
 
 
 # -- relabelling ------------------------------------------------------------------

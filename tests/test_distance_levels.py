@@ -19,7 +19,7 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
 from netfunc.topology import curvature_summary, length_estimate, second_sphere_size
 
 from conftest import (INF, bfs_distances, floyd_warshall, iter_graph_classes, iter_graphs,
-                      relabelled_graphs)
+                      iter_small_graphs, relabelled_graphs)
 
 
 def test_levels_small_cases():
@@ -33,7 +33,8 @@ def test_levels_small_cases():
 
 @pytest.mark.parametrize("n", range(7))
 def test_levels_match_floyd_warshall_exhaustive(n):
-    for g in iter_graphs(n):
+    # every labelling up to n = 5, one seeded labelling per isomorphism class at 6
+    for g in iter_small_graphs(n):
         levels = distance_levels(g)
         for x, row in enumerate(floyd_warshall(g)):
             finite = [d for d in row if d != INF]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netfunc import generators
 from netfunc.errors import InvalidParam
 from netfunc.generators import (MODELS, ModelSpec, barabasi_albert, build_model, complete,
                                 complete_bipartite, cycle, erdos_renyi, orbital, path, star,
@@ -22,6 +23,27 @@ def test_families():
     assert star(4).n == 5 and star(4).degree(0) == 4
     assert cycle(7).m == 7
     assert cycle(2) == complete(2)  # degenerate ring
+
+
+@pytest.mark.parametrize("kind,params,vertices,edges", [
+    ("complete", {"n": 50}, 50, 1225),
+    ("complete_bipartite", {"a": 30, "b": 40}, 70, 1200),
+    ("barabasi_albert", {"n": 60, "m": 3}, 60, 171),
+    ("watts_strogatz", {"n": 60, "k": 6, "p": 0.3}, 60, 180),
+    ("erdos_renyi", {"n": 60, "p": 0.5}, 60, 0),
+    ("wheel", {"n": 60}, 60, 0),
+], ids=["complete", "bipartite", "ba", "ws", "er", "wheel"])
+def test_build_model_refuses_what_does_not_fit(monkeypatch, kind, params, vertices, edges):
+    # the footprint counts vertices, and edges where they outgrow the vertices;
+    # the graph builds at exactly that much memory and is refused at one byte less
+    spec = ModelSpec(kind, params, seed=1)
+    need = vertices * generators._VERTEX_BYTES + edges * generators._EDGE_BYTES
+    monkeypatch.setattr(generators, "_physical_memory", lambda: need)
+    g = build_model(spec)
+    assert g.n >= vertices and g.m >= edges
+    monkeypatch.setattr(generators, "_physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidParam, match=f"does not fit in memory: it needs at least {need} "):
+        build_model(spec)
 
 
 def test_family_invalid_params():

@@ -23,7 +23,8 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
 from netfunc.report import compute_report
 from netfunc.topology import second_sphere_size, vertex_curvature, vertex_dimension
 
-from conftest import CONNECTED_LABELED, iter_connected_graph_classes, iter_connected_graphs
+from conftest import (CONNECTED_LABELED, iter_connected_graph_classes, iter_connected_graphs,
+                      iter_graph_classes, sweep_draws)
 
 
 def test_characteristic_length_closed_forms():
@@ -105,6 +106,17 @@ def test_mean_cluster():
         w = wheel(n)
         expect = (n * Fraction(2, 3) + Fraction(2, n - 1)) / (n + 1)
         assert mean_cluster(w) == expect
+
+
+def test_mean_cluster_is_the_vertex_mean_of_the_cluster_coefficients():
+    # summed per degree, ν equals sum(C(x)) / n exactly, on every class n <= 7
+    # and on the draws of both benchmark sweeps
+    graphs = [g for n in range(1, 8) for g, _ in iter_graph_classes(n)]
+    for g in graphs + sweep_draws("sparse") + sweep_draws("dense"):
+        nu = mean_cluster(g)
+        assert type(nu) is Fraction
+        assert nu == sum(local_cluster(g, x) for x in range(g.n)) / g.n
+    assert mean_cluster(from_edge_list(0, [])) == 0
 
 
 def test_cluster_length_lemma_families_and_random():
@@ -272,7 +284,8 @@ def test_per_vertex_id_is_checked_before_the_size():
 
 
 # the cached per-graph values of metrics and topology, by module and name
-CACHED = [(metrics, "_cluster_coefficients"), (metrics, "_distance_totals"),
+CACHED = [(metrics, "_neighbor_edges"), (metrics, "_cluster_coefficients"),
+          (metrics, "_distance_totals"),
           (metrics, "characteristic_length"), (metrics, "mean_cluster"),
           (topology, "curvature_summary")]
 
@@ -293,8 +306,9 @@ def builds(monkeypatch):
 
 
 def test_each_local_table_is_built_once_per_graph(builds):
+    # ν sums the neighbor edge counts per degree, so the sweep needs no C(x) table
     compute_report(watts_strogatz(500, 6, 0.1, seed=1), SWEEP_FUNCTIONALS)
-    assert builds == {name: 1 for _, name in CACHED}
+    assert builds == {name: 1 for _, name in CACHED if name != "_cluster_coefficients"}
     builds.clear()
     compute_report(watts_strogatz(60, 6, 0.1, seed=1), include_profile=True)
     assert builds == {name: 1 for _, name in CACHED}
