@@ -35,11 +35,12 @@ def _at_least(low, name):
     return parse
 
 
-def _shared_flags(parser, seed=False, fmt=False, strict=False):
+def _shared_flags(parser, workers=True, seed=False, fmt=False, strict=False):
     """--workers and --output, then the optional groups a subcommand reads."""
-    parser.add_argument("--workers", type=_at_least(1, "--workers ($NETFUNC_WORKERS)"),
-                        default=os.environ.get("NETFUNC_WORKERS", "1"),
-                        help="parallel fan-out (default $NETFUNC_WORKERS or 1)")
+    if workers:
+        parser.add_argument("--workers", type=_at_least(1, "--workers ($NETFUNC_WORKERS)"),
+                            default=os.environ.get("NETFUNC_WORKERS", "1"),
+                            help="parallel fan-out (default $NETFUNC_WORKERS or 1)")
     parser.add_argument("--output", default=None, help="write here instead of stdout")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="base seed")
@@ -70,13 +71,15 @@ def _caps(args):
     return report.Caps() if n is None else report.Caps.with_max_exact_n(n)
 
 
-def _model_flags(parser, n=True):
+def _model_flags(parser, sizes=True):
+    """The model flags; without `sizes` (a sweep, which takes n from its list)
+    no --n, nor --a and --b, which size the one kind that has no n."""
     parser.add_argument("--model", required=True,
                         help=f"one of {', '.join(sorted(set(MODELS) | set(MODEL_ALIASES)))}")
-    if n:
+    if sizes:
         parser.add_argument("--n", type=int, help="vertex count / family size")
-    parser.add_argument("--a", type=int, help="first part size (bipartite)")
-    parser.add_argument("--b", type=int, help="second part size (bipartite)")
+        parser.add_argument("--a", type=int, help="first part size (bipartite)")
+        parser.add_argument("--b", type=int, help="second part size (bipartite)")
     parser.add_argument("--p", type=float, help="edge / rewiring probability")
     parser.add_argument("--k", type=int, help="ring-lattice degree (watts_strogatz)")
     parser.add_argument("--m", type=int, help="attachment count (barabasi_albert)")
@@ -86,9 +89,12 @@ def _model_flags(parser, n=True):
 
 def _model_spec(args, n=None):
     """The ModelSpec of the model flags, with `n`, when given, in place of --n;
-    a model flag that the kind does not take is an InvalidParam naming it."""
+    a model flag that the kind does not take, or a given `n` for a kind with
+    none, is an InvalidParam naming it."""
     kind = MODEL_ALIASES.get(args.model, args.model)
     names = MODELS[kind][1] if kind in MODELS else ()
+    if n is not None and kind in MODELS and "n" not in names:
+        raise InvalidParam(f"{kind} takes no --n, so it cannot be swept over n")
     flags = {name: getattr(args, name, None)
              for name in ("n", "a", "b", "p", "k", "m", "generators")}
     extra = [name for name, value in flags.items() if value is not None and name not in names]
@@ -290,11 +296,11 @@ def build_parser():
 
     p = sub.add_parser("generate", help="write a model draw as an edge-list file")
     _model_flags(p)
-    _shared_flags(p, seed=True)
+    _shared_flags(p, workers=False, seed=True)
     p.set_defaults(run=cmd_generate)
 
     p = sub.add_parser("sweep", help="sweep a model family over vertex counts")
-    _model_flags(p, n=False)
+    _model_flags(p, sizes=False)
     p.add_argument("--n-list", required=True, metavar="N1,N2,...",
                    help="comma-separated vertex counts")
     p.add_argument("--seeds", type=int, default=10, help="replicates per n")
@@ -345,6 +351,9 @@ def main(argv=None):
         return 4
     except NetfuncError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError among them
+        print(f"error: not enough memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

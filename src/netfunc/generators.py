@@ -89,7 +89,9 @@ _EDGE_BYTES = sys.getsizeof((0, 0)) + 8
 
 def _least_size(kind, params):
     """(vertices, edges), neither more than the graph's; edges are counted for
-    the models whose edges outgrow their vertices by more than a constant."""
+    the models whose edges outgrow their vertices by more than a constant.
+    For erdos_renyi they are half the mean μ = p·C(n, 2), which a draw falls
+    below with probability at most e^(−μ/8) (Chernoff)."""
     if kind == "complete_bipartite":
         return params["a"] + params["b"], params["a"] * params["b"]
     n = params["n"]
@@ -99,6 +101,8 @@ def _least_size(kind, params):
         return n, params["m"] * (n - params["m"])
     if kind == "watts_strogatz":
         return n, n * params["k"] // 2
+    if kind == "erdos_renyi" and 0 <= params["p"] <= 1:  # the builder rejects any other p
+        return n, int(params["p"] * (n * (n - 1) // 2) / 2)
     return n, 0
 
 

@@ -1,5 +1,6 @@
 """The clique complex (clique counts, Euler characteristic, inductive
-dimension), curvature and the mean-field length estimator.
+dimension and its expectation over G(n, p)), curvature and the mean-field
+length estimator.
 
 The clique complex is one memoized subset recursion, `_memoized`, on the
 bitmask adjacency of `graph.adjacency_masks`: a vertex subset is a Python
@@ -29,12 +30,18 @@ The clique counts run it on the lower masks masks[v] & ((1 << v) − 1), where
 masks[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
 over a clique of N(v) ∩ S_{<v}, so the clique polynomial F_S(t) = Σ_j c_j t^j
 (c_j the cliques of j vertices) obeys F_S = 1 + t·Σ_{v∈S} F_{N(v)∩S_{<v}},
-with F_∅ = 1 and each single vertex seeded as 1 + t.  F is packed into one int
-at t = 2^B, B = Δ + n.bit_length() + 1, so a child costs one add.  B is
+with F_∅ = 1 and each single vertex seeded as 1 + t.  `_clique_polynomial`
+runs it at one integer t, so a child costs one add.  The Euler characteristic
+reads F at t = −1: χ = c_1 − c_2 + … = 1 − F(−1), and every stored value is a
+small int.  The counts read F at t = 2^B, B = Δ + n.bit_length() + 1.  B is
 enough: a subset below the root lies in a lower neighbourhood, of at most Δ
 vertices, so c_j <= C(Δ, j) <= 2^Δ; a root coefficient sums at most n of
 those, so is at most n·2^Δ < 2^B; a partial sum of children is digitwise at
 most the full one, so no digit carries.  F's base-2^B digits are the counts.
+Both visit the same subsets in the same order, so they spend the same budget.
+
+The expected dimension over G(n, p) is a polynomial in p with integer
+coefficients, built as lists of Python ints (`expected_dimension_polynomial`).
 
 `curvature_summary` is cached per graph (`graph.per_graph`) and is the one
 place that reads d2(x), the number of vertices at distance 2, from the level
@@ -127,7 +134,7 @@ def _degree_code(subset, masks):
 
 # -- clique counts and the Euler characteristic --------------------------------
 
-CLIQUE_BUDGET = 4_000_000  # distinct subsets one simplex_counts call may evaluate
+CLIQUE_BUDGET = 4_000_000  # distinct subsets one clique-polynomial call may evaluate
 
 
 class SimplexCounts(tuple):
@@ -140,25 +147,34 @@ class SimplexCounts(tuple):
         return tuple(self)
 
 
-def simplex_counts(g, budget=CLIQUE_BUDGET):
-    """Count complete subgraphs of every size: the digits of the packed clique
-    polynomial (see the module docstring).  Raises CliqueBudgetExceeded past
-    `budget` distinct subsets of two or more vertices."""
+def _clique_polynomial(g, t, budget):
+    """F(t) = Σ_j c_j t^j, c_j the complete subgraphs on j vertices (c_0 = 1),
+    at the integer t, by the subset recursion on the lower masks (see the
+    module docstring).  Raises CliqueBudgetExceeded past `budget` distinct
+    subsets of two or more vertices."""
     masks = adjacency_masks(g)
-    width = max(map(int.bit_count, masks), default=0) + g.n.bit_length() + 1
     lower = [mask & ((1 << v) - 1) for v, mask in enumerate(masks)]
-    values = dict.fromkeys((1 << v for v in range(g.n)), 1 + (1 << width)) | {0: 1}
-    leaves = {code: 1 + sum(c << k * width for k, c in enumerate(counts, 1))
+    values = dict.fromkeys((1 << v for v in range(g.n)), 1 + t) | {0: 1}
+    leaves = {code: 1 + sum(c * t ** k for k, c in enumerate(counts, 1))
               for code, (_, counts) in _SMALL_GRAPHS.items()}
-    packed = _memoized((1 << g.n) - 1, lower, values, lambda s, acc: 1 + (acc << width),
-                       budget, CliqueBudgetExceeded, "clique", masks, leaves)
+    return _memoized((1 << g.n) - 1, lower, values, lambda s, acc: 1 + t * acc,
+                     budget, CliqueBudgetExceeded, "clique", masks, leaves)
+
+
+def simplex_counts(g, budget=CLIQUE_BUDGET):
+    """Count complete subgraphs of every size: the base-2^B digits of the
+    clique polynomial at t = 2^B (see the module docstring).  Raises
+    CliqueBudgetExceeded past `budget` distinct subsets of two or more vertices."""
+    width = max(map(int.bit_count, adjacency_masks(g)), default=0) + g.n.bit_length() + 1
+    packed = _clique_polynomial(g, 1 << width, budget)
     digit = (1 << width) - 1
     return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
 
 
 def euler_characteristic(g, budget=CLIQUE_BUDGET):
-    """Alternating sum of the complete-subgraph counts."""
-    return sum((-1) ** k * c for k, c in enumerate(simplex_counts(g, budget=budget)))
+    """Alternating sum of the complete-subgraph counts, 1 − F(−1); raises
+    CliqueBudgetExceeded where simplex_counts(g, budget) would."""
+    return 1 - _clique_polynomial(g, -1, budget)
 
 
 # -- inductive dimension ------------------------------------------------------
@@ -234,34 +250,8 @@ class Polynomial:
 
     coefficients: tuple
 
-    @staticmethod
-    def of(*coeffs):
-        return Polynomial(_trim(tuple(Fraction(c) for c in coeffs)))
-
     def degree(self):
         return len(self.coefficients) - 1
-
-    def __add__(self, other):
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(_trim(tuple(merged)))
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            a, b = self.coefficients, other.coefficients
-            out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return Polynomial(_trim(tuple(out)))
-        return Polynomial(_trim(tuple(c * Fraction(other) for c in self.coefficients)))
-
-    __rmul__ = __mul__
 
     def __call__(self, p):
         """The value at p, exact for a Fraction or int p; a float p is evaluated
@@ -274,37 +264,27 @@ class Polynomial:
         return acc
 
 
-def _trim(coeffs):
-    end = len(coeffs)
-    while end > 1 and coeffs[end - 1] == 0:
-        end -= 1
-    return coeffs[:end] if coeffs else (Fraction(0),)
-
-
 def expected_dimension_polynomial(n):
     """Expected inductive dimension of G(n, p) as an exact polynomial in p.
 
-    Built from the recursion d_{m+1} = 1 + sum_k C(m,k) p^k (1-p)^(m-k) d_k
-    with d_0 = -1.
+    Built from the recursion d_{m+1} = 1 + Σ_k C(m, k) p^k (1 − p)^(m−k) d_k
+    with d_0 = −1, on integer coefficients: every term is a product of integer
+    polynomials.  rows[k] holds (1 − p)^(m−k)·d_k, added at offset k for p^k,
+    and takes one more factor 1 − p per step.  The term k = m alone reaches degree C(m+1, 2), with the
+    leading coefficient of d_m, so every d_n with n >= 2 is monic of degree C(n, 2).
     """
     if not _well_typed("n", n) or n < 0:
         raise InvalidParam(f"n must be a nonnegative integer, got {n!r}")
-    one = Polynomial.of(1)
-    p = Polynomial.of(0, 1)
-    q = Polynomial.of(1, -1)  # 1 - p
-    d = [Polynomial.of(-1)]
-    for m in range(0, n):
-        # powers of p and (1-p) up to m
-        p_pow = [one]
-        q_pow = [one]
-        for _ in range(m):
-            p_pow.append(p_pow[-1] * p)
-            q_pow.append(q_pow[-1] * q)
-        acc = Polynomial.of(1)
-        for k in range(m + 1):
-            acc = acc + comb(m, k) * (p_pow[k] * q_pow[m - k] * d[k])
-        d.append(acc)
-    return d[n]
+    d = [-1]  # coefficients of d_m, index = degree
+    rows = []
+    for m in range(n):
+        rows = [[a - b for a, b in zip(row + [0], [0] + row)] for row in rows] + [d]
+        d = [1] + [0] * (m * (m + 1) // 2)
+        for k, row in enumerate(rows):
+            c = comb(m, k)
+            for j, x in enumerate(row, k):
+                d[j] += c * x
+    return Polynomial(tuple(map(Fraction, d)))
 
 
 # -- curvature ----------------------------------------------------------------

@@ -101,11 +101,10 @@ def test_sweep_output_is_byte_identical_to_the_golden_file(tmp_path, name):
     assert [(g.n, g.m) for g in sweep_draws(name)] == [(r["n"], r["m"]) for r in records]
 
 
-def run_capped(*argv):
-    """Run the CLI in a child under a 2 GB address-space limit, a safety net
-    against allocating; return (exit code, stderr, rusage), or fail past 5 s."""
-    limit = 2 * 2**30
-
+def run_capped(*argv, limit=2 * 2**30, seconds=5):
+    """Run the CLI in a child under an address-space limit, by default 2 GB, a
+    safety net against allocating; return (exit code, stderr, rusage), or fail
+    past `seconds`."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -114,12 +113,12 @@ def run_capped(*argv):
     proc = subprocess.Popen([sys.executable, "-m", "netfunc.cli", *argv],
                             preexec_fn=cap_address_space, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    deadline = time.monotonic() + 5
+    deadline = time.monotonic() + seconds
     while not (done := os.wait4(proc.pid, os.WNOHANG))[0]:
         if time.monotonic() > deadline:
             proc.kill()
             proc.wait()
-            pytest.fail("the child still ran after 5 s")
+            pytest.fail(f"the child still ran after {seconds} s")
         time.sleep(0.02)
     _, status, usage = done
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
@@ -153,6 +152,21 @@ def test_huge_model_is_refused_before_building(argv):
     assert err.startswith("error: --model ") and "does not fit in memory" in err
     assert "Traceback" not in err
     assert usage.ru_maxrss < 300 * 1024  # KiB
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--model", "er", "--n", "3000000", "--p", "0.5"),
+    ("sweep", "--model", "er", "--p", "0.5", "--n-list", "3000000", "--seeds", "1"),
+    ("generate", "--model", "er", "--n", "20000", "--p", "0.5"),
+], ids=["generate-er", "sweep-er", "generate-er-1e8-edges"])
+def test_dense_er_draw_past_the_memory_limit_exits_1(argv):
+    # the first two draw about 2·10^12 edges, which the edge floor refuses before
+    # building; the 10^8 edges of the third can fit in physical memory but not
+    # under the 1 GB limit, and the draw's MemoryError must end in an error line
+    code, err, _ = run_capped(*argv, limit=2**30, seconds=10)
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,8 +284,11 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
      "barabasi_albert takes no --k"),
     (("sweep", "--model", "er", "--p", "0.5", "--m", "2", "--n-list", "5", "--seeds", "1"),
      "erdos_renyi takes no --m"),
+    # sweep has no --a or --b: only complete_bipartite takes them, and it has no n
     (("sweep", "--model", "ws", "--k", "2", "--p", "0.1", "--b", "1", "--n-list", "8",
-      "--seeds", "1"), "watts_strogatz takes no --b"),
+      "--seeds", "1"), "unrecognized arguments: --b 1"),
+    (("sweep", "--model", "bipartite", "--n-list", "8", "--seeds", "1"),
+     "complete_bipartite takes no --n, so it cannot be swept over n"),
 ], ids=["ws-odd-k", "n-list", "generator", "bins", "bins-huge", "side-negative", "side-zero",
         "sphere-side", "radius-negative", "radius-zero", "length-radius", "side-inf",
         "side-overflow", "radius-below-precision", "radius-underflow",
@@ -279,7 +296,7 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
         "seeds-negative", "n-list-negative", "orbital-no-generator", "bipartite-no-b",
         "sweep-ws-no-p", "er-takes-no-k-a", "complete-takes-no-p", "bipartite-takes-no-n",
         "ws-takes-no-generator", "ba-takes-no-k-zero", "sweep-er-takes-no-m",
-        "sweep-ws-takes-no-b"])
+        "sweep-ws-takes-no-b", "sweep-bipartite"])
 def test_generate_invalid_params_exit_1(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert code == 1
@@ -442,7 +459,7 @@ def test_tiny_graphs_report_everything(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ("analyze", "g.edges"), ("generate", "--model", "complete", "--n", "3"),
+    ("analyze", "g.edges"),
     ("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "1"),
     ("extremal", "--n", "3"), ("continuum", "--space", "torus2", "--samples", "100"),
     ("audit", "g.edges")], ids=lambda command: command[0])
@@ -507,6 +524,8 @@ CONTINUUM = ("continuum", "--space", "torus2", "--samples", "100")
     (*GENERATE, "--format", "json"),
     (*CONTINUUM, "--format", "csv"),
     (*SWEEP, "--n", "999"),
+    (*GENERATE, "--workers", "1"),
+    (*SWEEP, "--a", "2"),
     ("analyze", K4, "--functionals", ","),
     (*EXTREMAL, "--functional", " , "),
 ], ids=["int-type", "missing-input", "no-subcommand", "unknown-subcommand", "unknown-flag",
@@ -514,7 +533,8 @@ CONTINUUM = ("continuum", "--space", "torus2", "--samples", "100")
         "audit-seed", "extremal-seed", "generate-strict", "sweep-strict", "extremal-strict",
         "continuum-strict", "generate-max-exact-n", "sweep-max-exact-n",
         "extremal-max-exact-n", "continuum-max-exact-n", "generate-format",
-        "continuum-format", "sweep-n", "analyze-no-functional", "extremal-no-functional"])
+        "continuum-format", "sweep-n", "generate-workers", "sweep-a", "analyze-no-functional",
+        "extremal-no-functional"])
 def test_usage_errors_exit_1(tmp_path, capsys, argv):
     write_edge_list(complete(4), tmp_path / "k4.edges")
     code, stdout, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
@@ -535,15 +555,15 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     assert flags == {
         "analyze": ["input", "--functionals", "--profile", *shared, "--format", "--strict",
                     "--max-exact-n"],
-        "generate": [*model, *shared, "--seed"],
-        "sweep": [f for f in model if f != "--n"] + ["--n-list", "--seeds", *shared,
-                                                     "--seed", "--format"],
+        "generate": [*model, "--output", "--seed"],
+        "sweep": ["--model", "--p", "--k", "--m", "--generator", "--n-list", "--seeds",
+                  *shared, "--seed", "--format"],
         "extremal": ["--n", "--functional", "--bins", *shared, "--format"],
         "continuum": ["--space", "--side", "--radius", "--samples", "--quantity", *shared,
                       "--seed"],
         "audit": ["input", *shared, "--format", "--strict", "--max-exact-n"],
     }
-    assert sum(map(len, flags.values())) == 52
+    assert sum(map(len, flags.values())) == 49
     assert not parser.allow_abbrev and not any(p.allow_abbrev for p in sub.choices.values())
 
 

@@ -205,6 +205,14 @@ def test_non_integral_sphere_past_the_scale_cap():
     assert simplex_counts(g) == walk_simplex_counts(g) == (68, 68, 1)
 
 
+def test_euler_characteristic_is_the_alternating_sum_of_the_counts():
+    # χ reads the clique polynomial at t = −1 and the counts read it at t = 2^B
+    for g in [complete(n) for n in range(1, 13)] + [hub_graph()]:
+        counts = simplex_counts(g)
+        assert counts == walk_simplex_counts(g)
+        assert euler_characteristic(g) == alternating_sum(counts) == 1
+
+
 @pytest.mark.parametrize("g,budget", [(complete(200), 5000), (hub_graph(), DIMENSION_BUDGET)],
                          ids=["K200", "hub68"])
 def test_memo_ints_stay_within_the_capped_scale(g, budget):

@@ -30,7 +30,7 @@ def test_families():
     ("complete_bipartite", {"a": 30, "b": 40}, 70, 1200),
     ("barabasi_albert", {"n": 60, "m": 3}, 60, 171),
     ("watts_strogatz", {"n": 60, "k": 6, "p": 0.3}, 60, 180),
-    ("erdos_renyi", {"n": 60, "p": 0.5}, 60, 0),
+    ("erdos_renyi", {"n": 60, "p": 0.5}, 60, 442),  # ⌊p·C(n, 2)/2⌋
     ("wheel", {"n": 60}, 60, 0),
 ], ids=["complete", "bipartite", "ba", "ws", "er", "wheel"])
 def test_build_model_refuses_what_does_not_fit(monkeypatch, kind, params, vertices, edges):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +15,8 @@ from netfunc.topology import (Polynomial, curvature_summary, euler_characteristi
                               expected_dimension_polynomial, inductive_dimension,
                               length_estimate, vertex_dimension)
 
-from conftest import FREE_TREES, graph_from_mask, iter_free_trees, iter_labeled_trees, tree_code
+from conftest import (FREE_TREES, graph_from_mask, iter_free_trees, iter_graph_classes,
+                      iter_labeled_trees, tree_code)
 
 
 def test_euler_characteristic_examples(octahedron):
@@ -101,6 +103,39 @@ def test_expected_dimension_polynomials():
         assert dn(Fraction(0)) == 0       # empty-graph limit
     # degree grows as C(n,2)
     assert expected_dimension_polynomial(5).degree() == 10
+    # d_8 in full: monic of degree C(8, 2) = 28
+    assert expected_dimension_polynomial(8).coefficients == (
+        0, 7, -21, 56, -70, 21, 42, -13, -29, -36, 77, -7, -6, -28, -12, 28, 6, -1, -1, -8,
+        -7, 9, 0, 1, 0, 0, -1, -1, 1)
+    assert Polynomial((Fraction(1), Fraction(2)))(Fraction(1, 2)) == 2
+    assert [encode_value(c, "rational")
+            for c in expected_dimension_polynomial(2).coefficients] == \
+        [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}]
+
+
+def class_sum(n, value):
+    """Σ over the isomorphism classes on n <= 7 vertices of
+    size·value(G)·p^m(1 − p)^(N − m), N = C(n, 2), as its coefficients in p:
+    the expectation of value over G(n, p)."""
+    pairs = comb(n, 2)
+    coefficients = [0] * (pairs + 1)
+    for g, size in iter_graph_classes(n):
+        weight = size * value(g)
+        for i in range(pairs - g.m + 1):
+            coefficients[g.m + i] += weight * comb(pairs - g.m, i) * (-1) ** i
+    return coefficients
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_sums_over_g_n_p(n):
+    # E[χ] = Σ_k (−1)^(k−1)·E[cliques on k vertices] = Σ_{k>=1} (−1)^(k−1) C(n, k) p^C(k, 2),
+    # and E[ι] is the recursion's polynomial, coefficient for coefficient
+    chi = [0] * (comb(n, 2) + 1)
+    for k in range(1, n + 1):
+        chi[comb(k, 2)] += (-1) ** (k - 1) * comb(n, k)
+    assert class_sum(n, euler_characteristic) == chi
+    assert tuple(class_sum(n, inductive_dimension)) == \
+        expected_dimension_polynomial(n).coefficients
 
 
 def test_polynomial_at_a_float_is_the_exact_value_rounded_once():
@@ -120,19 +155,6 @@ def test_expected_dimension_matches_monte_carlo():
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         se = math.sqrt(var / len(values))
         assert abs(mean - d5(p)) <= 3 * se + 1e-12
-
-
-def test_polynomial_arithmetic():
-    p = Polynomial.of(1, 2)      # 1 + 2x
-    q = Polynomial.of(0, 0, 3)   # 3x^2
-    assert (p + q).coefficients == (Fraction(1), Fraction(2), Fraction(3))
-    assert (p * q).coefficients == (Fraction(0), Fraction(0), Fraction(3), Fraction(6))
-    assert (2 * p).coefficients == (Fraction(2), Fraction(4))
-    assert p(Fraction(1, 2)) == 2
-    assert Polynomial.of(0, 1, 0).coefficients == (Fraction(0), Fraction(1))
-    assert [encode_value(c, "rational")
-            for c in expected_dimension_polynomial(2).coefficients] == \
-        [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}]
 
 
 def test_curvature_summary():
