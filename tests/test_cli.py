@@ -459,7 +459,7 @@ def test_tiny_graphs_report_everything(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ("analyze", "g.edges"),
+    ("analyze", "g.edges"), ("generate", "--model", "complete", "--n", "3"),
     ("sweep", "--model", "er", "--p", "0.1", "--n-list", "5", "--seeds", "1"),
     ("extremal", "--n", "3"), ("continuum", "--space", "torus2", "--samples", "100"),
     ("audit", "g.edges")], ids=lambda command: command[0])

@@ -107,10 +107,6 @@ def test_expected_dimension_polynomials():
     assert expected_dimension_polynomial(8).coefficients == (
         0, 7, -21, 56, -70, 21, 42, -13, -29, -36, 77, -7, -6, -28, -12, 28, 6, -1, -1, -8,
         -7, 9, 0, 1, 0, 0, -1, -1, 1)
-    assert Polynomial((Fraction(1), Fraction(2)))(Fraction(1, 2)) == 2
-    assert [encode_value(c, "rational")
-            for c in expected_dimension_polynomial(2).coefficients] == \
-        [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}]
 
 
 def class_sum(n, value):
@@ -155,6 +151,16 @@ def test_expected_dimension_matches_monte_carlo():
         var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         se = math.sqrt(var / len(values))
         assert abs(mean - d5(p)) <= 3 * se + 1e-12
+
+
+def test_polynomial_arithmetic():
+    p = Polynomial((Fraction(1), Fraction(2)))   # 1 + 2x
+    assert p.degree() == 1
+    assert p(Fraction(1, 2)) == 2 and p(3) == 7 and p(0) == 1
+    assert Polynomial((Fraction(-1),)).degree() == 0
+    assert [encode_value(c, "rational")
+            for c in expected_dimension_polynomial(2).coefficients] == \
+        [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}]
 
 
 def test_curvature_summary():
