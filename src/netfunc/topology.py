@@ -2,43 +2,81 @@
 dimension and its expectation over G(n, p)), curvature and the mean-field
 length estimator.
 
-The clique complex is one memoized subset recursion, `_memoized`, on the
-bitmask adjacency of `graph.adjacency_masks`: a vertex subset is a Python
-int, value(S) = close(S, Σ_{v∈S} value(masks[v] & S)) is kept per bitmask,
-frames live on an explicit stack (so the interpreter's recursion limit does
-not bound it), and a budget caps the distinct subsets one call evaluates.
+The clique complex is one recursion on vertex subsets,
+value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), on the bitmask adjacency
+of `graph.adjacency_masks`, and one closure in numpy, `_Closure`,
+computes it.  A subset is a row of ⌈n/64⌉ uint64 words.  The closure is
+found in rounds, as a multi-source BFS expands a frontier: the first round
+splits the root into its children, and each later round splits every subset
+the round before stored for the first time.  A round's child rows are made at
+most `_CHUNK_BYTES` at a time, from the members of each row (only its
+nonzero words are unpacked).  Each chunk is deduped (sorted by key, keeping
+the inverse) and looked up in one sorted index of the subsets stored so far;
+the new ones get ids.  A child S ∩ step[v] lies in S − {v}, so it is strictly
+smaller than S, and once no round finds a new subset the values are computed
+one size level at a time from the smallest up, each level by one gathered
+sum of its children's values.  The index keys a row of one word by the word
+itself and a longer row by a hash of its words; every duplicate and every
+hit is then checked word by word, and a collision switches the closure to
+keying rows by all their words.  There are as many rounds as the recursion is
+deep, fewer than its size levels, so the numpy calls per call stay few; that
+matters on sparse graphs, whose closures are small.
 
-The recursion stops at four vertices.  There the degree multiset fixes the
+The closure stops at four vertices.  There the degree multiset fixes the
 graph up to isomorphism, so `_SMALL_GRAPHS` keys each of the 18 graphs on 1-4
 vertices by its degree code Σ_{v∈T} 8^deg_T(v) and holds its dimension and
-clique counts.  A child of at most four vertices that misses the memo takes
-its value from there, without a frame; it counts as one evaluated subset and
-its own subsets are never evaluated.  Five vertices would not do: P5 and
-K3 + K2 share the degrees 2, 2, 2, 1, 1 but not the dimension.
+clique counts.  A subset of at most four vertices is valued from there, by a
+vectorised degree code; it counts as one evaluated subset, and only the root
+is split at that size.  Five vertices would not do: P5 and K3 + K2 share the
+degrees 2, 2, 2, 1, 1 but not the dimension.
+
+The budget does not depend on the order of the search.  The closure is the
+set the depth-first recursion visits: the root and, below each split subset,
+its children, where a subset is split if it is the root or has more than
+four vertices.  Membership in that set is a property of the subset, not of
+the order it is found in, so `spent`, the distinct subsets a call stores,
+equals the recursion's count, and a call raises exactly when that count
+exceeds its budget, with the same exception and message.  A call that raises
+stores nothing.  `vertex_dimensions` charges each vertex the subsets that no
+earlier sphere reached, as if the spheres were visited in vertex order on one
+shared closure (a sphere already stored costs nothing and is not split
+again).  It searches all spheres at once first, and only when that passes
+the budget visits them one at a time (see its docstring).
+Memory is bounded with the count: a call stores at most `budget` rows, and
+beyond them holds the child rows of one chunk and their sort, a few times
+`_CHUNK_BYTES`, so a call past its budget stops in bounded memory.
 
 The dimension runs it on the adjacency masks, where masks[v] & S is the sphere
-of v in S, and stores scale·dim(S) with scale = min(Δ, 64)! for the maximum
-degree Δ.  By induction from dim(∅) = −1, the denominator of dim(S) divides
-|S|!, and every subset below the root lies inside a sphere, so |S| <= Δ:
-whenever |S| <= 64 the scaled value is an int, and each subset costs one add
-per child and one divmod by |S|.  Only the root and, when Δ > 64, subsets of
-more than 64 vertices fall back to a Fraction, and only when their value is
-not integral.  The cap keeps every int within log2(64!) + log2(n) bits (about
-300), where scale = Δ! would grow with Δ.
+of v in S.  By induction from dim(∅) = −1, the denominator of dim(S) divides
+|S|!, and −1 <= dim(S) <= |S| − 1.  Every subset below the root lies inside a
+sphere, so |S| <= Δ for the maximum degree Δ.  A subset of at most
+top = min(Δ, 18) vertices holds (top!)·dim(S) in int64: an integer, at most
+17·18! < 2^57 in magnitude, so a sum of at most 18 children stays below
+18·17·18! < 2^61.  A larger subset holds scale·dim(S) with scale =
+min(Δ, 64)! as a Python int, and its children held in int64 are rescaled by
+scale/top!.  Whenever |S| <= 64 that value is an int; only the root and, when
+Δ > 64, subsets of more than 64 vertices fall back to a Fraction, and only
+when their value is not integral.  The cap keeps every int within
+log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.  Of
+the 221,039 subsets of the twelve ER(n, 0.5) draws, n ∈ {40, 60, 80}, of the
+benchmark's dense sweep, 5,025 are past 18 vertices.
 
 The clique counts run it on the lower masks masks[v] & ((1 << v) − 1), where
 masks[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
 over a clique of N(v) ∩ S_{<v}, so the clique polynomial F_S(t) = Σ_j c_j t^j
 (c_j the cliques of j vertices) obeys F_S = 1 + t·Σ_{v∈S} F_{N(v)∩S_{<v}},
-with F_∅ = 1 and each single vertex seeded as 1 + t.  `_clique_polynomial`
-runs it at one integer t, so a child costs one add.  The Euler characteristic
-reads F at t = −1: χ = c_1 − c_2 + … = 1 − F(−1), and every stored value is a
-small int.  The counts read F at t = 2^B, B = Δ + n.bit_length() + 1.  B is
-enough: a subset below the root lies in a lower neighbourhood, of at most Δ
-vertices, so c_j <= C(Δ, j) <= 2^Δ; a root coefficient sums at most n of
-those, so is at most n·2^Δ < 2^B; a partial sum of children is digitwise at
-most the full one, so no digit carries.  F's base-2^B digits are the counts.
-Both visit the same subsets in the same order, so they spend the same budget.
+with F_∅ = 1 and each single vertex seeded as 1 + t.  `_CliqueClosure` runs
+it at one integer t.  The Euler characteristic reads F at t = −1:
+χ = c_1 − c_2 + … = 1 − F(−1).  |F_S(−1)| is at most the number of cliques
+of S, the empty one included, so at most 2^|S|, and a sum of |S| children is
+below |S|·2^(|S|−1); for |S| <= 58 both fit int64, and larger subsets hold
+Python ints.  The counts read F at t = 2^B, B = Δ + n.bit_length() + 1, in
+Python ints throughout.  B is enough: a subset below the root lies in a lower
+neighbourhood, of at most Δ vertices, so c_j <= C(Δ, j) <= 2^Δ; a root
+coefficient sums at most n of those, so is at most n·2^Δ < 2^B; a partial sum
+of children is digitwise at most the full one, so no digit carries.  F's
+base-2^B digits are the counts.  Both visit the same subsets, so they spend
+the same budget.
 
 The expected dimension over G(n, p) is a polynomial in p with integer
 coefficients, built as lists of Python ints (`expected_dimension_polynomial`).
@@ -56,55 +94,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional
 
+import numpy as np
+
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded)
 from .generators import _well_typed
 from .graph import adjacency_masks, distance_levels, per_graph, vertex_set
 
-# -- the subset recursion -----------------------------------------------------
-
-def _memoized(subset, masks, values, close, budget, exceeded, unit, full, leaves):
-    """value(subset), where value(S) = close(S, Σ_{v∈S} value(masks[v] & S)).
-
-    `values` holds the caller's seeds (the empty set among them) and every
-    subset evaluated so far; a child of at most four vertices is valued from
-    `leaves` by its degree code in the masks `full`.  Evaluating more than
-    `budget` subsets not yet in `values` raises `exceeded`."""
-    known = values.get
-    # A frame is [subset, its vertices not yet visited, the sum of its
-    # children's values so far].
-    stack = [] if subset in values else [[subset, subset, 0]]
-    spent = len(stack)
-    while stack:
-        if spent > budget:
-            raise exceeded(f"more than {budget} {unit} subproblems")
-        frame = stack[-1]
-        s, rest, acc = frame
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            child = masks[low.bit_length() - 1] & s
-            value = known(child)
-            if value is None:
-                if child.bit_count() > _TABLE_SIZE:
-                    break
-                spent += 1
-                if spent > budget:
-                    raise exceeded(f"more than {budget} {unit} subproblems")
-                value = values[child] = leaves[_degree_code(child, full)]
-            acc += value
-        else:
-            value = values[s] = close(s, acc)
-            stack.pop()
-            if stack:
-                stack[-1][2] += value
-            continue
-        frame[1] = rest
-        frame[2] = acc
-        spent += 1
-        stack.append([child, child, 0])
-    return values[subset]
-
+# -- the subset closure -------------------------------------------------------
 
 _TABLE_SIZE = 4  # the most vertices a table-valued subset has
 # degree code -> (dimension, clique counts (c_1, ..., c_k)) of each graph on 1-4
@@ -119,22 +116,256 @@ _SMALL_GRAPHS = {
     648: (Fraction(5, 3), (4, 4, 1)), 1152: (Fraction(2), (4, 5, 2)),
     2048: (Fraction(3), (4, 6, 4, 1)),
 }
+_CHUNK_BYTES = 1 << 22  # the most bytes of child rows made at once
 
 
-def _degree_code(subset, masks):
-    """Σ_{v∈subset} 8^deg(v), degrees taken in the subgraph induced on `subset`."""
-    code = 0
-    rest = subset
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        code += 1 << 3 * (masks[low.bit_length() - 1] & subset).bit_count()
-    return code
+def _rows(masks, words):
+    """The int bitmasks `masks` as rows of `words` uint64 words, low word first."""
+    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), words)
+
+
+@per_graph
+def _adjacency_rows(g):
+    """The adjacency masks as rows of ⌈n/64⌉ uint64 words; cached."""
+    return _rows(adjacency_masks(g), max(1, -(-g.n // 64)))
+
+
+def _lower(rows):
+    """rows[v] & ((1 << v) − 1) for each v: the neighbours below v."""
+    n, words = rows.shape
+    word, bit = np.divmod(np.arange(n), 64)
+    column = np.arange(words)
+    below = np.where(column < word[:, None], ~np.uint64(0),
+                     np.where(column == word[:, None],
+                              (np.uint64(1) << bit.astype(np.uint64))[:, None] - np.uint64(1),
+                              np.uint64(0)))
+    return rows & below
+
+
+def _members(rows):
+    """(r, v) for every vertex v of every row r, by row and then by vertex.
+    Only the nonzero words are unpacked."""
+    words = np.flatnonzero(rows)
+    octets = rows.ravel()[words].astype("<u8", copy=False).view(np.uint8)
+    bits = np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+    r, w = np.divmod(words[bits >> 6], rows.shape[1])
+    return r, 64 * w + (bits & 63)
+
+
+def _degree_codes(rows, full):
+    """Σ_{v∈T} 8^deg_T(v) for each row T, deg_T taken in the subgraph T
+    induces; `full` holds the adjacency rows.  The sums are exact in float64."""
+    r, v = _members(rows)
+    degrees = np.bitwise_count(full[v] & rows[r]).sum(axis=1, dtype=np.int64)
+    return np.bincount(r, 8.0 ** degrees, len(rows)).astype(np.int64)
+
+
+def _int_or_fraction(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+class _Closure:
+    """The subsets one recursion visits from the roots it is given, and their
+    values (see the module docstring).
+
+    value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), step[v] the neighbours
+    of v, or with `lower` those below v.  A subset of at most
+    len(seeds) − 1 vertices is a seed, valued by its size and with its size
+    as id; the others get ids in the order they are found, and one of at
+    most four vertices is valued from `leaves` (degree code -> value).  A
+    value x is held as small_scale·x in int64 for a subset of at most `top`
+    vertices, and as scale·x, a Python int or Fraction, above.  Each `value`
+    call charges `spent` with the subsets it stores, and one that would
+    store more than `budget` raises `exceeded` and stores nothing.
+    """
+
+    def __init__(self, g, lower, seeds, top, small_scale, scale, leaves, budget, exceeded, unit):
+        self.full = _adjacency_rows(g)
+        self.words = words = self.full.shape[1]
+        self.step = _lower(self.full) if lower else self.full
+        self.seeded = len(seeds) - 1
+        self.top, self.small_scale, self.scale = top, small_scale, scale
+        self.ratio = scale // small_scale
+        self.budget, self.exceeded, self.unit = budget, exceeded, unit
+        self.hashed = words > 1  # rows are keyed by a hash of their words until two collide
+        self.salt = np.arange(words, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        self.small_leaves = np.zeros(max(_SMALL_GRAPHS) + 1, dtype=np.int64)
+        self.big_leaves = np.zeros(max(_SMALL_GRAPHS) + 1, dtype=object)
+        for code, x in leaves.items():
+            self._put(self.small_leaves, self.big_leaves, code, _SMALL_GRAPHS[code][1][0], x)
+        self.count = len(seeds)
+        self.rows = np.zeros((1024, words), dtype=np.uint64)  # by id, as are the values
+        self.small = np.zeros(1024, dtype=np.int64)
+        self.big = np.zeros(1024, dtype=object)
+        for size, x in enumerate(seeds):
+            self._put(self.small, self.big, size, size, x)
+        self.keys = np.zeros(0, dtype=np.uint64)  # the stored subsets' keys, ascending
+        self.ids = np.zeros(0, dtype=np.intp)  # and their ids, in the same order
+        self.spent = 0
+
+    def _put(self, small, big, i, size, x):
+        if size <= self.top:
+            small[i] = int(self.small_scale * x)
+        else:
+            big[i] = _int_or_fraction(self.scale * x)
+
+    def value(self, subset):
+        """scale·x for the int bitmask `subset`."""
+        return self.values([subset])[0]
+
+    def values(self, subsets):
+        """scale·x for each int bitmask in `subsets`, all found in one search
+        whose new subsets are charged to `budget` together."""
+        known = self.count
+        try:
+            ids = self._visit(subsets)
+        except self.exceeded:
+            keep = self.ids < known
+            self.keys, self.ids, self.count = self.keys[keep], self.ids[keep], known
+            raise
+        return [int(self.small[i]) * self.ratio if subset.bit_count() <= self.top else self.big[i]
+                for subset, i in zip(subsets, ids.tolist())]
+
+    def _visit(self, subsets):
+        """Store the subsets the roots `subsets` reach that are not stored yet,
+        splitting each new one once, then value the split ones from the
+        smallest up; return the ids of the roots."""
+        self.spent = 0
+        self.limit = self.count + self.budget  # the most ids this call can reach
+        frontier = []  # (ids, sizes) stored and not yet split
+        split = []     # (ids, sizes, child ids in row order) of the subsets split
+        known = self.count
+        sizes = np.array([subset.bit_count() for subset in subsets], dtype=np.intp)
+        ids = sizes.copy()  # a seed's id is its size
+        roots = sizes > self.seeded
+        if roots.any():
+            rows = _rows([subset for subset, root in zip(subsets, roots) if root], self.words)
+            ids[roots] = self._identify(rows, sizes[roots], frontier)
+        # at four vertices or fewer only a root is split, and only a new one
+        small = sorted(set(ids[roots & (sizes <= _TABLE_SIZE) & (ids >= known)].tolist()))
+        if small:
+            small = np.array(small, dtype=np.intp)
+            frontier.append((small, np.bitwise_count(self.rows[small]).sum(axis=1, dtype=np.intp)))
+        while frontier:
+            parts = zip(*frontier)
+            frontier = []
+            self._split(*(np.concatenate(part) for part in parts), split, frontier)
+        if not split:
+            return ids
+        root_ids = ids
+        ids, sizes, children = (np.concatenate(part) for part in zip(*split))
+        starts = np.cumsum(sizes) - sizes
+        order = np.argsort(sizes, kind="stable")
+        bounds = np.flatnonzero(np.diff(sizes[order])) + 1
+        for at in np.split(order, bounds):  # a level at a time, the smallest first
+            size = int(sizes[at[0]])
+            if size <= _TABLE_SIZE:
+                continue
+            kids = children[starts[at, None] + np.arange(size)]
+            if size <= self.top:
+                self.small[ids[at]] = self._close_small(size, self.small[kids].sum(axis=1))
+            else:
+                acc = self.big[kids].sum(axis=1)
+                if self.top >= 0:
+                    acc += self.ratio * self.small[kids].astype(object).sum(axis=1)
+                self.big[ids[at]] = np.array(self._close_big(size, acc), dtype=object)
+        return root_ids
+
+    def _split(self, ids, sizes, split, frontier):
+        """Find the children S ∩ step[v] of the subsets `ids` (of `sizes`
+        vertices), at most _CHUNK_BYTES of child rows at a time; a seed child's
+        id is its size."""
+        ends = np.cumsum(sizes)
+        per = _CHUNK_BYTES // (8 * self.words)  # child rows
+        start = 0
+        while start < len(ids):
+            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + per,
+                                                      side="right")))
+            part = self.rows[ids[start:stop]]
+            r, v = _members(part)
+            children = part[r] & self.step[v]
+            child_ids = np.bitwise_count(children).sum(axis=1, dtype=np.intp)
+            stored = child_ids > self.seeded
+            if stored.any():
+                child_ids[stored] = self._identify(children[stored], child_ids[stored], frontier)
+            split.append((ids[start:stop], sizes[start:stop], child_ids))
+            start = stop
+
+    def _identify(self, rows, sizes, frontier):
+        """The ids of `rows` (of `sizes` vertices), storing and charging the new
+        ones: one of at most four vertices is valued from the table, and the
+        others join `frontier`, to be split."""
+        keys = self._keys(rows)
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        keys, order = keys[first], order[first]
+        unique = rows[order]  # one row of each key
+        at = np.searchsorted(self.keys, keys)
+        hit = at < len(self.keys)
+        hit[hit] = self.keys[at[hit]] == keys[hit]
+        if self.hashed and ((unique[inverse] != rows).any()
+                            or (self.rows[self.ids[at[hit]]] != unique[hit]).any()):
+            self.hashed = False  # two rows share a hash: key them by their words from now on
+            self.keys = self._keys(self.rows[self.ids])
+            sort = np.argsort(self.keys)
+            self.keys, self.ids = self.keys[sort], self.ids[sort]
+            return self._identify(rows, sizes, frontier)
+        new = ~hit
+        fresh = int(np.count_nonzero(new))
+        self.spent += fresh
+        if self.spent > self.budget:
+            raise self.exceeded(f"more than {self.budget} {self.unit} subproblems")
+        ids = np.empty(len(keys), dtype=np.intp)
+        ids[hit] = self.ids[at[hit]]
+        if fresh:
+            ids[new] = np.arange(self.count, self.count + fresh)
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.ids = np.insert(self.ids, at[new], ids[new])
+            self._grow(self.count + fresh)
+            ids_new, unique, sizes = ids[new], unique[new], sizes[order[new]]
+            self.rows[ids_new] = unique
+            self.count += fresh
+            leaf = sizes <= _TABLE_SIZE
+            if leaf.any():
+                codes = _degree_codes(unique[leaf], self.full)
+                small = sizes[leaf] <= self.top
+                self.small[ids_new[leaf][small]] = self.small_leaves[codes[small]]
+                self.big[ids_new[leaf][~small]] = self.big_leaves[codes[~small]]
+            frontier.append((ids_new[~leaf], sizes[~leaf]))
+        return ids[inverse]
+
+    def _grow(self, count):
+        if count > len(self.small):
+            size = max(count, min(2 * len(self.small), self.limit))
+            # in place, so the old rows and the new need not be held at once
+            self.rows.resize((size, self.words), refcheck=False)
+            self.small.resize(size, refcheck=False)
+            self.big = np.concatenate([self.big, np.zeros(size - len(self.big), dtype=object)])
+
+    def _keys(self, rows):
+        if self.words == 1:
+            return rows[:, 0]
+        if self.hashed:  # the splitmix64 finalizer of each salted nonzero word, summed
+            r, w = np.divmod(np.flatnonzero(rows), self.words)
+            z = rows[r, w] + self.salt[w]
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+            return np.add.reduceat(z, np.flatnonzero(np.diff(r, prepend=-1)))  # mod 2^64
+        return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * self.words))).ravel()
 
 
 # -- clique counts and the Euler characteristic --------------------------------
 
 CLIQUE_BUDGET = 4_000_000  # distinct subsets one clique-polynomial call may evaluate
+_CHI_TOP = 58  # |F_S(−1)| fits int64 for |S| <= 58 (see the module docstring)
 
 
 class SimplexCounts(tuple):
@@ -147,18 +378,23 @@ class SimplexCounts(tuple):
         return tuple(self)
 
 
-def _clique_polynomial(g, t, budget):
-    """F(t) = Σ_j c_j t^j, c_j the complete subgraphs on j vertices (c_0 = 1),
-    at the integer t, by the subset recursion on the lower masks (see the
-    module docstring).  Raises CliqueBudgetExceeded past `budget` distinct
-    subsets of two or more vertices."""
-    masks = adjacency_masks(g)
-    lower = [mask & ((1 << v) - 1) for v, mask in enumerate(masks)]
-    values = dict.fromkeys((1 << v for v in range(g.n)), 1 + t) | {0: 1}
-    leaves = {code: 1 + sum(c * t ** k for k, c in enumerate(counts, 1))
-              for code, (_, counts) in _SMALL_GRAPHS.items()}
-    return _memoized((1 << g.n) - 1, lower, values, lambda s, acc: 1 + t * acc,
-                     budget, CliqueBudgetExceeded, "clique", masks, leaves)
+class _CliqueClosure(_Closure):
+    """F_S(t) = Σ_j c_j t^j, c_j the complete subgraphs on j vertices of S
+    (c_0 = 1), at the integer t, by the closure on the lower masks.  Values of
+    subsets of at most `top` vertices are int64; raises CliqueBudgetExceeded
+    past `budget` distinct subsets of two or more vertices."""
+
+    def __init__(self, g, t, top, budget):
+        leaves = {code: 1 + sum(c * t ** k for k, c in enumerate(counts, 1))
+                  for code, (_, counts) in _SMALL_GRAPHS.items()}
+        super().__init__(g, True, (1, 1 + t), top, 1, 1, leaves, budget,
+                         CliqueBudgetExceeded, "clique")
+        self.t = t
+
+    def _close_small(self, k, acc):
+        return 1 + self.t * acc
+
+    _close_big = _close_small
 
 
 def simplex_counts(g, budget=CLIQUE_BUDGET):
@@ -166,7 +402,7 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
     clique polynomial at t = 2^B (see the module docstring).  Raises
     CliqueBudgetExceeded past `budget` distinct subsets of two or more vertices."""
     width = max(map(int.bit_count, adjacency_masks(g)), default=0) + g.n.bit_length() + 1
-    packed = _clique_polynomial(g, 1 << width, budget)
+    packed = _CliqueClosure(g, 1 << width, -1, budget).value((1 << g.n) - 1)  # no int64 level
     digit = (1 << width) - 1
     return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
 
@@ -174,72 +410,86 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
 def euler_characteristic(g, budget=CLIQUE_BUDGET):
     """Alternating sum of the complete-subgraph counts, 1 − F(−1); raises
     CliqueBudgetExceeded where simplex_counts(g, budget) would."""
-    return 1 - _clique_polynomial(g, -1, budget)
+    return 1 - _CliqueClosure(g, -1, _CHI_TOP, budget).value((1 << g.n) - 1)
 
 
 # -- inductive dimension ------------------------------------------------------
 
 DIMENSION_BUDGET = 1_000_000  # distinct subsets one dimension call may evaluate
-_SCALE_CAP = 64  # the memo scales by at most 64! (see the module docstring)
+_SCALE_CAP = 64  # Python-int values scale by at most 64! (see the module docstring)
+_INT64_CAP = 18  # int64 values scale by at most 18!
 
 
 def inductive_dimension(g, budget=DIMENSION_BUDGET):
     """Average vertex dimension; the empty graph has dimension -1.
 
     dim(G) = 1 + mean over vertices of dim(S(v)), evaluated on induced
-    subgraphs.  Memoized on the vertex set inside the ambient graph (unit
-    spheres repeat a lot), with a budget on the distinct subsets evaluated.
+    subgraphs, each distinct vertex set once, with a budget on the distinct
+    subsets evaluated.
     """
-    return _DimensionMemo(g, budget).dimension((1 << g.n) - 1)
+    return _DimensionClosure(g, budget).dimension((1 << g.n) - 1)
 
 
 def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
     """1 + dimension of the unit sphere at x."""
     (x,) = vertex_set(g, (x,))
-    return 1 + _DimensionMemo(g, budget).dimension(adjacency_masks(g)[x])
+    return 1 + _DimensionClosure(g, budget).dimension(adjacency_masks(g)[x])
 
 
 def vertex_dimensions(g, budget=DIMENSION_BUDGET):
-    """vertex_dimension(g, x, budget) for every vertex x, from one shared memo.
+    """vertex_dimension(g, x, budget) for every vertex x, from one shared closure.
 
     The budget is charged per vertex, on the subsets that vertex's call adds
-    to the memo: never more than its separate call would evaluate, so every
-    vertex that fits alone still fits, and one that does not still raises.
+    to the closure in vertex order: never more than its separate call would
+    evaluate, so every vertex that fits alone still fits, and one that does
+    not still raises.  All spheres are first searched at once.  That search
+    stores every subset the vertex-by-vertex one would, and at most some
+    children of spheres of at most four vertices besides (it splits such a
+    sphere even when an earlier one reached it), so when it fits the budget,
+    so does each vertex's share.  Otherwise the spheres are searched again one
+    at a time, in vertex order.
     """
-    memo = _DimensionMemo(g, budget)
-    return tuple(1 + memo.dimension(mask) for mask in adjacency_masks(g))
+    closure = _DimensionClosure(g, budget)
+    masks = adjacency_masks(g)
+    try:
+        dimensions = closure.dimensions(masks)
+    except RecursionBudgetExceeded:
+        dimensions = [closure.dimension(mask) for mask in masks]
+    return tuple(1 + d for d in dimensions)
 
 
-class _DimensionMemo:
-    """Dimensions of the induced subgraphs of one graph, keyed on bitmasks.
+class _DimensionClosure(_Closure):
+    """Dimensions of the induced subgraphs of one graph, by the closure on the
+    adjacency masks.
 
-    `values` maps a vertex bitmask S to scale·dim(S), where
-    scale = min(Δ, _SCALE_CAP)! for the maximum degree Δ: an int whenever
-    |S| <= min(Δ, _SCALE_CAP) (see the module docstring), else an int or a
-    Fraction.  Each call evaluates at most `budget` distinct nonempty subsets
-    not already in the memo; the next raises RecursionBudgetExceeded.
+    A subset S of at most top = min(Δ, 18) vertices holds (top!)·dim(S) in
+    int64, a larger one scale·dim(S) with scale = min(Δ, 64)!: an int
+    whenever |S| <= min(Δ, 64), else an int or a Fraction (see the module
+    docstring).  Each call evaluates at most `budget` distinct nonempty
+    subsets not already stored; the next raises RecursionBudgetExceeded.
     """
 
     def __init__(self, g, budget):
-        self.masks = adjacency_masks(g)
-        degree = max(map(int.bit_count, self.masks), default=0)
-        self.scale = factorial(min(degree, _SCALE_CAP))
-        self.values = {0: -self.scale}  # the empty graph
-        # a child lies in a sphere, so has at most Δ vertices; those entries scale to ints
-        self.leaves = {code: int(self.scale * dim) for code, (dim, counts) in _SMALL_GRAPHS.items()
-                       if counts[0] <= degree}
-        self.budget = budget
+        degree = max(map(int.bit_count, adjacency_masks(g)), default=0)
+        top = min(degree, _INT64_CAP)
+        leaves = {code: dim for code, (dim, _) in _SMALL_GRAPHS.items()}
+        super().__init__(g, False, (-1,), top, factorial(top),
+                         factorial(min(degree, _SCALE_CAP)), leaves, budget,
+                         RecursionBudgetExceeded, "dimension")
 
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
-        value = _memoized(subset, self.masks, self.values, self._close, self.budget,
-                          RecursionBudgetExceeded, "dimension", self.masks, self.leaves)
-        return Fraction(value) / self.scale
+        return Fraction(self.value(subset)) / self.scale
 
-    def _close(self, s, acc):  # scale·dim(S) = scale + acc / |S|
-        size = s.bit_count()
-        q, r = divmod(acc, size)
-        return self.scale + (Fraction(acc, size) if r else q)
+    def dimensions(self, subsets):
+        """dimension(subset) for each of `subsets`, from one search."""
+        return [Fraction(value) / self.scale for value in self.values(subsets)]
+
+    def _close_small(self, k, acc):  # (top!)·dim(S) = top! + acc / |S|, exactly
+        return self.small_scale + acc // k
+
+    def _close_big(self, k, acc):  # scale·dim(S) = scale + acc / |S|
+        return [self.scale + (Fraction(a, k) if a % k else a // k) for a in acc]
 
 
 # -- expected dimension on G(n, p) --------------------------------------------

@@ -4,8 +4,9 @@ These deliberately re-derive quantities by the dumbest correct method
 (exhaustive subsets, Floyd-Warshall, product colorings) so the fast
 implementations are checked against an independent route.  Replaced
 implementations (Bareiss elimination, the reduced-pair dimension memo, the
-whole-block geometric Monte-Carlo kernels, the row-bitmask extremal kernel
-and its full-array reduction, the extremal scan over every labeled H, the
+depth-first subset recursion of the clique complex, the whole-block
+geometric Monte-Carlo kernels, the row-bitmask extremal kernel and its
+full-array reduction, the extremal scan over every labeled H, the
 rank-one eliminations mod p, the Laplacian loop over adjacency lists, the
 audit's per-root BFS trees) stay here as the references their successors
 must match.
@@ -24,10 +25,12 @@ from hypothesis import strategies as st
 
 from netfunc import cli, experiments
 from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
+from netfunc.errors import CliqueBudgetExceeded, RecursionBudgetExceeded
 from netfunc.experiments import ExtremalResult, Histogram
 from netfunc.generators import ModelSpec, build_model
 from netfunc.graph import UNREACHABLE, adjacency_masks, from_edge_list
 from netfunc.rng import derive_seed, generator
+from netfunc.topology import _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET
 
 INF = float("inf")
 
@@ -232,6 +235,106 @@ def clique_subproblems(g):
                 todo.extend(frozenset(u for u in g.adj_sets[v] & subset if u < v)
                             for v in subset)
     return len(seen)
+
+
+def degree_code(subset, masks):
+    """Σ_{v∈subset} 8^deg(v), degrees taken in the subgraph induced on `subset`."""
+    code = 0
+    rest = subset
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        code += 1 << 3 * (masks[low.bit_length() - 1] & subset).bit_count()
+    return code
+
+
+class SubsetRecursion:
+    """The memoized subset recursion the level-wise closure of `topology`
+    replaced, and the reference it must match in values and in the subsets
+    each call spends: value(S) = close(S, Σ_{v∈S} value(masks[v] & S)), one
+    frame per subset on an explicit stack, depth first.
+
+    `values` holds the seeds (the empty set among them) and every subset
+    evaluated so far; a child of at most four vertices is valued from
+    `leaves` by its degree code in the adjacency masks.  A call that
+    evaluates more than `budget` subsets not yet in `values` raises
+    `exceeded`; `spent` holds the count of the last call."""
+
+    def __init__(self, g, masks, values, close, leaves, budget, exceeded, unit):
+        self.full = adjacency_masks(g)
+        self.masks, self.values, self.close, self.leaves = masks, values, close, leaves
+        self.budget, self.exceeded, self.unit = budget, exceeded, unit
+        self.spent = 0
+
+    def value(self, subset):
+        masks, values, close, budget = self.masks, self.values, self.close, self.budget
+        known = values.get
+        # A frame is [subset, its vertices not yet visited, the sum of its
+        # children's values so far].
+        stack = [] if subset in values else [[subset, subset, 0]]
+        self.spent = len(stack)
+        while stack:
+            if self.spent > budget:
+                raise self.exceeded(f"more than {budget} {self.unit} subproblems")
+            frame = stack[-1]
+            s, rest, acc = frame
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = masks[low.bit_length() - 1] & s
+                value = known(child)
+                if value is None:
+                    if child.bit_count() > 4:
+                        break
+                    self.spent += 1
+                    if self.spent > budget:
+                        raise self.exceeded(f"more than {budget} {self.unit} subproblems")
+                    value = values[child] = self.leaves[degree_code(child, self.full)]
+                acc += value
+            else:
+                value = values[s] = close(s, acc)
+                stack.pop()
+                if stack:
+                    stack[-1][2] += value
+                continue
+            frame[1] = rest
+            frame[2] = acc
+            self.spent += 1
+            stack.append([child, child, 0])
+        return values[subset]
+
+
+class DimensionRecursion(SubsetRecursion):
+    """The subset recursion on the adjacency masks, storing scale·dim(S) with
+    scale = min(Δ, 64)!: an int whenever |S| <= min(Δ, 64)."""
+
+    def __init__(self, g, budget=DIMENSION_BUDGET):
+        masks = adjacency_masks(g)
+        degree = max(map(int.bit_count, masks), default=0)
+        self.scale = math.factorial(min(degree, 64))
+        leaves = {code: int(self.scale * dim) for code, (dim, counts) in _SMALL_GRAPHS.items()
+                  if counts[0] <= degree}
+        super().__init__(g, masks, {0: -self.scale}, self._close, leaves, budget,
+                         RecursionBudgetExceeded, "dimension")
+
+    def dimension(self, subset):
+        return Fraction(self.value(subset)) / self.scale
+
+    def _close(self, s, acc):  # scale·dim(S) = scale + acc / |S|
+        q, r = divmod(acc, s.bit_count())
+        return self.scale + (Fraction(acc, s.bit_count()) if r else q)
+
+
+def recursion_clique_polynomial(g, t, budget=CLIQUE_BUDGET):
+    """The subset recursion on the lower masks masks[v] & ((1 << v) − 1),
+    valuing the clique polynomial F_S at the integer t."""
+    masks = adjacency_masks(g)
+    lower = [mask & ((1 << v) - 1) for v, mask in enumerate(masks)]
+    values = dict.fromkeys((1 << v for v in range(g.n)), 1 + t) | {0: 1}
+    leaves = {code: 1 + sum(c * t ** k for k, c in enumerate(counts, 1))
+              for code, (_, counts) in _SMALL_GRAPHS.items()}
+    return SubsetRecursion(g, lower, values, lambda s, acc: 1 + t * acc, leaves, budget,
+                           CliqueBudgetExceeded, "clique")
 
 
 def brute_inductive_dimension(g):

@@ -169,6 +169,22 @@ def test_dense_er_draw_past_the_memory_limit_exits_1(argv):
     assert "Traceback" not in err
 
 
+def test_dimension_past_its_budget_stops_in_bounded_memory(tmp_path):
+    # the dimension closure of K_1100 passes the default budget of 10^6
+    # subsets at the third size level down; the depth-first recursion it
+    # replaced reached 422 MB here (8.2 s) before the skip, where the closure
+    # makes and dedupes its 18-word rows a few MB at a time
+    graph, report = tmp_path / "k1100.edges", tmp_path / "report.json"
+    write_edge_list(complete(1100), graph)
+    code, err, usage = run_capped("analyze", str(graph), "--functionals", "dimension",
+                                  "--output", str(report), seconds=60)
+    assert code == 0, err
+    entry = json.loads(report.read_text())["functionals"]["dimension"]
+    assert entry["status"] == "skipped"
+    assert "more than 1000000 dimension subproblems" in entry["reason"]
+    assert usage.ru_maxrss < 400 * 1024  # KiB
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "{tmp}/missing.edges"),
     ("analyze", "{tmp}"),

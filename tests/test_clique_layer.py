@@ -16,13 +16,15 @@ from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
 from netfunc.graph import adjacency_masks, from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
-from netfunc.topology import (_SMALL_GRAPHS, DIMENSION_BUDGET, _degree_code, _DimensionMemo,
-                              euler_characteristic, inductive_dimension, simplex_counts,
-                              vertex_dimension, vertex_dimensions)
+from netfunc.topology import (_CHI_TOP, _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET,
+                              _Closure, _CliqueClosure, _degree_codes, _DimensionClosure,
+                              _rows, euler_characteristic, inductive_dimension,
+                              simplex_counts, vertex_dimension, vertex_dimensions)
 
-from conftest import (PairDimensionMemo, brute_inductive_dimension, brute_simplex_counts,
-                      clique_subproblems, iter_graph_classes, iter_graphs,
-                      pair_inductive_dimension, pair_vertex_dimensions, relabelled_graphs,
+from conftest import (DimensionRecursion, PairDimensionMemo, brute_inductive_dimension,
+                      brute_simplex_counts, clique_subproblems, degree_code,
+                      iter_graph_classes, iter_graphs, pair_inductive_dimension,
+                      pair_vertex_dimensions, recursion_clique_polynomial, relabelled_graphs,
                       sweep_draws, walk_simplex_counts)
 
 
@@ -66,7 +68,8 @@ def test_small_graph_table_values_every_graph_on_at_most_four_vertices():
         for g in iter_graphs(n):
             canonical = min(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges())
                             for p in permutations(range(n)))
-            code = _degree_code((1 << n) - 1, adjacency_masks(g))
+            code = int(_degree_codes(_rows([(1 << n) - 1], 1), _rows(adjacency_masks(g), 1))[0])
+            assert code == degree_code((1 << n) - 1, adjacency_masks(g))
             classes.setdefault(code, set()).add((n, tuple(canonical)))
             dimension, counts = _SMALL_GRAPHS[code]
             assert dimension == brute_inductive_dimension(g)
@@ -138,14 +141,25 @@ def test_vertex_dimensions_share_one_memo():
         assert tuple(r.dimension for r in local_profile(g)) == shared
 
 
-# -- the scaled-integer memo against the reduced-pair oracle ----------------------
+# -- the scaled-integer closure against the reduced-pair oracle --------------------
+
+def stored_values(closure):
+    """{bitmask: scale·dim} of every subset a dimension closure holds, the
+    empty set included; values held in int64 are rescaled to `scale`."""
+    values = {0: -closure.scale}
+    for i in closure.ids.tolist():
+        subset = int.from_bytes(closure.rows[i].astype("<u8").tobytes(), "little")
+        values[subset] = (int(closure.small[i]) * closure.ratio
+                          if subset.bit_count() <= closure.top else closure.big[i])
+    return values
+
 
 def assert_memo_matches_pairs(g, memo):
-    """Every entry of `memo`, the root of each call included, equals the
-    reduced-pair oracle's dimension of the same subset; taken in the order
-    they were stored (children first), each oracle call is one subset."""
+    """Every subset the closure `memo` holds, the root of each call included,
+    has the reduced-pair oracle's dimension; taken from the smallest up, each
+    oracle call adds few subsets of its own."""
     oracle = PairDimensionMemo(g)
-    for subset, value in memo.values.items():
+    for subset, value in sorted(stored_values(memo).items(), key=lambda item: item[0].bit_count()):
         assert Fraction(value) / memo.scale == oracle.dimension(subset)
 
 
@@ -161,13 +175,17 @@ def test_dimension_matches_pair_memo_on_er_draws(n, p):
     g = erdos_renyi(n, p, rng.derive_seed(1414, n, int(p * 10)))
     full = (1 << n) - 1
     if (n, p) == (60, 0.8):
-        # past the default budget: the entries stored before the raise still match
-        memo = _DimensionMemo(g, 20_000)
+        # past the default budget: a call that raises stores nothing, and a
+        # completed call on the first 24 vertices still matches
+        memo = _DimensionClosure(g, 20_000)
         with pytest.raises(RecursionBudgetExceeded):
             memo.dimension(full)
         assert_memo_matches_pairs(g, memo)
+        memo.dimension((1 << 24) - 1)
+        assert len(stored_values(memo)) > 1000
+        assert_memo_matches_pairs(g, memo)
         return
-    memo = _DimensionMemo(g, DIMENSION_BUDGET)
+    memo = _DimensionClosure(g, DIMENSION_BUDGET)
     memo.dimension(full)
     assert_memo_matches_pairs(g, memo)
     if p < 0.8:
@@ -177,27 +195,28 @@ def test_dimension_matches_pair_memo_on_er_draws(n, p):
 @pytest.mark.parametrize("n", range(1, 71))
 def test_dimension_matches_pair_memo_on_complete_graphs(n):
     # K_n has 2^n - 1 nonempty subsets, so past n = 12 the budget stops the
-    # walk; the subsets of the last vertices it stored cover the scale cap
-    # (n >= 66 has Δ > 64)
+    # closure, and the first 12 vertices then fit it; they cover the scale
+    # cap (n >= 66 has Δ > 64)
     g = complete(n)
-    memo = _DimensionMemo(g, 4096)
+    memo = _DimensionClosure(g, 4096)
     if n <= 12:
         assert memo.dimension((1 << n) - 1) == n - 1 == pair_inductive_dimension(g)
     else:
         with pytest.raises(RecursionBudgetExceeded):
             memo.dimension((1 << n) - 1)
+        assert memo.dimension((1 << 12) - 1) == 11
     assert memo.scale == factorial(min(n - 1, 64))
     assert all(value == memo.scale * (subset.bit_count() - 1)
-               for subset, value in memo.values.items())
+               for subset, value in stored_values(memo).items())
     assert_memo_matches_pairs(g, memo)
 
 
 def test_non_integral_sphere_past_the_scale_cap():
     g = hub_graph()
-    memo = _DimensionMemo(g, DIMENSION_BUDGET)
+    memo = _DimensionClosure(g, DIMENSION_BUDGET)
     hub_sphere = adjacency_masks(g)[0]
     assert memo.dimension(hub_sphere) == Fraction(2, 67)
-    assert isinstance(memo.values[hub_sphere], Fraction)
+    assert isinstance(stored_values(memo)[hub_sphere], Fraction)
     assert inductive_dimension(g) == pair_inductive_dimension(g) == \
         1 + (Fraction(2, 67) + 2) / 68
     assert vertex_dimensions(g) == pair_vertex_dimensions(g)
@@ -216,16 +235,111 @@ def test_euler_characteristic_is_the_alternating_sum_of_the_counts():
 @pytest.mark.parametrize("g,budget", [(complete(200), 5000), (hub_graph(), DIMENSION_BUDGET)],
                          ids=["K200", "hub68"])
 def test_memo_ints_stay_within_the_capped_scale(g, budget):
-    # |dim| < n, so scale·dim needs at most log2(64!) + log2(n) bits
-    memo = _DimensionMemo(g, budget)
+    # |dim| < n, so scale·dim needs at most log2(64!) + log2(n) bits; K200
+    # passes its budget, so its first 12 vertices give the values
+    memo = _DimensionClosure(g, budget)
     try:
         memo.dimension((1 << g.n) - 1)
     except RecursionBudgetExceeded:
-        pass
+        memo.dimension((1 << 12) - 1)
     bound = factorial(64).bit_length() + g.n.bit_length()
-    ints = [v for v in memo.values.values() if isinstance(v, int)]
+    ints = [v for v in stored_values(memo).values() if isinstance(v, int)]
     assert ints
     assert all(v.bit_length() <= bound for v in ints)
+
+
+# -- the level-wise closure against the depth-first recursion ----------------------
+
+def assert_closure_matches_recursion(g, dimension_budget=DIMENSION_BUDGET,
+                                     clique_budget=CLIQUE_BUDGET, vertices=True):
+    """On each root the public functions use (the vertex set; each sphere in
+    turn on one shared closure; the vertex set for χ and for the packed
+    counts), the level-wise closure and the conftest recursion give the same
+    value and spend the same subsets, or both raise the same message."""
+    full = (1 << g.n) - 1
+    width = max(map(int.bit_count, adjacency_masks(g)), default=0) + g.n.bit_length() + 1
+    runs = [(_DimensionClosure(g, dimension_budget), DimensionRecursion(g, dimension_budget),
+             [full])]
+    if vertices:
+        runs.append((_DimensionClosure(g, dimension_budget),
+                     DimensionRecursion(g, dimension_budget), adjacency_masks(g)))
+    for t, top in ((-1, _CHI_TOP), (1 << width, -1)):
+        runs.append((_CliqueClosure(g, t, top, clique_budget),
+                     recursion_clique_polynomial(g, t, clique_budget), [full]))
+    raised = []
+    for closure, recursion, roots in runs:
+        for root in roots:
+            try:
+                expected = recursion.value(root)
+            except (RecursionBudgetExceeded, CliqueBudgetExceeded) as error:
+                with pytest.raises(type(error), match=f"^{error}$"):
+                    closure.value(root)
+                raised.append(type(error))
+                break
+            assert closure.value(root) == expected
+            assert closure.spent == recursion.spent
+    return raised
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_closure_matches_recursion_on_every_class(n):
+    for g, _ in iter_graph_classes(n):
+        assert_closure_matches_recursion(g)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (30, 40, 60, 80) for p in (0.3, 0.5, 0.8)])
+def test_closure_matches_recursion_on_er_draws(n, p):
+    # ER(60, 0.8) and ER(80, 0.8) pass the default dimension budget, and
+    # ER(80, 0.8) takes ~10^6 clique subsets: both sides must raise at 20000
+    g = erdos_renyi(n, p, rng.derive_seed(1414, n, int(p * 10)))
+    dense = p == 0.8 and n >= 60
+    raised = assert_closure_matches_recursion(
+        g, dimension_budget=20_000 if dense else DIMENSION_BUDGET,
+        clique_budget=20_000 if n == 80 and p == 0.8 else CLIQUE_BUDGET,
+        vertices=p < 0.8 or n == 30)
+    assert raised == ([RecursionBudgetExceeded] if (n, p) == (60, 0.8) else
+                      [RecursionBudgetExceeded, CliqueBudgetExceeded, CliqueBudgetExceeded]
+                      if dense else [])
+    if not dense:
+        assert inductive_dimension(g) == pair_inductive_dimension(g)
+    if p < 0.8:
+        assert simplex_counts(g) == walk_simplex_counts(g)
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return from_edge_list(offset, edges)
+
+
+def test_closure_matches_recursion_on_cliques_unions_and_sweep_draws():
+    union = disjoint_union(complete(5), hub_graph(), erdos_renyi(20, 0.5, 7), complete(1),
+                           from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)]))
+    graphs = [complete(n) for n in range(1, 13)] + [hub_graph(), union]
+    for g in graphs + sweep_draws("dense") + sweep_draws("sparse"):
+        assert assert_closure_matches_recursion(g, vertices=g.n <= 500) == []
+    assert vertex_dimensions(union) == pair_vertex_dimensions(union)
+    assert simplex_counts(union) == walk_simplex_counts(union)
+
+
+def test_hash_collisions_fall_back_to_exact_keys(monkeypatch):
+    # rows of more than one word are found by a hash of their words; with a
+    # hash that keeps only the first word, rows that differ past it collide,
+    # and the closure must switch to keying rows by all their words
+    keys = _Closure._keys
+
+    def first_word(self, rows):
+        return rows[:, 0].copy() if self.hashed else keys(self, rows)
+
+    monkeypatch.setattr(_Closure, "_keys", first_word)
+    g = erdos_renyi(80, 0.5, rng.derive_seed(1414, 80, 5))
+    closure = _DimensionClosure(g, DIMENSION_BUDGET)
+    assert closure.words == 2 and closure.hashed
+    assert_closure_matches_recursion(g, vertices=False)
+    assert closure.dimension((1 << g.n) - 1) == pair_inductive_dimension(g)
+    assert not closure.hashed
 
 
 # -- budgets --------------------------------------------------------------------
@@ -276,6 +390,24 @@ def test_shared_memo_charges_the_budget_per_vertex():
     # the default budget; sharing the memo must not lift that limit
     with pytest.raises(RecursionBudgetExceeded, match="more than 1000000 dimension"):
         local_profile(complete(30))
+
+
+@pytest.mark.parametrize("g", [erdos_renyi(30, 0.5, 3), erdos_renyi(30, 0.15, 5),
+                               erdos_renyi(25, 0.4, 2), complete(8), hub_graph()],
+                         ids=["er30-0.5", "er30-0.15", "er25", "K8", "hub68"])
+def test_vertex_dimensions_charge_each_vertex_its_sequential_share(g):
+    # the spheres are searched together, and again one by one when together
+    # they pass the budget; the budget still raises exactly when some
+    # vertex's share, taken in vertex order, passes it
+    memo = DimensionRecursion(g)
+    shares = []
+    for mask in adjacency_masks(g):
+        memo.dimension(mask)
+        shares.append(memo.spent)
+    most = max(shares)
+    assert vertex_dimensions(g, budget=most) == pair_vertex_dimensions(g)
+    with pytest.raises(RecursionBudgetExceeded, match=f"more than {most - 1} dimension"):
+        vertex_dimensions(g, budget=most - 1)
 
 
 def test_profile_charges_the_report_dimension_budget():
