@@ -18,9 +18,12 @@ one size level at a time from the smallest up, each level by one gathered
 sum of its children's values.  The index keys a row of one word by the word
 itself and a longer row by a hash of its words; every duplicate and every
 hit is then checked word by word, and a collision switches the closure to
-keying rows by all their words.  There are as many rounds as the recursion is
-deep, fewer than its size levels, so the numpy calls per call stay few; that
-matters on sparse graphs, whose closures are small.
+keying rows by all their words.  The hash pays: keying every row by its
+bytes made the dimension and χ of the benchmark sweeps' draws a fifth
+slower on the dense ones and a tenth on the sparse.  There are as many
+rounds as the recursion is deep, fewer than its size levels, so the numpy
+calls per call stay few; that matters on sparse graphs, whose closures are
+small.
 
 The closure stops at four vertices.  There the degree multiset fixes the
 graph up to isomorphism, so `_SMALL_GRAPHS` keys each of the 18 graphs on 1-4
@@ -37,14 +40,16 @@ four vertices.  Membership in that set is a property of the subset, not of
 the order it is found in, so `spent`, the distinct subsets a call stores,
 equals the recursion's count, and a call raises exactly when that count
 exceeds its budget, with the same exception and message.  A call that raises
-stores nothing.  `vertex_dimensions` charges each vertex the subsets that no
-earlier sphere reached, as if the spheres were visited in vertex order on one
-shared closure (a sphere already stored costs nothing and is not split
-again).  It searches all spheres at once first, and only when that passes
-the budget visits them one at a time (see its docstring).
-Memory is bounded with the count: a call stores at most `budget` rows, and
-beyond them holds the child rows of one chunk and their sort, a few times
-`_CHUNK_BYTES`, so a call past its budget stops in bounded memory.
+stores nothing.  `vertex_dimensions` values the spheres in vertex order on
+one closure, and each sphere is charged only the subsets it adds to it (a
+sphere already stored costs nothing and is not split again).
+Memory is bounded with the count.  A call stores at most `budget` rows of
+8·⌈n/64⌉ bytes, and keeps, until the values are computed, one child id of
+8 bytes for each member of each subset it splits: at most `budget` subsets
+of at most Δ members (the root's n aside).  Beyond those it holds the child
+rows of one chunk and their sort, a few times `_CHUNK_BYTES`, and at the end
+one size level's gathered child ids.  So a call past its budget stops in
+bounded memory.
 
 The dimension runs it on the adjacency masks, where masks[v] & S is the sphere
 of v in S.  By induction from dim(∅) = −1, the denominator of dim(S) divides
@@ -99,7 +104,7 @@ import numpy as np
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded)
 from .generators import _well_typed
-from .graph import adjacency_masks, distance_levels, per_graph, vertex_set
+from .graph import adjacency_masks, distance_levels, neighbor_arrays, per_graph, vertex_set
 
 # -- the subset closure -------------------------------------------------------
 
@@ -128,7 +133,15 @@ def _rows(masks, words):
 @per_graph
 def _adjacency_rows(g):
     """The adjacency masks as rows of ⌈n/64⌉ uint64 words; cached."""
-    return _rows(adjacency_masks(g), max(1, -(-g.n // 64)))
+    words = max(1, -(-g.n // 64))
+    degrees, neighbors = neighbor_arrays(g)
+    rows = np.zeros((g.n, words), dtype=np.uint64)
+    # the neighbours run in order, so each word's bits are consecutive
+    at = np.repeat(np.arange(g.n) * words, degrees) + (neighbors >> 6)
+    starts = np.flatnonzero(np.diff(at, prepend=-1))
+    bits = np.uint64(1) << (neighbors & 63).astype(np.uint64)
+    rows.ravel()[at[starts]] = np.bitwise_or.reduceat(bits, starts) if len(bits) else 0
+    return rows
 
 
 def _lower(rows):
@@ -166,8 +179,8 @@ def _int_or_fraction(x):
 
 
 class _Closure:
-    """The subsets one recursion visits from the roots it is given, and their
-    values (see the module docstring).
+    """The subsets one recursion visits from the roots it is given, one root
+    a call, and their values (see the module docstring).
 
     value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), step[v] the neighbours
     of v, or with `lower` those below v.  A subset of at most
@@ -212,48 +225,41 @@ class _Closure:
 
     def value(self, subset):
         """scale·x for the int bitmask `subset`."""
-        return self.values([subset])[0]
-
-    def values(self, subsets):
-        """scale·x for each int bitmask in `subsets`, all found in one search
-        whose new subsets are charged to `budget` together."""
         known = self.count
         try:
-            ids = self._visit(subsets)
+            i = self._visit(subset)
         except self.exceeded:
+            # forget the subsets the call stored and the values it wrote, so the
+            # ids it handed out start at zero when a later call reuses them
             keep = self.ids < known
             self.keys, self.ids, self.count = self.keys[keep], self.ids[keep], known
+            self.small[known:] = 0
+            self.big[known:] = 0
             raise
-        return [int(self.small[i]) * self.ratio if subset.bit_count() <= self.top else self.big[i]
-                for subset, i in zip(subsets, ids.tolist())]
+        return int(self.small[i]) * self.ratio if subset.bit_count() <= self.top else self.big[i]
 
-    def _visit(self, subsets):
-        """Store the subsets the roots `subsets` reach that are not stored yet,
+    def _visit(self, subset):
+        """Store the subsets the root `subset` reaches that are not stored yet,
         splitting each new one once, then value the split ones from the
-        smallest up; return the ids of the roots."""
+        smallest up; return the root's id."""
         self.spent = 0
         self.limit = self.count + self.budget  # the most ids this call can reach
+        size = subset.bit_count()
+        if size <= self.seeded:
+            return size  # a seed's id is its size
+        known = self.count
         frontier = []  # (ids, sizes) stored and not yet split
         split = []     # (ids, sizes, child ids in row order) of the subsets split
-        known = self.count
-        sizes = np.array([subset.bit_count() for subset in subsets], dtype=np.intp)
-        ids = sizes.copy()  # a seed's id is its size
-        roots = sizes > self.seeded
-        if roots.any():
-            rows = _rows([subset for subset, root in zip(subsets, roots) if root], self.words)
-            ids[roots] = self._identify(rows, sizes[roots], frontier)
-        # at four vertices or fewer only a root is split, and only a new one
-        small = sorted(set(ids[roots & (sizes <= _TABLE_SIZE) & (ids >= known)].tolist()))
-        if small:
-            small = np.array(small, dtype=np.intp)
-            frontier.append((small, np.bitwise_count(self.rows[small]).sum(axis=1, dtype=np.intp)))
+        sizes = np.array([size], dtype=np.intp)
+        (root,) = self._identify(_rows([subset], self.words), sizes, frontier).tolist()
+        if root >= known and size <= _TABLE_SIZE:  # a table-valued root is split too
+            frontier.append((np.array([root], dtype=np.intp), sizes))
         while frontier:
             parts = zip(*frontier)
             frontier = []
             self._split(*(np.concatenate(part) for part in parts), split, frontier)
         if not split:
-            return ids
-        root_ids = ids
+            return root
         ids, sizes, children = (np.concatenate(part) for part in zip(*split))
         starts = np.cumsum(sizes) - sizes
         order = np.argsort(sizes, kind="stable")
@@ -270,7 +276,7 @@ class _Closure:
                 if self.top >= 0:
                     acc += self.ratio * self.small[kids].astype(object).sum(axis=1)
                 self.big[ids[at]] = np.array(self._close_big(size, acc), dtype=object)
-        return root_ids
+        return root
 
     def _split(self, ids, sizes, split, frontier):
         """Find the children S ∩ step[v] of the subsets `ids` (of `sizes`
@@ -401,7 +407,7 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
     """Count complete subgraphs of every size: the base-2^B digits of the
     clique polynomial at t = 2^B (see the module docstring).  Raises
     CliqueBudgetExceeded past `budget` distinct subsets of two or more vertices."""
-    width = max(map(int.bit_count, adjacency_masks(g)), default=0) + g.n.bit_length() + 1
+    width = max(map(len, g.adj), default=0) + g.n.bit_length() + 1
     packed = _CliqueClosure(g, 1 << width, -1, budget).value((1 << g.n) - 1)  # no int64 level
     digit = (1 << width) - 1
     return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
@@ -439,23 +445,13 @@ def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
 def vertex_dimensions(g, budget=DIMENSION_BUDGET):
     """vertex_dimension(g, x, budget) for every vertex x, from one shared closure.
 
-    The budget is charged per vertex, on the subsets that vertex's call adds
-    to the closure in vertex order: never more than its separate call would
+    The spheres are valued in vertex order, and each is charged only the
+    subsets it adds to the closure: never more than its separate call would
     evaluate, so every vertex that fits alone still fits, and one that does
-    not still raises.  All spheres are first searched at once.  That search
-    stores every subset the vertex-by-vertex one would, and at most some
-    children of spheres of at most four vertices besides (it splits such a
-    sphere even when an earlier one reached it), so when it fits the budget,
-    so does each vertex's share.  Otherwise the spheres are searched again one
-    at a time, in vertex order.
+    not still raises.
     """
     closure = _DimensionClosure(g, budget)
-    masks = adjacency_masks(g)
-    try:
-        dimensions = closure.dimensions(masks)
-    except RecursionBudgetExceeded:
-        dimensions = [closure.dimension(mask) for mask in masks]
-    return tuple(1 + d for d in dimensions)
+    return tuple(1 + closure.dimension(mask) for mask in adjacency_masks(g))
 
 
 class _DimensionClosure(_Closure):
@@ -470,7 +466,7 @@ class _DimensionClosure(_Closure):
     """
 
     def __init__(self, g, budget):
-        degree = max(map(int.bit_count, adjacency_masks(g)), default=0)
+        degree = max(map(len, g.adj), default=0)
         top = min(degree, _INT64_CAP)
         leaves = {code: dim for code, (dim, _) in _SMALL_GRAPHS.items()}
         super().__init__(g, False, (-1,), top, factorial(top),
@@ -480,10 +476,6 @@ class _DimensionClosure(_Closure):
     def dimension(self, subset):
         """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
         return Fraction(self.value(subset)) / self.scale
-
-    def dimensions(self, subsets):
-        """dimension(subset) for each of `subsets`, from one search."""
-        return [Fraction(value) / self.scale for value in self.values(subsets)]
 
     def _close_small(self, k, acc):  # (top!)·dim(S) = top! + acc / |S|, exactly
         return self.small_scale + acc // k

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -17,8 +18,8 @@ from netfunc.graph import adjacency_masks, from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
 from netfunc.topology import (_CHI_TOP, _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET,
-                              _Closure, _CliqueClosure, _degree_codes, _DimensionClosure,
-                              _rows, euler_characteristic, inductive_dimension,
+                              _adjacency_rows, _Closure, _CliqueClosure, _degree_codes,
+                              _DimensionClosure, _rows, euler_characteristic, inductive_dimension,
                               simplex_counts, vertex_dimension, vertex_dimensions)
 
 from conftest import (DimensionRecursion, PairDimensionMemo, brute_inductive_dimension,
@@ -36,6 +37,17 @@ def test_adjacency_masks():
     g = from_edge_list(4, [(0, 1), (0, 3), (2, 3)])
     assert adjacency_masks(g) == (0b1010, 0b0001, 0b1000, 0b0101)
     assert adjacency_masks(g) is adjacency_masks(g)
+
+
+def test_adjacency_rows_are_the_masks_in_words():
+    # edges within a word, across words and at both ends of a row
+    edges = [(0, 1), (0, 63), (63, 64), (64, 129), (1, 128), (127, 128)]
+    for g in [from_edge_list(0, []), from_edge_list(3, []), from_edge_list(130, edges),
+              erdos_renyi(200, 0.05, 3)]:
+        words = max(1, -(-g.n // 64))
+        rows = _adjacency_rows(g)
+        assert rows.dtype == np.uint64 and rows.shape == (g.n, words)
+        assert (rows == _rows(adjacency_masks(g), words)).all()
 
 
 def assert_clique_layer_matches_oracles(g):
@@ -232,6 +244,29 @@ def test_euler_characteristic_is_the_alternating_sum_of_the_counts():
         assert euler_characteristic(g) == alternating_sum(counts) == 1
 
 
+def split_graph_and_triangles():
+    """A triangle {0, 1, 2} joined to an independent set {3, ..., 22}, then
+    ten disjoint triangles: Δ = 22 passes the int64 scale cap of 18."""
+    edges = [(0, 1), (0, 2), (1, 2)] + [(c, v) for c in range(3) for v in range(3, 23)]
+    for t in range(23, 53, 3):
+        edges += [(t, t + 1), (t, t + 2), (t + 1, t + 2)]
+    return from_edge_list(53, edges)
+
+
+def test_a_call_past_its_budget_leaves_no_values_behind():
+    # the root's first round stores the 30 triangle edges and values them from
+    # the table; the next round passes the budget of 40.  The ids the raise
+    # frees go to subsets of more than 18 vertices in the next call, whose
+    # child sums must not see the edges' values
+    g = split_graph_and_triangles()
+    memo = _DimensionClosure(g, 40)
+    with pytest.raises(RecursionBudgetExceeded, match="more than 40 dimension"):
+        memo.dimension((1 << g.n) - 1)
+    assert memo.dimension(adjacency_masks(g)[0]) == PairDimensionMemo(g).dimension(
+        adjacency_masks(g)[0])
+    assert_memo_matches_pairs(g, memo)
+
+
 @pytest.mark.parametrize("g,budget", [(complete(200), 5000), (hub_graph(), DIMENSION_BUDGET)],
                          ids=["K200", "hub68"])
 def test_memo_ints_stay_within_the_capped_scale(g, budget):
@@ -393,12 +428,12 @@ def test_shared_memo_charges_the_budget_per_vertex():
 
 
 @pytest.mark.parametrize("g", [erdos_renyi(30, 0.5, 3), erdos_renyi(30, 0.15, 5),
-                               erdos_renyi(25, 0.4, 2), complete(8), hub_graph()],
-                         ids=["er30-0.5", "er30-0.15", "er25", "K8", "hub68"])
+                               erdos_renyi(25, 0.4, 2), complete(8), hub_graph(),
+                               split_graph_and_triangles()],
+                         ids=["er30-0.5", "er30-0.15", "er25", "K8", "hub68", "split53"])
 def test_vertex_dimensions_charge_each_vertex_its_sequential_share(g):
-    # the spheres are searched together, and again one by one when together
-    # they pass the budget; the budget still raises exactly when some
-    # vertex's share, taken in vertex order, passes it
+    # the spheres share one closure in vertex order; the budget raises
+    # exactly when some vertex's share passes it
     memo = DimensionRecursion(g)
     shares = []
     for mask in adjacency_masks(g):
