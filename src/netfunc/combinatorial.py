@@ -2,7 +2,8 @@
 
 All searches are exact; when a graph exceeds the cap the caller gets a
 SizeCapExceeded instead of an estimate, and report layers surface that as a
-skip.  Bitmask adjacency keeps the branch-and-bound tight up to the caps.
+skip.  Python-int masks of the adjacency rows keep the branch-and-bound tight
+up to the caps.
 Arboricity's witness is certified by component counts: a set of edges on n
 vertices is a forest iff it has n - c edges, c its number of components.
 """
@@ -14,11 +15,16 @@ from itertools import chain
 from math import ceil
 
 from .errors import NoEdges, SizeCapExceeded
-from .graph import _bfs_parents, adjacency_masks, connected_components, from_edge_list
+from .graph import _bfs_parents, adjacency_rows, connected_components, from_edge_list
 
 INDEPENDENCE_CAP = 30
 CHROMATIC_CAP = 20
 ARBORICITY_CAP = 12
+
+
+def _masks(g):
+    """The adjacency rows as Python ints, their words little-endian on any host."""
+    return [int.from_bytes(row.tobytes(), "little") for row in adjacency_rows(g).astype("<u8")]
 
 
 def _max_clique(masks, n):
@@ -72,7 +78,7 @@ def independence_number(g, cap=INDEPENDENCE_CAP):
     if g.n > cap:
         raise SizeCapExceeded(f"independence search capped at {cap} vertices")
     full = (1 << g.n) - 1
-    masks = [full & ~(m | (1 << v)) for v, m in enumerate(adjacency_masks(g))]
+    masks = [full & ~(m | (1 << v)) for v, m in enumerate(_masks(g))]
     return _max_clique(masks, g.n)
 
 
@@ -80,7 +86,7 @@ def clique_number(g, cap=INDEPENDENCE_CAP):
     """Largest complete subgraph size (same search on the graph itself)."""
     if g.n > cap:
         raise SizeCapExceeded(f"clique search capped at {cap} vertices")
-    return _max_clique(adjacency_masks(g), g.n)
+    return _max_clique(_masks(g), g.n)
 
 
 def chromatic_number(g, cap=CHROMATIC_CAP):
@@ -92,7 +98,7 @@ def chromatic_number(g, cap=CHROMATIC_CAP):
         return 0
     if g.m == 0:
         return 1
-    masks = adjacency_masks(g)
+    masks = _masks(g)
     # order vertices by degree (descending) so conflicts show early
     order = sorted(range(n), key=lambda v: -len(g.adj[v]))
     lower = clique_number(g, cap=cap)

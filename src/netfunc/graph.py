@@ -1,20 +1,22 @@
 """Immutable finite simple graphs, their distance walks and edge-list I/O.
 
 Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
-(deterministic iteration) plus frozensets (O(1) membership), and on demand as
-Python-int bitmasks (`adjacency_masks`), on which `topology` runs its subset
-recursion.  Hop distances come from one bit-parallel walk that grows every
-vertex's ball a hop per round, read through two views: `distance_levels`
-(cached level counts) and `all_pairs_distances` (the full numpy matrix);
-`metrics` sums distances inside a vertex subset straight from the walk.
-`neighbor_arrays` lays the adjacency out as numpy arrays, from which
-`spectral` builds the Laplacian and the audit its BFS trees.  One
-single-source BFS, `_bfs_parents`, serves the components here, the audit's
-tree Wiener index and arboricity's forest paths.  Graphs never mutate after
-construction, so every operation here is a pure function that can be called
-concurrently, and `per_graph` keeps a value computed from the graph alone on
-it: the level counts, the bitmasks, the Laplacian spectrum and the component
-partition, which every connectivity guard in the package reads.
+(deterministic iteration) plus frozensets (O(1) membership), and on demand in
+two numpy layouts: `neighbor_arrays` (compressed sparse rows), from which
+`spectral` builds the Laplacian, the audit its BFS trees and this module the
+bit rows, and `adjacency_rows`, ⌈n/64⌉ uint64 words per vertex, the one bit
+layout, on which `topology` runs its clique complex and `combinatorial` its
+exact searches.  Hop distances come from one bit-parallel walk that grows
+every vertex's ball a hop per round, read through two views:
+`distance_levels` (cached level counts) and `all_pairs_distances` (the full
+numpy matrix); `metrics` sums distances inside a vertex subset straight from
+the walk.  One single-source BFS, `_bfs_parents`, serves the components
+here, the audit's tree Wiener index and arboricity's forest paths.  Graphs
+never mutate after construction, so every operation here is a pure function
+that can be called concurrently, and `per_graph` keeps a value computed from
+the graph alone on it: the level counts, the adjacency rows, the Laplacian
+spectrum and the component partition, which every connectivity guard in the
+package reads.
 """
 
 import functools
@@ -223,25 +225,44 @@ def all_pairs_distances(g):
     return dist
 
 
-@per_graph
-def adjacency_masks(g):
-    """masks[v] has bit u set iff u is a neighbor of v; cached on the graph."""
-    masks = []
-    for neighbors in g.adj:
-        mask = 0
-        for u in neighbors:
-            mask |= 1 << u
-        masks.append(mask)
-    return tuple(masks)
-
-
 def neighbor_arrays(g):
     """(degrees, neighbors) as int64 numpy arrays: the sorted neighbors of
     each vertex in turn, so those of v start at the sum of the degrees
-    before v (the compressed sparse row layout)."""
+    before v (the compressed sparse row layout).  Not cached: on K_1100 a
+    cached copy held 10 MB beside the dimension closure's budget."""
     degrees = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
     neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
     return degrees, neighbors
+
+
+def _bit_rows(g, lower):
+    """Row v has bit u, in word u // 64 of ⌈n/64⌉ uint64 words, for each
+    neighbor u of v (with `lower`, each one below v)."""
+    degrees, heads = neighbor_arrays(g)
+    tails = np.repeat(np.arange(g.n), degrees)
+    if lower:
+        keep = heads < tails
+        tails, heads = tails[keep], heads[keep]
+    words = max(1, -(-g.n // 64))
+    rows = np.zeros((g.n, words), dtype=np.uint64)
+    at = tails * words + (heads >> 6)  # by tail, then head: each word's bits are consecutive
+    starts = np.flatnonzero(np.diff(at, prepend=-1))
+    bits = np.uint64(1) << (heads & 63).astype(np.uint64)
+    rows.ravel()[at[starts]] = np.bitwise_or.reduceat(bits, starts) if len(bits) else 0
+    return rows
+
+
+@per_graph
+def adjacency_rows(g):
+    """rows[v] has bit u set iff u is a neighbor of v; cached, read-only."""
+    rows = _bit_rows(g, False)
+    rows.flags.writeable = False
+    return rows
+
+
+def lower_adjacency_rows(g):
+    """adjacency_rows(g) keeping in row v only the neighbors below v; not cached."""
+    return _bit_rows(g, True)
 
 
 def _bfs_parents(adj, source):

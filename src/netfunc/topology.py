@@ -3,27 +3,26 @@ dimension and its expectation over G(n, p)), curvature and the mean-field
 length estimator.
 
 The clique complex is one recursion on vertex subsets,
-value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), on the bitmask adjacency
-of `graph.adjacency_masks`, and one closure in numpy, `_Closure`,
-computes it.  A subset is a row of ⌈n/64⌉ uint64 words.  The closure is
-found in rounds, as a multi-source BFS expands a frontier: the first round
-splits the root into its children, and each later round splits every subset
-the round before stored for the first time.  A round's child rows are made at
-most `_CHUNK_BYTES` at a time, from the members of each row (only its
-nonzero words are unpacked).  Each chunk is deduped (sorted by key, keeping
-the inverse) and looked up in one sorted index of the subsets stored so far;
-the new ones get ids.  A child S ∩ step[v] lies in S − {v}, so it is strictly
-smaller than S, and once no round finds a new subset the values are computed
-one size level at a time from the smallest up, each level by one gathered
-sum of its children's values.  The index keys a row of one word by the word
-itself and a longer row by a hash of its words; every duplicate and every
-hit is then checked word by word, and a collision switches the closure to
-keying rows by all their words.  The hash pays: keying every row by its
-bytes made the dimension and χ of the benchmark sweeps' draws a fifth
-slower on the dense ones and a tenth on the sparse.  There are as many
-rounds as the recursion is deep, fewer than its size levels, so the numpy
-calls per call stay few; that matters on sparse graphs, whose closures are
-small.
+value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), and one closure in numpy,
+`_Closure`, computes it.  A subset, the call's root included (all n vertices
+or one vertex's sphere), is a row of W = ⌈n/64⌉ uint64 words, the layout of
+`graph.adjacency_rows`.  The closure is found in rounds, as a multi-source BFS
+expands a frontier: the first round splits the root into its children, and
+each later round splits every subset the round before stored for the first
+time.  Child rows are made from each row's members (only nonzero words are
+unpacked), at most `_CHUNK_BYTES` of them at a time: whole subsets while
+their members fit, a larger one, such as the root, that many members at a
+time.  Each slice is deduped (sorted by key, keeping the inverse) and looked
+up in one sorted index of the stored subsets; the new ones get ids.  A child
+S ∩ step[v] lies in S − {v}, so once no round finds a new subset the values
+are computed one size level at a time from the smallest up, each level by one
+gathered sum of its children's values.  The index keys a one-word row by the
+word and a longer row by a hash of its words; every duplicate and hit is then
+checked word by word, and a collision switches to keying rows by all their
+words (keying every row by its bytes made the benchmark sweeps' dimension and
+χ a fifth slower on the dense draws, a tenth on the sparse).  There are as
+many rounds as the recursion is deep, so the numpy calls per call stay few,
+which matters on the small closures of sparse graphs.
 
 The closure stops at four vertices.  There the degree multiset fixes the
 graph up to isomorphism, so `_SMALL_GRAPHS` keys each of the 18 graphs on 1-4
@@ -40,18 +39,17 @@ four vertices.  Membership in that set is a property of the subset, not of
 the order it is found in, so `spent`, the distinct subsets a call stores,
 equals the recursion's count, and a call raises exactly when that count
 exceeds its budget, with the same exception and message.  A call that raises
-stores nothing.  `vertex_dimensions` values the spheres in vertex order on
-one closure, and each sphere is charged only the subsets it adds to it (a
-sphere already stored costs nothing and is not split again).
-Memory is bounded with the count.  A call stores at most `budget` rows of
-8·⌈n/64⌉ bytes, and keeps, until the values are computed, one child id of
-8 bytes for each member of each subset it splits: at most `budget` subsets
-of at most Δ members (the root's n aside).  Beyond those it holds the child
-rows of one chunk and their sort, a few times `_CHUNK_BYTES`, and at the end
-one size level's gathered child ids.  So a call past its budget stops in
-bounded memory.
+stores nothing.
 
-The dimension runs it on the adjacency masks, where masks[v] & S is the sphere
+Memory is bounded with the count.  A call reads the adjacency rows and, for
+the clique counts, the lower rows, 8nW bytes each; stores at most `budget`
+rows of 8W bytes, grown in place by a quarter at a time; keeps one 8-byte
+child id per member of each subset it splits (at most `budget` subsets of at
+most Δ members, and the root's n); and holds a few `_CHUNK_BYTES` of child
+rows, their sort and their leaves' degree codes per slice.  So a call past
+its budget stops in bounded memory.
+
+The dimension runs it on the adjacency rows, where rows[v] & S is the sphere
 of v in S.  By induction from dim(∅) = −1, the denominator of dim(S) divides
 |S|!, and −1 <= dim(S) <= |S| − 1.  Every subset below the root lies inside a
 sphere, so |S| <= Δ for the maximum degree Δ.  A subset of at most
@@ -66,8 +64,8 @@ log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.  Of
 the 221,039 subsets of the twelve ER(n, 0.5) draws, n ∈ {40, 60, 80}, of the
 benchmark's dense sweep, 5,025 are past 18 vertices.
 
-The clique counts run it on the lower masks masks[v] & ((1 << v) − 1), where
-masks[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
+The clique counts run it on the lower rows (`graph.lower_adjacency_rows`),
+where lower[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
 over a clique of N(v) ∩ S_{<v}, so the clique polynomial F_S(t) = Σ_j c_j t^j
 (c_j the cliques of j vertices) obeys F_S = 1 + t·Σ_{v∈S} F_{N(v)∩S_{<v}},
 with F_∅ = 1 and each single vertex seeded as 1 + t.  `_CliqueClosure` runs
@@ -104,7 +102,8 @@ import numpy as np
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded)
 from .generators import _well_typed
-from .graph import adjacency_masks, distance_levels, neighbor_arrays, per_graph, vertex_set
+from .graph import (adjacency_rows, distance_levels, lower_adjacency_rows, per_graph,
+                    vertex_set)
 
 # -- the subset closure -------------------------------------------------------
 
@@ -124,36 +123,10 @@ _SMALL_GRAPHS = {
 _CHUNK_BYTES = 1 << 22  # the most bytes of child rows made at once
 
 
-def _rows(masks, words):
-    """The int bitmasks `masks` as rows of `words` uint64 words, low word first."""
-    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), words)
-
-
-@per_graph
-def _adjacency_rows(g):
-    """The adjacency masks as rows of ⌈n/64⌉ uint64 words; cached."""
-    words = max(1, -(-g.n // 64))
-    degrees, neighbors = neighbor_arrays(g)
-    rows = np.zeros((g.n, words), dtype=np.uint64)
-    # the neighbours run in order, so each word's bits are consecutive
-    at = np.repeat(np.arange(g.n) * words, degrees) + (neighbors >> 6)
-    starts = np.flatnonzero(np.diff(at, prepend=-1))
-    bits = np.uint64(1) << (neighbors & 63).astype(np.uint64)
-    rows.ravel()[at[starts]] = np.bitwise_or.reduceat(bits, starts) if len(bits) else 0
-    return rows
-
-
-def _lower(rows):
-    """rows[v] & ((1 << v) − 1) for each v: the neighbours below v."""
-    n, words = rows.shape
-    word, bit = np.divmod(np.arange(n), 64)
-    column = np.arange(words)
-    below = np.where(column < word[:, None], ~np.uint64(0),
-                     np.where(column == word[:, None],
-                              (np.uint64(1) << bit.astype(np.uint64))[:, None] - np.uint64(1),
-                              np.uint64(0)))
-    return rows & below
+def _vertex_row(n):
+    """The row of all n vertices: bits 0..n−1 of ⌈n/64⌉ uint64 words."""
+    bits = np.arange(64 * max(1, -(-n // 64))) < n
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def _members(rows):
@@ -179,24 +152,20 @@ def _int_or_fraction(x):
 
 
 class _Closure:
-    """The subsets one recursion visits from the roots it is given, one root
-    a call, and their values (see the module docstring).
-
-    value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), step[v] the neighbours
-    of v, or with `lower` those below v.  A subset of at most
-    len(seeds) − 1 vertices is a seed, valued by its size and with its size
-    as id; the others get ids in the order they are found, and one of at
-    most four vertices is valued from `leaves` (degree code -> value).  A
-    value x is held as small_scale·x in int64 for a subset of at most `top`
-    vertices, and as scale·x, a Python int or Fraction, above.  Each `value`
-    call charges `spent` with the subsets it stores, and one that would
-    store more than `budget` raises `exceeded` and stores nothing.
-    """
+    """The subsets one recursion visits, one root a call, and their values
+    (see the module docstring): value(S) = close(|S|, Σ_{v∈S} value(S ∩
+    step[v])), step[v] the adjacency row of v, or with `lower` its neighbours
+    below v.  A subset of at most len(seeds) − 1 vertices is a seed, with its
+    size as id; the others get ids in the order they are found, and one of at
+    most four vertices is valued from `leaves` (degree code -> value).  A value
+    x is held as small_scale·x in int64 for a subset of at most `top` vertices,
+    else as scale·x, a Python int or Fraction.  A call charges `spent` with the
+    subsets it stores; one past `budget` raises `exceeded` and stores nothing."""
 
     def __init__(self, g, lower, seeds, top, small_scale, scale, leaves, budget, exceeded, unit):
-        self.full = _adjacency_rows(g)
+        self.full = adjacency_rows(g)
         self.words = words = self.full.shape[1]
-        self.step = _lower(self.full) if lower else self.full
+        self.step = lower_adjacency_rows(g) if lower else self.full
         self.seeded = len(seeds) - 1
         self.top, self.small_scale, self.scale = top, small_scale, scale
         self.ratio = scale // small_scale
@@ -223,35 +192,34 @@ class _Closure:
         else:
             big[i] = _int_or_fraction(self.scale * x)
 
-    def value(self, subset):
-        """scale·x for the int bitmask `subset`."""
+    def value(self, root):
+        """scale·x for the subset in the row `root`."""
         known = self.count
+        size = int(np.bitwise_count(root).sum())
         try:
-            i = self._visit(subset)
+            i = self._visit(root, size)
         except self.exceeded:
-            # forget the subsets the call stored and the values it wrote, so the
-            # ids it handed out start at zero when a later call reuses them
+            # forget its subsets and values: a later call reuses the ids from zero
             keep = self.ids < known
             self.keys, self.ids, self.count = self.keys[keep], self.ids[keep], known
             self.small[known:] = 0
             self.big[known:] = 0
             raise
-        return int(self.small[i]) * self.ratio if subset.bit_count() <= self.top else self.big[i]
+        return int(self.small[i]) * self.ratio if size <= self.top else self.big[i]
 
-    def _visit(self, subset):
-        """Store the subsets the root `subset` reaches that are not stored yet,
-        splitting each new one once, then value the split ones from the
-        smallest up; return the root's id."""
+    def _visit(self, root, size):
+        """Store the subsets the row `root` (of `size` vertices) reaches that
+        are not stored yet, splitting each new one once, then value the split
+        ones from the smallest up; return the root's id."""
         self.spent = 0
         self.limit = self.count + self.budget  # the most ids this call can reach
-        size = subset.bit_count()
         if size <= self.seeded:
             return size  # a seed's id is its size
         known = self.count
         frontier = []  # (ids, sizes) stored and not yet split
         split = []     # (ids, sizes, child ids in row order) of the subsets split
         sizes = np.array([size], dtype=np.intp)
-        (root,) = self._identify(_rows([subset], self.words), sizes, frontier).tolist()
+        (root,) = self._identify(root[None], sizes, frontier).tolist()
         if root >= known and size <= _TABLE_SIZE:  # a table-valued root is split too
             frontier.append((np.array([root], dtype=np.intp), sizes))
         while frontier:
@@ -280,23 +248,29 @@ class _Closure:
 
     def _split(self, ids, sizes, split, frontier):
         """Find the children S ∩ step[v] of the subsets `ids` (of `sizes`
-        vertices), at most _CHUNK_BYTES of child rows at a time; a seed child's
-        id is its size."""
+        vertices), `per` members (_CHUNK_BYTES of child rows) at a time."""
         ends = np.cumsum(sizes)
-        per = _CHUNK_BYTES // (8 * self.words)  # child rows
+        per = max(1, _CHUNK_BYTES // (8 * self.words))
         start = 0
         while start < len(ids):
             stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + per,
                                                       side="right")))
             part = self.rows[ids[start:stop]]
             r, v = _members(part)
-            children = part[r] & self.step[v]
-            child_ids = np.bitwise_count(children).sum(axis=1, dtype=np.intp)
-            stored = child_ids > self.seeded
-            if stored.any():
-                child_ids[stored] = self._identify(children[stored], child_ids[stored], frontier)
-            split.append((ids[start:stop], sizes[start:stop], child_ids))
+            child_ids = [self._children(part[r[at:at + per]] & self.step[v[at:at + per]], frontier)
+                         for at in range(0, len(r), per)]
+            split.append((ids[start:stop], sizes[start:stop], np.concatenate(child_ids)))
             start = stop
+
+    def _children(self, rows, frontier):
+        """The ids of the child rows `rows`; a seed's id is its size."""
+        ids = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+        stored = ids > self.seeded
+        if stored.all():
+            ids = self._identify(rows, ids, frontier)
+        elif stored.any():
+            ids[stored] = self._identify(rows[stored], ids[stored], frontier)
+        return ids
 
     def _identify(self, rows, sizes, frontier):
         """The ids of `rows` (of `sizes` vertices), storing and charging the new
@@ -347,24 +321,26 @@ class _Closure:
 
     def _grow(self, count):
         if count > len(self.small):
-            size = max(count, min(2 * len(self.small), self.limit))
-            # in place, so the old rows and the new need not be held at once
+            # by a quarter, in place: few rows stand empty, old and new are never both held
+            size = max(count, min(len(self.small) + len(self.small) // 4, self.limit))
             self.rows.resize((size, self.words), refcheck=False)
             self.small.resize(size, refcheck=False)
-            self.big = np.concatenate([self.big, np.zeros(size - len(self.big), dtype=object)])
+            self.big.resize(size, refcheck=False)  # new entries hold the int 0
 
     def _keys(self, rows):
         if self.words == 1:
             return rows[:, 0]
         if self.hashed:  # the splitmix64 finalizer of each salted nonzero word, summed
-            r, w = np.divmod(np.flatnonzero(rows), self.words)
-            z = rows[r, w] + self.salt[w]
+            nz = np.flatnonzero(rows)
+            z = rows.ravel()[nz]
+            z += self.salt[nz % self.words]
             z ^= z >> np.uint64(30)
             z *= np.uint64(0xBF58476D1CE4E5B9)
             z ^= z >> np.uint64(27)
             z *= np.uint64(0x94D049BB133111EB)
             z ^= z >> np.uint64(31)
-            return np.add.reduceat(z, np.flatnonzero(np.diff(r, prepend=-1)))  # mod 2^64
+            nz //= self.words
+            return np.add.reduceat(z, np.flatnonzero(np.diff(nz, prepend=-1)))  # mod 2^64
         return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * self.words))).ravel()
 
 
@@ -386,7 +362,7 @@ class SimplexCounts(tuple):
 
 class _CliqueClosure(_Closure):
     """F_S(t) = Σ_j c_j t^j, c_j the complete subgraphs on j vertices of S
-    (c_0 = 1), at the integer t, by the closure on the lower masks.  Values of
+    (c_0 = 1), at the integer t, by the closure on the lower rows.  Values of
     subsets of at most `top` vertices are int64; raises CliqueBudgetExceeded
     past `budget` distinct subsets of two or more vertices."""
 
@@ -408,7 +384,7 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
     clique polynomial at t = 2^B (see the module docstring).  Raises
     CliqueBudgetExceeded past `budget` distinct subsets of two or more vertices."""
     width = max(map(len, g.adj), default=0) + g.n.bit_length() + 1
-    packed = _CliqueClosure(g, 1 << width, -1, budget).value((1 << g.n) - 1)  # no int64 level
+    packed = _CliqueClosure(g, 1 << width, -1, budget).value(_vertex_row(g.n))  # no int64 level
     digit = (1 << width) - 1
     return SimplexCounts(packed >> k & digit for k in range(width, packed.bit_length(), width))
 
@@ -416,7 +392,7 @@ def simplex_counts(g, budget=CLIQUE_BUDGET):
 def euler_characteristic(g, budget=CLIQUE_BUDGET):
     """Alternating sum of the complete-subgraph counts, 1 − F(−1); raises
     CliqueBudgetExceeded where simplex_counts(g, budget) would."""
-    return 1 - _CliqueClosure(g, -1, _CHI_TOP, budget).value((1 << g.n) - 1)
+    return 1 - _CliqueClosure(g, -1, _CHI_TOP, budget).value(_vertex_row(g.n))
 
 
 # -- inductive dimension ------------------------------------------------------
@@ -433,30 +409,26 @@ def inductive_dimension(g, budget=DIMENSION_BUDGET):
     subgraphs, each distinct vertex set once, with a budget on the distinct
     subsets evaluated.
     """
-    return _DimensionClosure(g, budget).dimension((1 << g.n) - 1)
+    return _DimensionClosure(g, budget).dimension(_vertex_row(g.n))
 
 
 def vertex_dimension(g, x, budget=DIMENSION_BUDGET):
     """1 + dimension of the unit sphere at x."""
     (x,) = vertex_set(g, (x,))
-    return 1 + _DimensionClosure(g, budget).dimension(adjacency_masks(g)[x])
+    return 1 + _DimensionClosure(g, budget).dimension(adjacency_rows(g)[x])
 
 
 def vertex_dimensions(g, budget=DIMENSION_BUDGET):
-    """vertex_dimension(g, x, budget) for every vertex x, from one shared closure.
-
-    The spheres are valued in vertex order, and each is charged only the
-    subsets it adds to the closure: never more than its separate call would
-    evaluate, so every vertex that fits alone still fits, and one that does
-    not still raises.
-    """
+    """vertex_dimension(g, x, budget) for every vertex x, from one closure:
+    each sphere, in vertex order, is charged only the subsets it adds, never
+    more than its separate call, so each vertex fits or raises as it alone would."""
     closure = _DimensionClosure(g, budget)
-    return tuple(1 + closure.dimension(mask) for mask in adjacency_masks(g))
+    return tuple(1 + closure.dimension(row) for row in closure.full)
 
 
 class _DimensionClosure(_Closure):
     """Dimensions of the induced subgraphs of one graph, by the closure on the
-    adjacency masks.
+    adjacency rows.
 
     A subset S of at most top = min(Δ, 18) vertices holds (top!)·dim(S) in
     int64, a larger one scale·dim(S) with scale = min(Δ, 64)!: an int
@@ -473,9 +445,9 @@ class _DimensionClosure(_Closure):
                          factorial(min(degree, _SCALE_CAP)), leaves, budget,
                          RecursionBudgetExceeded, "dimension")
 
-    def dimension(self, subset):
-        """Dimension of the subgraph induced on the bitmask `subset`, as a Fraction."""
-        return Fraction(self.value(subset)) / self.scale
+    def dimension(self, root):
+        """Dimension of the subgraph induced on the row `root`, as a Fraction."""
+        return Fraction(self.value(root)) / self.scale
 
     def _close_small(self, k, acc):  # (top!)·dim(S) = top! + acc / |S|, exactly
         return self.small_scale + acc // k

@@ -28,7 +28,7 @@ from netfunc.continuum import _CLUSTER_TAG, _LENGTH_TAG, FlatTorus
 from netfunc.errors import CliqueBudgetExceeded, RecursionBudgetExceeded
 from netfunc.experiments import ExtremalResult, Histogram
 from netfunc.generators import ModelSpec, build_model
-from netfunc.graph import UNREACHABLE, adjacency_masks, from_edge_list
+from netfunc.graph import UNREACHABLE, from_edge_list
 from netfunc.rng import derive_seed, generator
 from netfunc.topology import _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET
 
@@ -189,6 +189,13 @@ def brute_simplex_counts(g):
             break
         counts.append(c)
     return counts
+
+
+def adjacency_masks(g):
+    """masks[v] has bit u set iff u is a neighbor of v, as Python ints built
+    from the adjacency lists: the oracles' own layout, independent of the
+    program's uint64 rows."""
+    return tuple(sum(1 << u for u in neighbors) for neighbors in g.adj)
 
 
 def walk_simplex_counts(g):

@@ -15,7 +15,7 @@ import pytest
 import netfunc
 from netfunc.cli import main
 from netfunc.graph import from_edge_list, read_edge_list
-from netfunc.generators import complete
+from netfunc.generators import complete, watts_strogatz
 from netfunc.graph import write_edge_list
 from netfunc.report import REPORT_SCHEMA
 
@@ -183,6 +183,18 @@ def test_dimension_past_its_budget_stops_in_bounded_memory(tmp_path):
     assert entry["status"] == "skipped"
     assert "more than 1000000 dimension subproblems" in entry["reason"]
     assert usage.ru_maxrss < 400 * 1024  # KiB
+
+
+def test_euler_characteristic_of_a_large_sparse_graph_in_bounded_memory(tmp_path):
+    # the root of WS(20000, 6, 0.1) has 20,000 children of 313 words each; they
+    # are made and valued a slice of members at a time, not all at once
+    graph, report = tmp_path / "ws.edges", tmp_path / "report.json"
+    write_edge_list(watts_strogatz(20000, 6, 0.1, 1), graph)
+    code, err, usage = run_capped("analyze", str(graph), "--functionals", "euler_char",
+                                  "--output", str(report), limit=512 * 2**20, seconds=30)
+    assert code == 0, err
+    assert json.loads(report.read_text())["functionals"]["euler_char"]["value"] == -6910
+    assert usage.ru_maxrss < 320 * 1024  # KiB
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,20 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from netfunc import rng
+from netfunc import rng, topology
 from netfunc.errors import CliqueBudgetExceeded, RecursionBudgetExceeded
 from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
-from netfunc.graph import adjacency_masks, from_edge_list, sphere
+from netfunc.graph import adjacency_rows, from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
 from netfunc.topology import (_CHI_TOP, _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET,
-                              _adjacency_rows, _Closure, _CliqueClosure, _degree_codes,
-                              _DimensionClosure, _rows, euler_characteristic, inductive_dimension,
-                              simplex_counts, vertex_dimension, vertex_dimensions)
+                              _Closure, _CliqueClosure, _degree_codes, _DimensionClosure,
+                              euler_characteristic, inductive_dimension, simplex_counts,
+                              vertex_dimension, vertex_dimensions)
 
-from conftest import (DimensionRecursion, PairDimensionMemo, brute_inductive_dimension,
-                      brute_simplex_counts, clique_subproblems, degree_code,
-                      iter_graph_classes, iter_graphs, pair_inductive_dimension,
+from conftest import (DimensionRecursion, PairDimensionMemo, adjacency_masks,
+                      brute_inductive_dimension, brute_simplex_counts, clique_subproblems,
+                      degree_code, iter_graph_classes, iter_graphs, pair_inductive_dimension,
                       pair_vertex_dimensions, recursion_clique_polynomial, relabelled_graphs,
                       sweep_draws, walk_simplex_counts)
 
@@ -33,10 +33,22 @@ def alternating_sum(counts):
     return sum((-1) ** k * c for k, c in enumerate(counts))
 
 
+def as_rows(masks, words):
+    """The int bitmasks `masks` as rows of `words` uint64 words, low word first."""
+    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(masks), words)
+
+
+def row(g, mask):
+    """The int bitmask `mask` as a row of g's adjacency layout."""
+    return as_rows([mask], max(1, -(-g.n // 64)))[0]
+
+
 def test_adjacency_masks():
     g = from_edge_list(4, [(0, 1), (0, 3), (2, 3)])
-    assert adjacency_masks(g) == (0b1010, 0b0001, 0b1000, 0b0101)
-    assert adjacency_masks(g) is adjacency_masks(g)
+    assert adjacency_rows(g).tolist() == [[0b1010], [0b0001], [0b1000], [0b0101]]
+    assert adjacency_rows(g) is adjacency_rows(g)
+    assert not adjacency_rows(g).flags.writeable
 
 
 def test_adjacency_rows_are_the_masks_in_words():
@@ -45,9 +57,9 @@ def test_adjacency_rows_are_the_masks_in_words():
     for g in [from_edge_list(0, []), from_edge_list(3, []), from_edge_list(130, edges),
               erdos_renyi(200, 0.05, 3)]:
         words = max(1, -(-g.n // 64))
-        rows = _adjacency_rows(g)
+        rows = adjacency_rows(g)
         assert rows.dtype == np.uint64 and rows.shape == (g.n, words)
-        assert (rows == _rows(adjacency_masks(g), words)).all()
+        assert (rows == as_rows(adjacency_masks(g), words)).all()
 
 
 def assert_clique_layer_matches_oracles(g):
@@ -80,7 +92,8 @@ def test_small_graph_table_values_every_graph_on_at_most_four_vertices():
         for g in iter_graphs(n):
             canonical = min(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges())
                             for p in permutations(range(n)))
-            code = int(_degree_codes(_rows([(1 << n) - 1], 1), _rows(adjacency_masks(g), 1))[0])
+            code = int(_degree_codes(as_rows([(1 << n) - 1], 1),
+                                     as_rows(adjacency_masks(g), 1))[0])
             assert code == degree_code((1 << n) - 1, adjacency_masks(g))
             classes.setdefault(code, set()).add((n, tuple(canonical)))
             dimension, counts = _SMALL_GRAPHS[code]
@@ -191,14 +204,14 @@ def test_dimension_matches_pair_memo_on_er_draws(n, p):
         # completed call on the first 24 vertices still matches
         memo = _DimensionClosure(g, 20_000)
         with pytest.raises(RecursionBudgetExceeded):
-            memo.dimension(full)
+            memo.dimension(row(g, full))
         assert_memo_matches_pairs(g, memo)
-        memo.dimension((1 << 24) - 1)
+        memo.dimension(row(g, (1 << 24) - 1))
         assert len(stored_values(memo)) > 1000
         assert_memo_matches_pairs(g, memo)
         return
     memo = _DimensionClosure(g, DIMENSION_BUDGET)
-    memo.dimension(full)
+    memo.dimension(row(g, full))
     assert_memo_matches_pairs(g, memo)
     if p < 0.8:
         assert vertex_dimensions(g) == pair_vertex_dimensions(g)
@@ -212,11 +225,11 @@ def test_dimension_matches_pair_memo_on_complete_graphs(n):
     g = complete(n)
     memo = _DimensionClosure(g, 4096)
     if n <= 12:
-        assert memo.dimension((1 << n) - 1) == n - 1 == pair_inductive_dimension(g)
+        assert memo.dimension(row(g, (1 << n) - 1)) == n - 1 == pair_inductive_dimension(g)
     else:
         with pytest.raises(RecursionBudgetExceeded):
-            memo.dimension((1 << n) - 1)
-        assert memo.dimension((1 << 12) - 1) == 11
+            memo.dimension(row(g, (1 << n) - 1))
+        assert memo.dimension(row(g, (1 << 12) - 1)) == 11
     assert memo.scale == factorial(min(n - 1, 64))
     assert all(value == memo.scale * (subset.bit_count() - 1)
                for subset, value in stored_values(memo).items())
@@ -227,7 +240,7 @@ def test_non_integral_sphere_past_the_scale_cap():
     g = hub_graph()
     memo = _DimensionClosure(g, DIMENSION_BUDGET)
     hub_sphere = adjacency_masks(g)[0]
-    assert memo.dimension(hub_sphere) == Fraction(2, 67)
+    assert memo.dimension(row(g, hub_sphere)) == Fraction(2, 67)
     assert isinstance(stored_values(memo)[hub_sphere], Fraction)
     assert inductive_dimension(g) == pair_inductive_dimension(g) == \
         1 + (Fraction(2, 67) + 2) / 68
@@ -261,8 +274,8 @@ def test_a_call_past_its_budget_leaves_no_values_behind():
     g = split_graph_and_triangles()
     memo = _DimensionClosure(g, 40)
     with pytest.raises(RecursionBudgetExceeded, match="more than 40 dimension"):
-        memo.dimension((1 << g.n) - 1)
-    assert memo.dimension(adjacency_masks(g)[0]) == PairDimensionMemo(g).dimension(
+        memo.dimension(row(g, (1 << g.n) - 1))
+    assert memo.dimension(row(g, adjacency_masks(g)[0])) == PairDimensionMemo(g).dimension(
         adjacency_masks(g)[0])
     assert_memo_matches_pairs(g, memo)
 
@@ -274,9 +287,9 @@ def test_memo_ints_stay_within_the_capped_scale(g, budget):
     # passes its budget, so its first 12 vertices give the values
     memo = _DimensionClosure(g, budget)
     try:
-        memo.dimension((1 << g.n) - 1)
+        memo.dimension(row(g, (1 << g.n) - 1))
     except RecursionBudgetExceeded:
-        memo.dimension((1 << 12) - 1)
+        memo.dimension(row(g, (1 << 12) - 1))
     bound = factorial(64).bit_length() + g.n.bit_length()
     ints = [v for v in stored_values(memo).values() if isinstance(v, int)]
     assert ints
@@ -308,10 +321,10 @@ def assert_closure_matches_recursion(g, dimension_budget=DIMENSION_BUDGET,
                 expected = recursion.value(root)
             except (RecursionBudgetExceeded, CliqueBudgetExceeded) as error:
                 with pytest.raises(type(error), match=f"^{error}$"):
-                    closure.value(root)
+                    closure.value(row(g, root))
                 raised.append(type(error))
                 break
-            assert closure.value(root) == expected
+            assert closure.value(row(g, root)) == expected
             assert closure.spent == recursion.spent
     return raised
 
@@ -359,6 +372,39 @@ def test_closure_matches_recursion_on_cliques_unions_and_sweep_draws():
     assert simplex_counts(union) == walk_simplex_counts(union)
 
 
+def join(a, b):
+    """Disjoint union of a and b plus every edge between them."""
+    edges = [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    return from_edge_list(a.n + b.n, list(disjoint_union(a, b).edges()) + edges)
+
+
+def test_one_subset_split_across_several_slices(monkeypatch):
+    # three one-word child rows a slice: the root and every subset of more
+    # than three vertices make their children over several slices, whose
+    # child ids must join in row order
+    monkeypatch.setattr(topology, "_CHUNK_BYTES", 3 * 8)
+    cycle = from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)])
+    graphs = [complete(9), join(cycle, complete(4)), erdos_renyi(24, 0.6, 3),
+              erdos_renyi(40, 0.5, rng.derive_seed(1414, 40, 5))]
+    calls = []
+    children = _Closure._children
+
+    def counted(self, rows, frontier):
+        calls.append(len(rows))
+        return children(self, rows, frontier)
+
+    monkeypatch.setattr(_Closure, "_children", counted)
+    for g in graphs:
+        assert assert_closure_matches_recursion(g) == []
+    assert max(calls) == 3
+    # a call past its budget still raises with the recursion's message; K_12
+    # has only 12 clique subsets, so only its dimension passes 200
+    assert assert_closure_matches_recursion(complete(12), 200, 200, vertices=False) == \
+        [RecursionBudgetExceeded]
+    assert assert_closure_matches_recursion(graphs[-1], 200, 200, vertices=False) == \
+        [RecursionBudgetExceeded, CliqueBudgetExceeded, CliqueBudgetExceeded]
+
+
 def test_hash_collisions_fall_back_to_exact_keys(monkeypatch):
     # rows of more than one word are found by a hash of their words; with a
     # hash that keeps only the first word, rows that differ past it collide,
@@ -373,7 +419,7 @@ def test_hash_collisions_fall_back_to_exact_keys(monkeypatch):
     closure = _DimensionClosure(g, DIMENSION_BUDGET)
     assert closure.words == 2 and closure.hashed
     assert_closure_matches_recursion(g, vertices=False)
-    assert closure.dimension((1 << g.n) - 1) == pair_inductive_dimension(g)
+    assert closure.dimension(row(g, (1 << g.n) - 1)) == pair_inductive_dimension(g)
     assert not closure.hashed
 
 
