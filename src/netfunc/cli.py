@@ -353,7 +353,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError among them
-        print(f"error: not enough memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        exc.__traceback__ = None  # frees the failed call's frames before the message is made
+        print(f"error: not enough memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

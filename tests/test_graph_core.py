@@ -82,6 +82,17 @@ def test_numpy_vertex_ids_become_ints():
     assert simplex_counts(g) == (72, 3, 1)
 
 
+def test_each_vertex_id_is_one_int_object():
+    # ids past 256 are new objects each time they are made; the graph keeps
+    # one per vertex, whichever end of whichever edge named it
+    pairs = [(u, v) for u in range(300, 400) for v in range(u + 1, 400)]
+    g = from_edge_list(400, [(int(str(u)), int(str(v))) for u, v in pairs])
+    assert list(g.edges()) == pairs
+    ends = [v for row in g.adj for v in row] + [v for s in g.adj_sets for v in s]
+    assert len(ends) == 4 * len(pairs)
+    assert len({id(v) for v in ends}) == 100
+
+
 def test_simplex_counts_is_a_hashable_tuple():
     counts = simplex_counts(complete(4))
     assert (counts == None) is False  # noqa: E711  (compares, does not raise)
