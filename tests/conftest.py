@@ -191,6 +191,13 @@ def brute_simplex_counts(g):
     return counts
 
 
+def brute_neighbor_edges(g):
+    """edges[x] = the edges among the neighbors of x, by testing every pair of
+    them: the reference for the triangle count of `metrics._neighbor_edges`."""
+    return tuple(sum(w in g.adj_sets[u] for u, w in combinations(neighbors, 2))
+                 for neighbors in g.adj)
+
+
 def adjacency_masks(g):
     """masks[v] has bit u set iff u is a neighbor of v, as Python ints built
     from the adjacency lists: the oracles' own layout, independent of the

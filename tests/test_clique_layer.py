@@ -423,6 +423,76 @@ def test_hash_collisions_fall_back_to_exact_keys(monkeypatch):
     assert not closure.hashed
 
 
+# -- the column kernels of narrow rows against the packed ones ----------------------
+
+def random_rows(words, count, seed, most=None):
+    """`count` nonempty rows of `words` uint64 words, some with zero words;
+    with `most`, each of at most that many vertices."""
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 1 << 64, size=(count, words), dtype=np.uint64)
+    rows &= gen.integers(0, 1 << 64, size=(count, words), dtype=np.uint64)  # sparser
+    rows[gen.random((count, words)) < 0.3] = 0
+    if most is not None:
+        members = [gen.choice(64 * words, size=gen.integers(1, most + 1), replace=False)
+                   for _ in range(count)]
+        rows = as_rows([sum(1 << int(v) for v in vs) for vs in members], words)
+    rows[~rows.any(axis=1), 0] = 1
+    return rows
+
+
+def both_paths(monkeypatch, kernel, *args):
+    """kernel(*args) by the column path and by the packed path."""
+    results = []
+    for narrow in (3, 0):  # every width here narrow, then none
+        monkeypatch.setattr(topology, "_NARROW_WORDS", narrow)
+        results.append(kernel(*args))
+    return results
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_column_and_packed_kernels_agree(monkeypatch, words):
+    # three words is the wide control: the closure runs its column kernels on
+    # one and two words only, yet both must hold on any width
+    rows = random_rows(words, 3000, words)
+    column, packed = both_paths(monkeypatch, topology._sizes, rows)
+    assert column.tolist() == packed.tolist() == [sum(map(int.bit_count, r)) for r in
+                                                  rows.tolist()]
+    column, packed = both_paths(monkeypatch, topology._hash_keys, rows)
+    assert column.dtype == packed.dtype == np.uint64
+    assert column.tolist() == packed.tolist()
+    (column_r, column_v), (packed_r, packed_v) = both_paths(monkeypatch, topology._members, rows)
+    assert column_r.tolist() == packed_r.tolist()
+    assert column_v.tolist() == packed_v.tolist()
+    assert sorted(zip(column_r.tolist(), column_v.tolist())) == \
+        [(r, 64 * w + b) for r, row in enumerate(rows.tolist()) for w, word in enumerate(row)
+         for b in range(64) if word >> b & 1]
+    # the leaves' degree codes, in a random graph on 64·words vertices
+    g = erdos_renyi(64 * words, 0.5, words)
+    leaves = random_rows(words, 3000, 10 + words, most=4)
+    column, packed = both_paths(monkeypatch, _degree_codes, leaves, adjacency_rows(g))
+    masks = adjacency_masks(g)
+    assert column.tolist() == packed.tolist() == \
+        [degree_code(int.from_bytes(r.astype("<u8").tobytes(), "little"), masks) for r in leaves]
+
+
+@pytest.mark.parametrize("n,p", [(128, 0.05), (129, 0.05), (128, 0.2), (129, 0.2)])
+def test_closure_matches_recursion_at_the_width_boundary(n, p):
+    # 128 vertices take two words and the column kernels, 129 three words and
+    # the packed ones: the same values and spending, and the same raise one
+    # subset short of the recursion's count
+    g = erdos_renyi(n, p, rng.derive_seed(31, n, int(p * 100)))
+    assert (topology._vertex_row(n).size <= topology._NARROW_WORDS) == (n <= 128)
+    assert assert_closure_matches_recursion(g) == []
+    full = (1 << n) - 1
+    dimension = DimensionRecursion(g)
+    dimension.value(full)
+    clique = recursion_clique_polynomial(g, -1)
+    clique.value(full)
+    assert assert_closure_matches_recursion(g, dimension.spent - 1, clique.spent - 1,
+                                            vertices=False) == \
+        [RecursionBudgetExceeded, CliqueBudgetExceeded, CliqueBudgetExceeded]
+
+
 # -- budgets --------------------------------------------------------------------
 
 def dimension_subproblems(g):

@@ -2,18 +2,19 @@
 
 import functools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netfunc import metrics, topology
+from netfunc import metrics, rng, topology
 from netfunc.errors import (Disconnected, InvalidParam, TooSmall, UndefinedRatio,
                             VertexOutOfRange)
 from netfunc.experiments import SWEEP_FUNCTIONALS
-from netfunc.generators import (complete, complete_bipartite, cycle, erdos_renyi,
-                                path, star, watts_strogatz, wheel)
+from netfunc.generators import (barabasi_albert, complete, complete_bipartite, cycle,
+                                erdos_renyi, path, star, watts_strogatz, wheel)
 from netfunc.graph import from_edge_list, induced_subgraph, per_graph
 from netfunc.metrics import (characteristic_length, closeness_centrality,
                              cluster_length_ratio, distance_variance, local_cluster,
@@ -23,8 +24,8 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
 from netfunc.report import compute_report
 from netfunc.topology import second_sphere_size, vertex_curvature, vertex_dimension
 
-from conftest import (CONNECTED_LABELED, iter_connected_graph_classes, iter_connected_graphs,
-                      iter_graph_classes, sweep_draws)
+from conftest import (CONNECTED_LABELED, brute_neighbor_edges, iter_connected_graph_classes,
+                      iter_connected_graphs, iter_graph_classes, sweep_draws)
 
 
 def test_characteristic_length_closed_forms():
@@ -117,6 +118,53 @@ def test_mean_cluster_is_the_vertex_mean_of_the_cluster_coefficients():
         assert type(nu) is Fraction
         assert nu == sum(local_cluster(g, x) for x in range(g.n)) / g.n
     assert mean_cluster(from_edge_list(0, [])) == 0
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return from_edge_list(offset, edges)
+
+
+def test_neighbor_edges_match_the_pair_oracle():
+    # each triangle is counted once, from its lowest vertex in (degree, id)
+    # order, and adds one to each of its corners
+    graphs = [erdos_renyi(60, p, rng.derive_seed(37, 60, int(p * 100)))
+              for p in (0.02, 0.1, 0.3, 0.5, 0.8, 0.95)]
+    graphs += [watts_strogatz(300, 6, 0.1, seed=2), watts_strogatz(50, 10, 0.5, seed=3),
+               barabasi_albert(300, 3, 4), barabasi_albert(40, 8, 5), complete(1), complete(2),
+               complete(9), from_edge_list(0, []), from_edge_list(7, []), path(1), path(12),
+               star(1), star(30), wheel(9)]
+    graphs.append(disjoint_union(*graphs[-8:], erdos_renyi(30, 0.4, 6)))
+    for g in graphs:
+        assert metrics._neighbor_edges(g) == brute_neighbor_edges(g)
+    for g in sweep_draws("dense") + sweep_draws("sparse")[:6]:
+        assert metrics._neighbor_edges(g) == brute_neighbor_edges(g)
+
+
+def test_neighbor_edges_in_chunks(monkeypatch):
+    # a few neighbour pairs a chunk: a tail's pairs split across chunks, and a
+    # forward edge with more partners than a chunk holds takes a chunk alone
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", 5)
+    for g in [complete(12), erdos_renyi(40, 0.5, 9), wheel(20), star(6)]:
+        assert metrics._neighbor_edges(g) == brute_neighbor_edges(g)
+
+
+def test_mean_cluster_of_a_large_star_with_triangles():
+    # a hub with 20,000 leaves and three triangles through it: the pair loop
+    # tested 2·10^8 leaf pairs at the hub, the forward lists test none
+    n = 20_007
+    edges = [(0, v) for v in range(1, n)]
+    edges += [(20_001 + 2 * t, 20_002 + 2 * t) for t in range(3)]
+    g = from_edge_list(n, edges)
+    started = time.perf_counter()
+    nu = mean_cluster(g)
+    assert time.perf_counter() - started < 5
+    hub = Fraction(2 * 3, (n - 1) * (n - 2))
+    assert nu == (hub + 6) / n
+    assert metrics._neighbor_edges(g)[0] == 3 and sum(metrics._neighbor_edges(g)) == 9
 
 
 def test_cluster_length_lemma_families_and_random():
