@@ -137,6 +137,9 @@ def _rows_csv(rows):
 
 def cmd_analyze(args):
     from .report import FUNCTIONALS, compute_report
+    if args.profile and args.format == "csv":
+        raise InvalidParam("--profile writes per-vertex records, which --format csv has no "
+                           "rows for; use --format json")
     names = _names(args.functionals, FUNCTIONALS, "--functionals")
     graph = read_edge_list(args.input)
     rep = compute_report(graph, names=names, caps=_caps(args), include_profile=args.profile)
@@ -290,7 +293,7 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--functionals", default="all",
                    help="comma list (default all): {report.FUNCTIONALS}")
-    p.add_argument("--profile", action="store_true", help="include per-vertex records")
+    p.add_argument("--profile", action="store_true", help="include per-vertex records (JSON only)")
     _shared_flags(p, fmt=True, strict=True)
     p.set_defaults(run=cmd_analyze)
 

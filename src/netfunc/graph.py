@@ -1,27 +1,28 @@
 """Immutable finite simple graphs, their distance walks and edge-list I/O.
 
-Vertices are dense integer ids 0..n-1.  Adjacency is stored as sorted tuples
-(deterministic iteration) plus frozensets (O(1) membership), and on demand in
-two numpy layouts: `neighbor_arrays` (compressed sparse rows), from which
-`spectral` builds the Laplacian, the audit its BFS trees and this module the
-bit rows, and `adjacency_rows`, ⌈n/64⌉ uint64 words per vertex, the one bit
-layout, on which `topology` runs its clique complex and `combinatorial` its
-exact searches.  Hop distances come from one bit-parallel walk that grows
-every vertex's ball a hop per round, read through two views:
-`distance_levels` (cached level counts) and `all_pairs_distances` (the full
-numpy matrix); `metrics` sums distances inside a vertex subset straight from
-the walk.  One single-source BFS, `_bfs_parents`, serves the components
-here, the audit's tree Wiener index and arboricity's forest paths.  Graphs
-never mutate after construction, so every operation here is a pure function
-that can be called concurrently, and `per_graph` keeps a value computed from
-the graph alone on it: the level counts, the adjacency rows, the Laplacian
-spectrum and the component partition, which every connectivity guard in the
-package reads.
+Vertices are dense integer ids 0..n-1.  The adjacency is stored once, as
+sorted tuples (deterministic iteration, membership by bisection), and read in
+two numpy layouts built from them: `neighbor_arrays` (compressed sparse rows,
+cached), from which `spectral` builds the Laplacian, the audit its BFS trees,
+`metrics` its triangle counts and this module the bit rows, and
+`adjacency_rows`, ⌈n/64⌉ uint64 words per vertex, the one bit layout, on which
+`topology` runs its clique complex and `combinatorial` its exact searches.
+Hop distances come from one bit-parallel walk that grows every vertex's ball a
+hop per round, read through two views: `distance_levels` (cached level
+counts) and `all_pairs_distances` (the full numpy matrix); `metrics` sums
+distances inside a vertex subset straight from the walk.  One single-source
+BFS, `_bfs_parents`, serves the components here, the audit's tree Wiener
+index and arboricity's forest paths.  Graphs never mutate after construction,
+so every operation here is a pure function that can be called concurrently,
+and `per_graph` keeps a value computed from the graph alone on it: the level
+counts, the neighbor and adjacency arrays, the Laplacian spectrum and the
+component partition, which every connectivity guard in the package reads.
 """
 
 import functools
 import os
 import sys
+from bisect import bisect_left
 from itertools import chain
 from operator import index
 from typing import NamedTuple
@@ -33,20 +34,20 @@ from .errors import InvalidParam, LoopEdge, NetfuncError, ParseError, VertexOutO
 UNREACHABLE = -1
 
 # A vertex holds at least its empty adjacency set and that set's list slot
-# (224 bytes on 64-bit CPython); from_edge_list(10**6, []) peaks near 487.
+# (224 bytes on 64-bit CPython); from_edge_list(10**6, []) peaks near 364.
 _VERTEX_BYTES = sys.getsizeof(set()) + 8
 
 
 class Graph:
     """Finite simple graph: no loops, no multi-edges, undirected.
 
-    `adj[u]` lists the neighbors of u.  The lists must describe a simple
-    undirected graph on 0..n-1; anything else raises VertexOutOfRange,
-    LoopEdge or InvalidParam (non-integer n, wrong length, non-integer ids,
-    repeated or one-way neighbors).
+    `adj[u]` is the sorted tuple of u's neighbors, the one copy of the adjacency
+    (`neighbor_arrays` caches it as numpy arrays).  Lists that are not a simple
+    undirected graph on 0..n-1 raise VertexOutOfRange, LoopEdge or InvalidParam
+    (non-integer n, wrong length, non-integer ids, repeated or one-way neighbors).
     """
 
-    __slots__ = ("n", "adj", "adj_sets", "m", "_cache")
+    __slots__ = ("n", "adj", "m", "_cache")
 
     def __init__(self, n, adj):
         try:  # numpy integers become ints, so the bitmask shifts stay exact
@@ -57,7 +58,6 @@ class Graph:
         except TypeError:
             raise InvalidParam("the vertex count and the adjacency lists' vertex ids "
                                "must be integers") from None
-        self.adj_sets = tuple(frozenset(x) for x in self.adj)
         self.m = sum(len(x) for x in self.adj) // 2
         self._cache = {}  # per_graph's values, by function name
         self._validate()
@@ -65,19 +65,24 @@ class Graph:
     def _validate(self):
         if len(self.adj) != self.n:
             raise InvalidParam(f"{len(self.adj)} adjacency lists for {self.n} vertices")
-        adj_sets = self.adj_sets
+        inward = [[] for _ in self.adj]  # inward[v]: the u with v in adj[u], ascending
+        for u, neighbors in enumerate(self.adj):
+            if neighbors and (neighbors[0] < 0 or neighbors[-1] >= self.n):
+                neighbors = [v for v in neighbors if 0 <= v < self.n]
+            for v in neighbors:
+                inward[v].append(u)
         for u, neighbors in enumerate(self.adj):
             if not neighbors:
                 continue
             if neighbors[0] < 0 or neighbors[-1] >= self.n:
                 raise VertexOutOfRange(f"neighbor of {u} outside 0..{self.n - 1}")
-            if u in adj_sets[u]:
+            if u in neighbors:
                 raise LoopEdge(f"self-loop at vertex {u}")
-            if len(adj_sets[u]) != len(neighbors):
+            if len(set(neighbors)) != len(neighbors):
                 raise InvalidParam(f"repeated neighbor of vertex {u}")
-            for v in neighbors:
-                if u not in adj_sets[v]:
-                    raise InvalidParam(f"{v} is a neighbor of {u} but not {u} of {v}")
+            if inward[u] != list(neighbors) and (lacking := set(neighbors).difference(inward[u])):
+                v = min(lacking)  # the least v whose list lacks u
+                raise InvalidParam(f"{v} is a neighbor of {u} but not {u} of {v}")
 
     def degree(self, x):
         (x,) = vertex_set(self, (x,))
@@ -85,7 +90,8 @@ class Graph:
 
     def has_edge(self, u, v):
         (u,), (v,) = vertex_set(self, (u,)), vertex_set(self, (v,))
-        return v in self.adj_sets[u]
+        at = bisect_left(self.adj[u], v)
+        return at < len(self.adj[u]) and self.adj[u][at] == v
 
     def edges(self):
         """Yield edges as (u, v) with u < v, in lexicographic order."""
@@ -236,13 +242,13 @@ def all_pairs_distances(g):
     return dist
 
 
+@per_graph
 def neighbor_arrays(g):
-    """(degrees, neighbors) as int64 numpy arrays: the sorted neighbors of
-    each vertex in turn, so those of v start at the sum of the degrees
-    before v (the compressed sparse row layout).  Not cached: on K_1100 a
-    cached copy held 10 MB beside the dimension closure's budget."""
+    """(degrees, neighbors) as read-only int64 numpy arrays, cached: the sorted neighbors of
+    each vertex in turn, those of v from the sum of the degrees before v (compressed rows)."""
     degrees = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
     neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
+    degrees.flags.writeable = neighbors.flags.writeable = False
     return degrees, neighbors
 
 

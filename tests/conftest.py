@@ -35,9 +35,17 @@ from netfunc.topology import _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET
 INF = float("inf")
 
 
+def neighbor_sets(g):
+    """The neighbors of each vertex as frozensets, for the oracles' membership
+    tests: built from the adjacency lists, which the graph stores only as
+    sorted tuples."""
+    return tuple(map(frozenset, g.adj))
+
+
 def floyd_warshall(g):
     n = g.n
-    dist = [[0 if i == j else (1 if j in g.adj_sets[i] else INF) for j in range(n)]
+    sets = neighbor_sets(g)
+    dist = [[0 if i == j else (1 if j in sets[i] else INF) for j in range(n)]
             for i in range(n)]
     for k in range(n):
         for i in range(n):
@@ -179,11 +187,12 @@ CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256}
 
 def brute_simplex_counts(g):
     """Clique counts by testing every vertex subset."""
+    sets = neighbor_sets(g)
     counts = []
     for size in range(1, g.n + 1):
         c = 0
         for subset in combinations(range(g.n), size):
-            if all(v in g.adj_sets[u] for u, v in combinations(subset, 2)):
+            if all(v in sets[u] for u, v in combinations(subset, 2)):
                 c += 1
         if c == 0:
             break
@@ -194,7 +203,8 @@ def brute_simplex_counts(g):
 def brute_neighbor_edges(g):
     """edges[x] = the edges among the neighbors of x, by testing every pair of
     them: the reference for the triangle count of `metrics._neighbor_edges`."""
-    return tuple(sum(w in g.adj_sets[u] for u, w in combinations(neighbors, 2))
+    sets = neighbor_sets(g)
+    return tuple(sum(w in sets[u] for u, w in combinations(neighbors, 2))
                  for neighbors in g.adj)
 
 
@@ -238,6 +248,7 @@ def clique_subproblems(g):
     recursion evaluates: the children of S are N(v) ∩ S_{<v} for v in S, and
     below the root a subset of at most four vertices is read from the table,
     so its own children are not evaluated."""
+    sets = neighbor_sets(g)
     root = frozenset(range(g.n))
     seen = set()
     todo = [root]
@@ -246,7 +257,7 @@ def clique_subproblems(g):
         if len(subset) > 1 and subset not in seen:
             seen.add(subset)
             if subset is root or len(subset) > 4:
-                todo.extend(frozenset(u for u in g.adj_sets[v] & subset if u < v)
+                todo.extend(frozenset(u for u in sets[v] & subset if u < v)
                             for v in subset)
     return len(seen)
 
@@ -354,13 +365,14 @@ def recursion_clique_polynomial(g, t, budget=CLIQUE_BUDGET):
 def brute_inductive_dimension(g):
     """dim(G) = 1 + mean of dim(S(v)), recursing on frozenset vertex subsets
     with Fraction arithmetic; dim of the empty graph is -1."""
+    sets = neighbor_sets(g)
     memo = {}
 
     def dim(subset):
         if not subset:
             return Fraction(-1)
         if subset not in memo:
-            total = sum((dim(g.adj_sets[v] & subset) for v in subset), Fraction(0))
+            total = sum((dim(sets[v] & subset) for v in subset), Fraction(0))
             memo[subset] = 1 + total / len(subset)
         return memo[subset]
 
@@ -417,10 +429,11 @@ def pair_vertex_dimensions(g):
 
 
 def brute_independence_number(g):
+    sets = neighbor_sets(g)
     best = 0
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if all(v not in g.adj_sets[u] for u, v in combinations(subset, 2)):
+            if all(v not in sets[u] for u, v in combinations(subset, 2)):
                 return size
     return best
 
@@ -557,7 +570,8 @@ def per_root_tree_wieners(g):
 
 def reduced_laplacian(g):
     """The Laplacian of g with row and column 0 deleted, as integer lists."""
-    return [[len(g.adj_sets[i]) if i == j else -int(j in g.adj_sets[i]) for j in range(1, g.n)]
+    sets = neighbor_sets(g)
+    return [[len(sets[i]) if i == j else -int(j in sets[i]) for j in range(1, g.n)]
             for i in range(1, g.n)]
 
 
@@ -875,6 +889,21 @@ def relabelled_graphs(draw):
     perm = draw(st.permutations(range(n)))
     return (from_edge_list(n, edges),
             from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, the vertices of each after those of the ones before."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return from_edge_list(offset, edges)
+
+
+def join(a, b):
+    """Disjoint union of a and b plus every edge between them."""
+    edges = [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
+    return from_edge_list(a.n + b.n, list(disjoint_union(a, b).edges()) + edges)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from netfunc.generators import complete, watts_strogatz
 from netfunc.graph import write_edge_list
 from netfunc.report import REPORT_SCHEMA
 
+from compare_golden import differences
 from conftest import SWEEPS, sweep_draws
 
 
@@ -99,6 +100,30 @@ def test_sweep_output_is_byte_identical_to_the_golden_file(tmp_path, name):
     assert out.read_bytes() == golden.read_bytes()
     records = json.loads(golden.read_text())
     assert [(g.n, g.m) for g in sweep_draws(name)] == [(r["n"], r["m"]) for r in records]
+
+
+def test_analyze_and_audit_match_their_golden_files(tmp_path):
+    # the exact benchmark's draw: statuses, reasons and exact values equal,
+    # floats within 1e-9 relative
+    golden = Path(__file__).parent / "golden"
+    graph = tmp_path / "er.edges"
+    assert main(["generate", "--model", "er", "--n", "200", "--p", "0.05", "--seed", "1",
+                 "--output", str(graph)]) == 0
+    for name, argv in [("analyze", ["--functionals", "all"]), ("audit", [])]:
+        out = tmp_path / f"{name}.json"
+        assert main([name, str(graph), *argv, "--output", str(out)]) == 0
+        assert differences(json.loads(out.read_text()),
+                           json.loads((golden / f"{name}_er200.json").read_text())) == []
+
+
+def test_golden_comparison_sees_what_moved():
+    golden = {"a": {"kind": "real", "value": 1.0, "seconds": 2.0}, "b": [1, "1/2", None]}
+    assert differences({"a": {"kind": "real", "value": 1.0 + 1e-12, "seconds": 9.0},
+                        "b": [1, "1/2", None]}, golden) == []
+    assert differences({"a": {"kind": "real", "value": 1.0 + 1e-6}, "b": [1.0, "1/3"]},
+                       golden) == ["$.a.value: 1.000001 != 1.0", "$.b: 2 items != 3"]
+    assert differences({"a": {"kind": "rational", "value": 1.0}, "b": [True, "1/2", None]},
+                       golden) == ["$.a.kind: 'rational' != 'real'", "$.b[0]: True != 1"]
 
 
 def run_capped(*argv, limit=2 * 2**30, seconds=5):
@@ -267,6 +292,16 @@ def test_analyze_csv_and_profile(tmp_path, capsys):
     profile = json.loads(stdout)["profile"]
     assert len(profile) == 4
     assert profile[0]["cluster"] == {"num": "1", "den": "1"}
+
+
+def test_analyze_refuses_a_profile_in_csv(tmp_path, capsys):
+    # the CSV rows are one per functional, so the per-vertex records have no place there
+    target = tmp_path / "c5.edges"
+    write_edge_list(from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)]), target)
+    code, stdout, err = run(capsys, "analyze", str(target), "--functionals", "char_length",
+                            "--profile", "--format", "csv")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and "--profile" in err and "--format csv" in err
 
 
 @pytest.mark.parametrize("argv, message", [

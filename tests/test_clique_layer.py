@@ -24,9 +24,10 @@ from netfunc.topology import (_CHI_TOP, _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_
 
 from conftest import (DimensionRecursion, PairDimensionMemo, adjacency_masks,
                       brute_inductive_dimension, brute_simplex_counts, clique_subproblems,
-                      degree_code, iter_graph_classes, iter_graphs, pair_inductive_dimension,
-                      pair_vertex_dimensions, recursion_clique_polynomial, relabelled_graphs,
-                      sweep_draws, walk_simplex_counts)
+                      degree_code, disjoint_union, iter_graph_classes, iter_graphs, join,
+                      neighbor_sets, pair_inductive_dimension, pair_vertex_dimensions,
+                      recursion_clique_polynomial, relabelled_graphs, sweep_draws,
+                      walk_simplex_counts)
 
 
 def alternating_sum(counts):
@@ -354,14 +355,6 @@ def test_closure_matches_recursion_on_er_draws(n, p):
         assert simplex_counts(g) == walk_simplex_counts(g)
 
 
-def disjoint_union(*graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges += [(u + offset, v + offset) for u, v in g.edges()]
-        offset += g.n
-    return from_edge_list(offset, edges)
-
-
 def test_closure_matches_recursion_on_cliques_unions_and_sweep_draws():
     union = disjoint_union(complete(5), hub_graph(), erdos_renyi(20, 0.5, 7), complete(1),
                            from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)]))
@@ -370,12 +363,6 @@ def test_closure_matches_recursion_on_cliques_unions_and_sweep_draws():
         assert assert_closure_matches_recursion(g, vertices=g.n <= 500) == []
     assert vertex_dimensions(union) == pair_vertex_dimensions(union)
     assert simplex_counts(union) == walk_simplex_counts(union)
-
-
-def join(a, b):
-    """Disjoint union of a and b plus every edge between them."""
-    edges = [(u, a.n + v) for u in range(a.n) for v in range(b.n)]
-    return from_edge_list(a.n + b.n, list(disjoint_union(a, b).edges()) + edges)
 
 
 def test_one_subset_split_across_several_slices(monkeypatch):
@@ -499,6 +486,7 @@ def dimension_subproblems(g):
     """Distinct nonempty vertex subsets the dimension recursion evaluates: the
     root, and below it every sphere, though one of at most four vertices is
     read from the table and not split into its own spheres."""
+    sets = neighbor_sets(g)
     root = frozenset(range(g.n))
     seen = set()
     todo = [root]
@@ -507,7 +495,7 @@ def dimension_subproblems(g):
         if subset and subset not in seen:
             seen.add(subset)
             if subset is root or len(subset) > 4:
-                todo.extend(g.adj_sets[v] & subset for v in subset)
+                todo.extend(sets[v] & subset for v in subset)
     return len(seen)
 
 

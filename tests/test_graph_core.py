@@ -1,6 +1,8 @@
 """Graph construction, metric primitives and clique counting."""
 
 import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,14 @@ def test_graph_rejects_invalid_adjacency():
         Graph(2, [[1.0], [0]])
     with pytest.raises(InvalidParam, match="vertex count"):
         Graph(3.0, [[], [], []])
+    # each list is its own mirror here, so comparing a vertex's list with the
+    # lists that name it does not see these alone
+    with pytest.raises(InvalidParam, match="^repeated neighbor of vertex 0$"):
+        Graph(2, [[1, 1], [0, 0]])
+    with pytest.raises(LoopEdge, match="^self-loop at vertex 0$"):
+        Graph(1, [[0]])
+    with pytest.raises(InvalidParam, match="^2 is a neighbor of 1 but not 1 of 2$"):
+        Graph(3, [[1], [0, 2], [0]])
     assert Graph(3, [[1, 2], [0], [0]]) == from_edge_list(3, [(0, 1), (0, 2)])
 
 
@@ -88,9 +98,34 @@ def test_each_vertex_id_is_one_int_object():
     pairs = [(u, v) for u in range(300, 400) for v in range(u + 1, 400)]
     g = from_edge_list(400, [(int(str(u)), int(str(v))) for u, v in pairs])
     assert list(g.edges()) == pairs
-    ends = [v for row in g.adj for v in row] + [v for s in g.adj_sets for v in s]
-    assert len(ends) == 4 * len(pairs)
+    ends = [v for row in g.adj for v in row]
+    assert len(ends) == 2 * len(pairs)
     assert len({id(v) for v in ends}) == 100
+
+
+def test_a_graph_holds_its_adjacency_once():
+    # the sorted tuples are the whole adjacency: building K_400 leaves behind
+    # less than twice their size
+    pairs = [(u, v) for u in range(400) for v in range(u + 1, 400)]
+    tracemalloc.start()
+    try:
+        g = from_edge_list(400, pairs)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tuples = sum(sys.getsizeof(row) for row in g.adj) + sys.getsizeof(g.adj)
+    assert retained < 2 * tuples
+
+
+def test_neighbor_arrays_are_one_read_only_copy():
+    g = erdos_renyi(30, 0.3, 5)
+    degrees, neighbors = graph.neighbor_arrays(g)
+    assert graph.neighbor_arrays(g) is graph.neighbor_arrays(g)
+    assert not degrees.flags.writeable and not neighbors.flags.writeable
+    assert degrees.tolist() == [len(row) for row in g.adj]
+    assert neighbors.tolist() == [v for row in g.adj for v in row]
+    with pytest.raises(ValueError):
+        neighbors[0] = 0
 
 
 def test_simplex_counts_is_a_hashable_tuple():

@@ -24,8 +24,9 @@ from netfunc.metrics import (characteristic_length, closeness_centrality,
 from netfunc.report import compute_report
 from netfunc.topology import second_sphere_size, vertex_curvature, vertex_dimension
 
-from conftest import (CONNECTED_LABELED, brute_neighbor_edges, iter_connected_graph_classes,
-                      iter_connected_graphs, iter_graph_classes, sweep_draws)
+from conftest import (CONNECTED_LABELED, brute_neighbor_edges, disjoint_union,
+                      iter_connected_graph_classes, iter_connected_graphs, iter_graph_classes,
+                      sweep_draws)
 
 
 def test_characteristic_length_closed_forms():
@@ -118,14 +119,6 @@ def test_mean_cluster_is_the_vertex_mean_of_the_cluster_coefficients():
         assert type(nu) is Fraction
         assert nu == sum(local_cluster(g, x) for x in range(g.n)) / g.n
     assert mean_cluster(from_edge_list(0, [])) == 0
-
-
-def disjoint_union(*graphs):
-    edges, offset = [], 0
-    for g in graphs:
-        edges += [(u + offset, v + offset) for u, v in g.edges()]
-        offset += g.n
-    return from_edge_list(offset, edges)
 
 
 def test_neighbor_edges_match_the_pair_oracle():
