@@ -2,8 +2,8 @@
 
 All searches are exact; when a graph exceeds the cap the caller gets a
 SizeCapExceeded instead of an estimate, and report layers surface that as a
-skip.  Python-int masks of the adjacency rows keep the branch-and-bound tight
-up to the caps.
+skip.  Python-int masks of the adjacency, built from `g.adj`, keep the
+branch-and-bound tight up to the caps.
 Arboricity's witness is certified by component counts: a set of edges on n
 vertices is a forest iff it has n - c edges, c its number of components.
 """
@@ -15,7 +15,7 @@ from itertools import chain
 from math import ceil
 
 from .errors import NoEdges, SizeCapExceeded
-from .graph import _bfs_parents, adjacency_rows, connected_components, from_edge_list
+from .graph import _bfs_parents, connected_components, from_edge_list
 
 INDEPENDENCE_CAP = 30
 CHROMATIC_CAP = 20
@@ -23,8 +23,8 @@ ARBORICITY_CAP = 12
 
 
 def _masks(g):
-    """The adjacency rows as Python ints, their words little-endian on any host."""
-    return [int.from_bytes(row.tobytes(), "little") for row in adjacency_rows(g).astype("<u8")]
+    """masks[v] has bit u set iff u is a neighbor of v."""
+    return [sum(1 << u for u in neighbors) for neighbors in g.adj]
 
 
 def _max_clique(masks, n):

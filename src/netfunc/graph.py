@@ -2,11 +2,10 @@
 
 Vertices are dense integer ids 0..n-1.  The adjacency is stored once, as
 sorted tuples (deterministic iteration, membership by bisection), and read in
-two numpy layouts built from them: `neighbor_arrays` (compressed sparse rows,
+one numpy layout built from them, `neighbor_arrays` (compressed sparse rows,
 cached), from which `spectral` builds the Laplacian, the audit its BFS trees,
-`metrics` its triangle counts and this module the bit rows, and
-`adjacency_rows`, ⌈n/64⌉ uint64 words per vertex, the one bit layout, on which
-`topology` runs its clique complex and `combinatorial` its exact searches.
+`metrics` its triangle counts and `topology` the bit rows of its clique
+complex.
 Hop distances come from one bit-parallel walk that grows every vertex's ball a
 hop per round, read through two views: `distance_levels` (cached level
 counts) and `all_pairs_distances` (the full numpy matrix); `metrics` sums
@@ -15,7 +14,7 @@ BFS, `_bfs_parents`, serves the components here, the audit's tree Wiener
 index and arboricity's forest paths.  Graphs never mutate after construction,
 so every operation here is a pure function that can be called concurrently,
 and `per_graph` keeps a value computed from the graph alone on it: the level
-counts, the neighbor and adjacency arrays, the Laplacian spectrum and the
+counts, the neighbor arrays and bit rows, the Laplacian spectrum and the
 component partition, which every connectivity guard in the package reads.
 """
 
@@ -250,36 +249,6 @@ def neighbor_arrays(g):
     neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=2 * g.m)
     degrees.flags.writeable = neighbors.flags.writeable = False
     return degrees, neighbors
-
-
-def _bit_rows(g, lower):
-    """Row v has bit u, in word u // 64 of ⌈n/64⌉ uint64 words, for each
-    neighbor u of v (with `lower`, each one below v)."""
-    degrees, heads = neighbor_arrays(g)
-    tails = np.repeat(np.arange(g.n), degrees)
-    if lower:
-        keep = heads < tails
-        tails, heads = tails[keep], heads[keep]
-    words = max(1, -(-g.n // 64))
-    rows = np.zeros((g.n, words), dtype=np.uint64)
-    at = tails * words + (heads >> 6)  # by tail, then head: each word's bits are consecutive
-    starts = np.flatnonzero(np.diff(at, prepend=-1))
-    bits = np.uint64(1) << (heads & 63).astype(np.uint64)
-    rows.ravel()[at[starts]] = np.bitwise_or.reduceat(bits, starts) if len(bits) else 0
-    return rows
-
-
-@per_graph
-def adjacency_rows(g):
-    """rows[v] has bit u set iff u is a neighbor of v; cached, read-only."""
-    rows = _bit_rows(g, False)
-    rows.flags.writeable = False
-    return rows
-
-
-def lower_adjacency_rows(g):
-    """adjacency_rows(g) keeping in row v only the neighbors below v; not cached."""
-    return _bit_rows(g, True)
 
 
 def _bfs_parents(adj, source):

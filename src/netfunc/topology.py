@@ -6,7 +6,7 @@ The clique complex is one recursion on vertex subsets,
 value(S) = close(|S|, Σ_{v∈S} value(S ∩ step[v])), and one closure in numpy,
 `_Closure`, computes it.  A subset, the call's root included (all n vertices
 or one vertex's sphere), is a row of W = ⌈n/64⌉ uint64 words, the layout of
-`graph.adjacency_rows`.  The closure is found in rounds, as a multi-source BFS
+`adjacency_rows`.  The closure is found in rounds, as a multi-source BFS
 expands a frontier: the first round splits the root into its children, and
 each later round splits every subset the round before stored for the first
 time.  Child rows are made from each row's members (only nonzero words are
@@ -65,13 +65,13 @@ equals the recursion's count, and a call raises exactly when that count
 exceeds its budget, with the same exception and message.  A call that raises
 stores nothing.
 
-Memory is bounded with the count.  A call reads the adjacency rows and, for
-the clique counts, the lower rows, 8nW bytes each; stores at most `budget`
-rows of 8W bytes, grown in place by a quarter at a time; keeps one 8-byte
-child id per member of each subset it splits (at most `budget` subsets of at
-most Δ members, and the root's n); and holds a few `_CHUNK_BYTES` of child
-rows, their sort and their leaves' degree codes per slice.  So a call past
-its budget stops in bounded memory.
+Memory is bounded with the count.  A call reads the adjacency rows, its one
+row set of 8nW bytes; stores at most `budget` rows of 8W bytes, grown in
+place by a quarter at a time; keeps one 8-byte child id per member of each
+subset it splits (at most `budget` subsets of at most Δ members, and the
+root's n); and holds a few `_CHUNK_BYTES` of child rows, their sort and their
+leaves' degree codes per slice.  So a call past its budget stops in bounded
+memory.
 
 The dimension runs it on the adjacency rows, where rows[v] & S is the sphere
 of v in S.  By induction from dim(∅) = −1, the denominator of dim(S) divides
@@ -88,8 +88,8 @@ log2(64!) + log2(n) bits (about 300), where scale = Δ! would grow with Δ.  Of
 the 221,039 subsets of the twelve ER(n, 0.5) draws, n ∈ {40, 60, 80}, of the
 benchmark's dense sweep, 5,025 are past 18 vertices.
 
-The clique counts run it on the lower rows (`graph.lower_adjacency_rows`),
-where lower[v] & S is N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
+The clique counts run it on the same rows, each child S ∩ rows[v] cut by
+`_below` to N(v) ∩ S_{<v}.  A nonempty clique of S is its top vertex v
 over a clique of N(v) ∩ S_{<v}, so the clique polynomial F_S(t) = Σ_j c_j t^j
 (c_j the cliques of j vertices) obeys F_S = 1 + t·Σ_{v∈S} F_{N(v)∩S_{<v}},
 with F_∅ = 1 and each single vertex seeded as 1 + t.  `_CliqueClosure` runs
@@ -111,8 +111,9 @@ coefficients, built as lists of Python ints (`expected_dimension_polynomial`).
 `curvature_summary` is cached per graph (`graph.per_graph`) and is the one
 place that reads d2(x), the number of vertices at distance 2, from the level
 counts.  `second_sphere_size`, `vertex_curvature` and `length_estimate` read
-its tables and means.  The per-vertex functions check the vertex id with
-`graph.vertex_set` first.
+its tables and means.  The action's sum is a `math.fsum`, rounded once in any
+order, so no relabelling moves its last bits.  The per-vertex functions check
+the vertex id with `graph.vertex_set` first.
 """
 
 import functools
@@ -127,8 +128,7 @@ import numpy as np
 from .errors import (CliqueBudgetExceeded, EstimatorUndefined, InvalidParam,
                      RecursionBudgetExceeded)
 from .generators import _well_typed
-from .graph import (adjacency_rows, distance_levels, lower_adjacency_rows, per_graph,
-                    vertex_set)
+from .graph import distance_levels, neighbor_arrays, per_graph, vertex_set
 
 # -- the subset closure -------------------------------------------------------
 
@@ -153,6 +153,32 @@ def _vertex_row(n):
     """The row of all n vertices: bits 0..n−1 of ⌈n/64⌉ uint64 words."""
     bits = np.arange(64 * max(1, -(-n // 64))) < n
     return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
+@per_graph
+def adjacency_rows(g):
+    """rows[v] has bit u, in word u // 64 of ⌈n/64⌉ uint64 words, for each
+    neighbor u of v; cached, read-only."""
+    degrees, heads = neighbor_arrays(g)
+    tails = np.repeat(np.arange(g.n), degrees)
+    words = max(1, -(-g.n // 64))
+    rows = np.zeros((g.n, words), dtype=np.uint64)
+    at = tails * words + (heads >> 6)  # by tail, then head: each word's bits are consecutive
+    starts = np.flatnonzero(np.diff(at, prepend=-1))
+    bits = np.uint64(1) << (heads & 63).astype(np.uint64)
+    rows.ravel()[at[starts]] = np.bitwise_or.reduceat(bits, starts) if len(bits) else 0
+    rows.flags.writeable = False
+    return rows
+
+
+def _below(rows, v):
+    """Cut each row i of the C-contiguous `rows` to its members below v[i], in
+    place: the words after v[i]'s are zeroed, and its own is masked with
+    2^(v[i] mod 64) − 1."""
+    word = v >> 6
+    rows *= np.arange(rows.shape[1]) <= word[:, None]
+    low = (np.uint64(1) << (v & 63).astype(np.uint64)) - np.uint64(1)
+    rows.ravel()[word + rows.shape[1] * np.arange(len(rows))] &= low
 
 
 def _sizes(rows):
@@ -289,7 +315,7 @@ class _Closure:
     def __init__(self, g, lower, seeds, scales, leaves, budget, exceeded, unit):
         self.full = adjacency_rows(g)
         self.words = words = self.full.shape[1]
-        self.step = lower_adjacency_rows(g) if lower else self.full
+        self.lower = lower
         self.seeded = len(seeds) - 1
         self.top, self.small_scale, self.scale = top, small_scale, scale = scales
         self.ratio = scale // small_scale
@@ -371,9 +397,12 @@ class _Closure:
                                                       side="right")))
             part = self.rows.take(ids[start:stop], axis=0)
             r, v = _members(part)
-            child_ids = [self._children(part.take(r[at:at + per], axis=0)
-                                        & self.step.take(v[at:at + per], axis=0), frontier)
-                         for at in range(0, len(r), per)]
+            child_ids = []
+            for at in range(0, len(r), per):
+                rows = part.take(r[at:at + per], axis=0) & self.full.take(v[at:at + per], axis=0)
+                if self.lower:
+                    _below(rows, v[at:at + per])
+                child_ids.append(self._children(rows, frontier))
             split.append((ids[start:stop], sizes[start:stop], np.concatenate(child_ids)))
             start = stop
 
@@ -479,7 +508,7 @@ def _clique_leaves(t, scales):
 
 class _CliqueClosure(_Closure):
     """F_S(t) = Σ_j c_j t^j, c_j the complete subgraphs on j vertices of S
-    (c_0 = 1), at the integer t, by the closure on the lower rows.  Values of
+    (c_0 = 1), at the integer t, by the closure with `lower`.  Values of
     subsets of at most `top` vertices are int64; raises CliqueBudgetExceeded
     past `budget` distinct subsets of two or more vertices."""
 
@@ -667,7 +696,7 @@ def curvature_summary(g):
         mean_degree=2 * g.m / n if n else 0.0,
         mean_second=sum(seconds) / n if n else 0.0,
         edge_density=Fraction(2 * g.m, n * (n - 1)) if n >= 2 else Fraction(0),
-        action=sum(admissible) / len(admissible) if admissible else None,
+        action=math.fsum(admissible) / len(admissible) if admissible else None,
         curvatures=curvatures,
         excluded=n - len(admissible),
         second_spheres=seconds,

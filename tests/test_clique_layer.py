@@ -3,6 +3,7 @@ the recursive oracles and the clique walk, their budgets, relabelling
 invariance, large cliques, and the discrete Gauss-Bonnet theorem as an
 independent check of the Euler characteristic."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -13,14 +14,14 @@ from hypothesis import given, settings
 
 from netfunc import rng, topology
 from netfunc.errors import CliqueBudgetExceeded, RecursionBudgetExceeded
-from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi
-from netfunc.graph import adjacency_rows, from_edge_list, sphere
+from netfunc.generators import ModelSpec, build_model, complete, erdos_renyi, watts_strogatz
+from netfunc.graph import from_edge_list, sphere
 from netfunc.metrics import local_profile
 from netfunc.report import Caps, compute_report
 from netfunc.topology import (_CHI_TOP, _SMALL_GRAPHS, CLIQUE_BUDGET, DIMENSION_BUDGET,
                               _Closure, _CliqueClosure, _degree_codes, _DimensionClosure,
-                              euler_characteristic, inductive_dimension, simplex_counts,
-                              vertex_dimension, vertex_dimensions)
+                              adjacency_rows, euler_characteristic, inductive_dimension,
+                              simplex_counts, vertex_dimension, vertex_dimensions)
 
 from conftest import (DimensionRecursion, PairDimensionMemo, adjacency_masks,
                       brute_inductive_dimension, brute_simplex_counts, clique_subproblems,
@@ -462,11 +463,14 @@ def test_column_and_packed_kernels_agree(monkeypatch, words):
         [degree_code(int.from_bytes(r.astype("<u8").tobytes(), "little"), masks) for r in leaves]
 
 
-@pytest.mark.parametrize("n,p", [(128, 0.05), (129, 0.05), (128, 0.2), (129, 0.2)])
+@pytest.mark.parametrize("n,p", [(64, 0.05), (65, 0.05), (64, 0.2), (65, 0.2),
+                                 (128, 0.05), (129, 0.05), (128, 0.2), (129, 0.2)])
 def test_closure_matches_recursion_at_the_width_boundary(n, p):
-    # 128 vertices take two words and the column kernels, 129 three words and
-    # the packed ones: the same values and spending, and the same raise one
-    # subset short of the recursion's count
+    # 65 vertices are the first whose rows have a second word, so the clique
+    # counts' cut below v first masks a word past the first and zeroes one
+    # after it; 128 vertices take two words and the column kernels, 129 three
+    # words and the packed ones: the same values and spending, and the same
+    # raise one subset short of the recursion's count
     g = erdos_renyi(n, p, rng.derive_seed(31, n, int(p * 100)))
     assert (topology._vertex_row(n).size <= topology._NARROW_WORDS) == (n <= 128)
     assert assert_closure_matches_recursion(g) == []
@@ -522,6 +526,22 @@ def test_large_clique_is_skipped_with_budget_reasons():
     dim, chi = report.entries["dimension"], report.entries["euler_char"]
     assert dim.status == "skipped" and "more than 10000 dimension subproblems" in dim.reason
     assert chi.status == "ok" and chi.value == 1
+
+
+def test_euler_characteristic_builds_no_second_row_set():
+    # the rows of WS(20000, 6, 0.1) take 8nW = 47.8 MiB at W = 313 words; χ
+    # cuts each child below its vertex in the slice of child rows, so beside
+    # the cached rows a call holds only its stored subsets and a few slices,
+    # under two row sets, where one more full row set would pass the bound
+    g = watts_strogatz(20000, 6, 0.1, 1)
+    rows = adjacency_rows(g)
+    tracemalloc.start()
+    try:
+        assert euler_characteristic(g) == -6910
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * rows.nbytes
 
 
 def test_shared_memo_charges_the_budget_per_vertex():
